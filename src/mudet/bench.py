@@ -54,6 +54,7 @@ from .airlink import (
     generate_channel,
 )
 from .detectors import (
+    ML_GUARD,
     SrKBestParams,
     build_extended,
     compute_llrs,
@@ -73,8 +74,6 @@ from .numkit import solve_hermitian, sorted_qr
 DETECTOR_NAMES = ("mrc", "mmse-irc", "osic", "kbest", "sr-kbest", "robust-sr-kbest", "ml")
 
 NOISELESS_FLOOR = 1e-12
-
-ML_CANDIDATE_GUARD = 10**6
 
 CSV_HEADER = "detector,snr_db,trials,bits,bit_errors,ber,coded,ce_mode,seed"
 
@@ -104,7 +103,8 @@ class ScenarioConfig:
     interferer_power_ratio: float = 1.0
     sr_params: SrKBestParams = field(default_factory=SrKBestParams.default_16_4)
     kbest_k: int = 16
-    kbest_expand: int = 16
+    # children per K-best parent; None expands every constellation point
+    kbest_expand: int | None = None
     # decoder-input clip on every detector's LLR stream (coded path). A bit
     # with no hypothesis in a candidate list reads +/-30 (LLR_MAX), which is
     # over-confident for min-sum; the max-log list detectors (osic, kbest,
@@ -145,11 +145,11 @@ class ScenarioConfig:
         if self.kbest_k < 1:
             raise ConfigValidationError("kbest.k", "must be >= 1")
         cons_size = 4 if self.constellation == "qpsk" else 16
-        if not 1 <= self.kbest_expand <= cons_size:
+        if self.kbest_expand is not None and not 1 <= self.kbest_expand <= cons_size:
             raise ConfigValidationError("kbest.expand", "must be in [1, constellation size]")
         if self.llr_clip <= 0:
             raise ConfigValidationError("llr_clip", "must be > 0")
-        if "ml" in self.detectors and cons_size**self.n_users > ML_CANDIDATE_GUARD:
+        if "ml" in self.detectors and cons_size**self.n_users > ML_GUARD:
             raise ConfigValidationError(
                 "detectors", "ml is infeasible at this scale; drop it or shrink n_users"
             )
@@ -173,6 +173,8 @@ class BerRecord:
 # ---------------------------------------------------------------------------
 # configuration parsing
 
+# keys whose value is a comma list; an empty value is the empty list, so a
+# schedule with s = 0 can state its empty q
 _LIST_KEYS = {"sr.p", "sr.v", "sr.q"}
 
 _KNOWN_KEYS = {
@@ -230,7 +232,7 @@ def parse_config(text: str) -> ScenarioConfig:
         key, _, value = stripped.partition("=")
         key = key.strip()
         value = value.strip()
-        if not key or not value:
+        if not key or (not value and key not in _LIST_KEYS):
             raise ConfigParseError(line_no, "empty key or value")
         if key not in _KNOWN_KEYS:
             raise ConfigValidationError(key, "unknown configuration key")
@@ -245,7 +247,7 @@ def parse_config(text: str) -> ScenarioConfig:
         except ValueError as exc:
             raise ConfigParseError(line_no, f"{key}: {exc}") from exc
 
-    int_list = lambda v: tuple(int(p) for p in v.split(","))
+    int_list = lambda v: tuple(int(p) for p in v.split(",")) if v else ()
     str_list = lambda v: tuple(p.strip() for p in v.split(",") if p.strip())
 
     defaults = ScenarioConfig()
@@ -368,12 +370,14 @@ def _detect_uses(cfg, name: str, cons, know: _TrialKnowledge, y_block, need_llr:
     """Run one detector over every use of a trial.
 
     Returns hard decisions ``(n_uses, n_users)`` and, when requested,
-    LLRs ``(n_uses, n_users * bits_per_symbol)``. The robust detector's
-    LLRs come from its own soft-output list, not from its hard search, so
-    when they are requested it runs that list alone and returns no hard
-    decisions (``None``): the coded path reads only the LLRs.
+    LLRs ``(n_uses, n_users * bits_per_symbol)``. Every use shares the
+    trial's channel knowledge, so each detector factorizes once and
+    searches all uses in one batched call; only ``ml`` runs per vector.
+    The robust detector's LLRs come from its own soft-output list, not
+    from its hard search, so when they are requested it runs that list
+    alone and returns no hard decisions (``None``): the coded path reads
+    only the LLRs.
     """
-    n_uses = y_block.shape[0]
     n_users = cfg.n_users
     h_hat, r_uu, sigma_det = know.h_hat, know.r_uu, know.sigma_det
 
@@ -394,47 +398,32 @@ def _detect_uses(cfg, name: str, cons, know: _TrialKnowledge, y_block, need_llr:
         bias = np.diag(gain)
         inter = np.sum(np.abs(gain) ** 2, axis=1) - np.abs(bias) ** 2
         noise = np.real(np.diag(w @ r_model @ w.conj().T))
-        nu = inter + noise
-        llr = np.stack([equalizer_llrs(row, bias, nu, cons) for row in x_eq])
-        return hard, llr
+        return hard, equalizer_llrs(x_eq, bias, inter + noise, cons)
 
     if name in ("osic", "kbest", "sr-kbest"):
-        ext = build_extended(h_hat, np.zeros(cfg.n_rx), sigma_det, know.sigma_i2)
+        ext = build_extended(h_hat, y_block, sigma_det, know.sigma_i2)
         sq = sorted_qr(ext.h_ext)
-        zeros_tail = np.zeros(n_users, dtype=complex)
-        hard = np.empty((n_uses, n_users), dtype=np.int64)
-        llr = np.empty((n_uses, n_users * cons.bits_per_symbol)) if need_llr else None
-        for t in range(n_uses):
-            y_ext = np.concatenate([y_block[t], zeros_tail])
-            if name == "osic":
-                out = osic_detect(sq, y_ext, cons)
-                hard[t] = out.hard
-                if need_llr:
-                    llr[t] = out.llr
-                continue
-            y_tilde = sq.q.conj().T @ y_ext
-            if name == "kbest":
-                cands = kbest_detect(sq.r, y_tilde, cfg.kbest_k, cons, cfg.kbest_expand)
-            else:
-                cands = sr_kbest_detect(sq.r, y_tilde, cfg.sr_params, cons)
-            cands = cands.permuted(sq.perm)
-            hard[t] = cands.symbols[0]
-            if need_llr:
-                llr[t] = compute_llrs(cands, cons, n_users)
-        return hard, llr
+        if name == "osic":
+            out = osic_detect(sq, ext.y_ext, cons)
+            return out.hard, out.llr if need_llr else None
+        y_tilde = ext.y_ext @ sq.q.conj()
+        if name == "kbest":
+            cands = kbest_detect(sq.r, y_tilde, cfg.kbest_k, cons, cfg.kbest_expand)
+        else:
+            cands = sr_kbest_detect(sq.r, y_tilde, cfg.sr_params, cons)
+        cands = cands.permuted(sq.perm)
+        return cands.symbols[:, 0], compute_llrs(cands, cons, n_users) if need_llr else None
 
     if name == "robust-sr-kbest":
         plan = robust_plan(h_hat, r_uu)
         if need_llr:
             return None, robust_soft_llrs(plan, y_block, cons)
-        hard = np.empty((n_uses, n_users), dtype=np.int64)
-        for t in range(n_uses):
-            state = robust_apply(plan, y_block[t])
-            cands = sr_kbest_detect(state.r2, state.y3, cfg.sr_params, cons)
-            hard[t] = cands.permuted(state.perm).symbols[0]
-        return hard, None
+        state = robust_apply(plan, y_block)
+        cands = sr_kbest_detect(state.r2, state.y3, cfg.sr_params, cons)
+        return cands.permuted(state.perm).symbols[:, 0], None
 
     if name == "ml":
+        n_uses = y_block.shape[0]
         hard = np.empty((n_uses, n_users), dtype=np.int64)
         llr = np.empty((n_uses, n_users * cons.bits_per_symbol)) if need_llr else None
         for t in range(n_uses):

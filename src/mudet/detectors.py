@@ -21,6 +21,14 @@ LLR convention: positive favours bit 0. Magnitudes are clamped to
 ``LLR_MAX`` so a missing bit hypothesis in a candidate list stays finite
 for the decoder.
 
+Batching: the tree searches (:func:`osic_detect`, :func:`kbest_detect`,
+:func:`sr_kbest_detect`), :func:`robust_apply`, :func:`compute_llrs` and
+:func:`equalizer_llrs` take either one received vector or a ``(B, ...)``
+stack of vectors that share one channel factorization; a 1-D input is a
+batch of one and returns unbatched output. Every row is searched exactly
+as it would be alone: per-row sorts are stable along the last axis, so
+ties resolve the same way at any batch size.
+
 All functions are pure: they read their arguments and return fresh
 arrays, so concurrent calls on distinct subcarrier instances are safe.
 """
@@ -57,32 +65,36 @@ SR_EXPAND_BUDGET = 4
 # Monte-Carlo noise; widths 16 and 32 fall short of it.
 SOFT_LIST_WIDTH = 64
 
-_ML_GUARD = 10**6
+# Largest exhaustive search space ml_bruteforce (and a scenario running it)
+# accepts.
+ML_GUARD = 10**6
 _ML_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
 class DetectorOutput:
-    """Hard decisions (constellation indices per user), per-bit LLRs, best metric."""
+    """Hard decisions (constellation indices per user), per-bit LLRs, best
+    metric; each with a leading batch axis when the input had one."""
 
     hard: np.ndarray
     llr: np.ndarray
-    metric: float
+    metric: float | np.ndarray
 
 
 @dataclass(frozen=True)
 class CandidateList:
     """Survivors of a tree search, ascending by accumulated squared distance.
 
-    ``symbols[c, m]`` is the constellation index of candidate ``c`` for the
-    symbol solved at triangular row ``m``.
+    ``symbols[..., c, m]`` is the constellation index of candidate ``c``
+    for the symbol solved at triangular row ``m``; a batched search puts
+    one list per received vector along the leading axis.
     """
 
     symbols: np.ndarray
     metrics: np.ndarray
 
     def __len__(self) -> int:
-        return self.metrics.size
+        return self.metrics.shape[-1]
 
     def permuted(self, perm: np.ndarray) -> "CandidateList":
         """Map layer-ordered symbols back to original user order.
@@ -90,7 +102,7 @@ class CandidateList:
         ``perm[j]`` is the original user solved at row ``j``.
         """
         out = np.empty_like(self.symbols)
-        out[:, np.asarray(perm)] = self.symbols
+        out[..., np.asarray(perm)] = self.symbols
         return CandidateList(symbols=out, metrics=self.metrics)
 
 
@@ -150,6 +162,24 @@ class SrKBestParams:
         if int(self.v.sum()) < self.s:
             raise InvalidSearchParamsError("sorting pool smaller than s")
 
+    @cached_property
+    def fill_indices(self):
+        """Static gather indices of one scheduled layer.
+
+        ``(direct_parent, direct_rank, pool_parent, pool_rank,
+        direct_slots, max_rank)``: which parent and child rank feeds each
+        direct slot and each pool entry, the survivor slots outside ``q``,
+        and the deepest child rank the schedule reads.
+        """
+        k = self.k
+        direct_parent = np.repeat(np.arange(k), self.p)
+        direct_rank = np.concatenate([np.arange(c) for c in self.p])
+        pool_parent = np.repeat(np.arange(k), self.v)
+        pool_rank = np.concatenate([p + np.arange(c) for p, c in zip(self.p, self.v)])
+        direct_slots = np.setdiff1d(np.arange(k), self.q - 1)
+        max_rank = int(np.max(self.p + self.v))
+        return direct_parent, direct_rank, pool_parent, pool_rank, direct_slots, max_rank
+
     @classmethod
     def default_16_4(cls) -> "SrKBestParams":
         """The optimized (16, 4) schedule used as the package default."""
@@ -163,7 +193,8 @@ class RobustState:
     """Intermediates of the whitening pre-processing chain.
 
     ``y2 = q1' y1`` exactly by construction; the final search runs over
-    ``(r2, y3)`` and reads results back through ``perm``.
+    ``(r2, y3)`` and reads results back through ``perm``. ``y1``, ``y2``
+    and ``y3`` carry a leading batch axis when the input did.
     """
 
     h1: np.ndarray
@@ -173,8 +204,19 @@ class RobustState:
     y1: np.ndarray
     y2: np.ndarray
     y3: np.ndarray
-    x_mid: np.ndarray
     perm: np.ndarray
+
+    @cached_property
+    def x_mid(self) -> np.ndarray:
+        """MMSE mid-stage estimate ``(I + r1' r1)^-1 r1' y2``.
+
+        Not on the detection path: computed on first read, so only callers
+        that inspect it pay for its Cholesky solve.
+        """
+        m = self.r1.shape[0]
+        gram = np.eye(m) + self.r1.conj().T @ self.r1
+        gram = 0.5 * (gram + gram.conj().T)
+        return solve_hermitian(gram, (self.y2 @ self.r1.conj()).T).T
 
 
 @dataclass(frozen=True)
@@ -190,7 +232,6 @@ class RobustPlan:
     q2: np.ndarray
     r2: np.ndarray
     perm: np.ndarray
-    mid_gram: np.ndarray
 
     @cached_property
     def soft_qr(self) -> SortedQR:
@@ -266,47 +307,82 @@ def mrc_white(h_hat, sigma_n2: float, y) -> np.ndarray:
 # tree-search detectors
 
 
+def _rows(y, width: int, name: str):
+    """``y`` as ``(B, width)`` complex rows, and whether it was one vector.
+
+    A 1-D ``y`` is a batch of one; callers return its result unbatched.
+    """
+    arr = np.asarray(y, dtype=complex)
+    if arr.ndim not in (1, 2):
+        raise ValueError(f"{name} must be 1-D or 2-D, got ndim={arr.ndim}")
+    if arr.shape[-1] != width:
+        raise DimensionMismatchError(f"{name} rows must have length {width}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} contains non-finite entries")
+    return arr.reshape(-1, width), arr.ndim == 1
+
+
+def _triangular_system(r, y_tilde):
+    """Validated ``(r, y_tilde rows, single)`` of an upper-triangular search."""
+    r = as_complex_matrix(r, "r")
+    m = r.shape[0]
+    if r.shape[1] != m:
+        raise DimensionMismatchError("r must be m x m and y_tilde length m")
+    y_tilde, single = _rows(y_tilde, m, "y_tilde")
+    return r, y_tilde, single
+
+
+def _candidate_list(symbols, metrics, single: bool) -> CandidateList:
+    if single:
+        return CandidateList(symbols=symbols[0], metrics=metrics[0])
+    return CandidateList(symbols=symbols, metrics=metrics)
+
+
 def build_extended(h_hat, y, sigma_n2: float, sigma_i2: float) -> ExtendedModel:
     """Stack ``sqrt(sigma_n2 + sigma_i2) * I`` under the channel.
 
     QR-based detection on the extended model implicitly applies MMSE-style
-    regularization without explicit matrix inversion.
+    regularization without explicit matrix inversion. ``y`` is one received
+    vector or a ``(B, n_rx)`` batch; ``y_ext`` has the same leading shape.
     """
     h_hat = as_complex_matrix(h_hat, "h_hat")
-    y = as_complex_vector(y, "y")
-    if y.size != h_hat.shape[0]:
-        raise DimensionMismatchError("y length must equal n_rx")
+    rows, single = _rows(y, h_hat.shape[0], "y")
     total = sigma_n2 + sigma_i2
     if total <= 0.0:
         raise ValueError("sigma_n2 + sigma_i2 must be > 0")
     reg = float(np.sqrt(total))
     n_users = h_hat.shape[1]
     h_ext = np.vstack([h_hat, reg * np.eye(n_users)])
-    y_ext = np.concatenate([y, np.zeros(n_users, dtype=complex)])
-    return ExtendedModel(h_ext=h_ext, y_ext=y_ext, reg=reg)
+    y_ext = np.hstack([rows, np.zeros((rows.shape[0], n_users), dtype=complex)])
+    return ExtendedModel(h_ext=h_ext, y_ext=y_ext[0] if single else y_ext, reg=reg)
 
 
 def _layer_increments(r, y_tilde, layer, symbols, points):
-    """Squared per-layer distances of every child of every candidate."""
-    if layer < r.shape[0] - 1:
-        tail = points[symbols[:, layer + 1 :]] @ r[layer, layer + 1 :]
-    else:
-        tail = np.zeros(symbols.shape[0], dtype=complex)
-    b = y_tilde[layer] - tail
-    return np.abs(b[:, None] - r[layer, layer] * points[None, :]) ** 2
+    """Squared per-layer distances of every child of every candidate.
+
+    ``y_tilde (B, m)``, ``symbols (B, K, m)``; returns ``(B, K, size)``.
+    """
+    tail = points[symbols[:, :, layer + 1 :]] @ r[layer, layer + 1 :]
+    b = y_tilde[:, layer, None] - tail
+    return np.abs(b[:, :, None] - r[layer, layer] * points) ** 2
 
 
 def _kbest_step(r, y_tilde, layer, symbols, metrics, points, expand, keep):
-    """One breadth-first layer: expand each parent, keep the best sorted."""
+    """One breadth-first layer: expand each parent, keep the best sorted.
+
+    ``symbols (B, K, m)`` and ``metrics (B, K)`` in, the ``keep`` best
+    children of each row out.
+    """
+    n_vec = symbols.shape[0]
+    rows = np.arange(n_vec)[:, None]
     inc = _layer_increments(r, y_tilde, layer, symbols, points)
-    order = np.argsort(inc, axis=1, kind="stable")[:, :expand]
-    child_metrics = metrics[:, None] + np.take_along_axis(inc, order, axis=1)
-    flat = child_metrics.ravel()
-    sel = np.argsort(flat, kind="stable")[: min(keep, flat.size)]
-    parents = sel // expand
-    out = symbols[parents].copy()
-    out[:, layer] = order.ravel()[sel]
-    return out, flat[sel]
+    order = np.argsort(inc, axis=-1, kind="stable")[:, :, :expand]
+    child_metrics = metrics[:, :, None] + np.take_along_axis(inc, order, axis=-1)
+    flat = child_metrics.reshape(n_vec, -1)
+    sel = np.argsort(flat, axis=-1, kind="stable")[:, : min(keep, flat.shape[1])]
+    out = symbols[rows, sel // expand]
+    out[:, :, layer] = order.reshape(n_vec, -1)[rows, sel]
+    return out, flat[rows, sel]
 
 
 def kbest_detect(
@@ -319,13 +395,12 @@ def kbest_detect(
     Schnorr-Euchner order (ascending per-layer distance) and the ``k``
     smallest accumulated distances survive. The returned list is sorted
     ascending by metric; ties resolve to the lexicographically smaller
-    symbol sequence via stable sorting.
+    symbol sequence via stable sorting. ``y_tilde`` of shape ``(B, m)``
+    searches each row against the shared ``r`` and returns lists with a
+    leading batch axis.
     """
-    r = as_complex_matrix(r, "r")
-    y_tilde = as_complex_vector(y_tilde, "y_tilde")
+    r, y_tilde, single = _triangular_system(r, y_tilde)
     m = r.shape[0]
-    if r.shape[1] != m or y_tilde.size != m:
-        raise DimensionMismatchError("r must be m x m and y_tilde length m")
     points = cons.points
     if expand is None:
         expand = cons.size
@@ -333,54 +408,47 @@ def kbest_detect(
         raise ValueError("expand must be in [1, constellation size]")
     if k < 1:
         raise ValueError("k must be >= 1")
-    symbols = np.zeros((1, m), dtype=np.int64)
-    metrics = np.zeros(1)
+    n_vec = y_tilde.shape[0]
+    symbols = np.zeros((n_vec, 1, m), dtype=np.int64)
+    metrics = np.zeros((n_vec, 1))
     for layer in range(m - 1, -1, -1):
         eff = cons.size if layer == m - 1 else expand
         symbols, metrics = _kbest_step(
             r, y_tilde, layer, symbols, metrics, points, eff, k
         )
-    return CandidateList(symbols=symbols, metrics=metrics)
+    return _candidate_list(symbols, metrics, single)
 
 
-def _sr_fill_indices(params: SrKBestParams):
-    """Static gather indices of one scheduled layer."""
-    k = params.k
-    direct_parent = np.repeat(np.arange(k), params.p)
-    direct_rank = np.concatenate([np.arange(c) for c in params.p])
-    pool_parent = np.repeat(np.arange(k), params.v)
-    pool_rank = np.concatenate([p + np.arange(c) for p, c in zip(params.p, params.v)])
-    direct_slots = np.setdiff1d(np.arange(k), params.q - 1)
-    return direct_parent, direct_rank, pool_parent, pool_rank, direct_slots
-
-
-def _sr_step(r, y_tilde, layer, symbols, metrics, points, params, fill):
+def _sr_step(r, y_tilde, layer, symbols, metrics, points, params):
     """One scheduled layer of the sorting-reduced search.
 
     Direct children land at the non-``q`` slots in parent order without any
     comparison; only the small pool is sorted, and its best ``s`` members
     occupy the ``q`` slots in ascending metric order.
     """
-    direct_parent, direct_rank, pool_parent, pool_rank, direct_slots = fill
+    direct_parent, direct_rank, pool_parent, pool_rank, direct_slots, max_rank = (
+        params.fill_indices
+    )
     inc = _layer_increments(r, y_tilde, layer, symbols, points)
-    max_rank = int(np.max(params.p + params.v))
-    order = np.argsort(inc, axis=1, kind="stable")[:, :max_rank]
-    child_metrics = metrics[:, None] + np.take_along_axis(inc, order, axis=1)
+    order = np.argsort(inc, axis=-1, kind="stable")[:, :, :max_rank]
+    child_metrics = metrics[:, :, None] + np.take_along_axis(inc, order, axis=-1)
 
     out_symbols = np.empty_like(symbols)
-    out_metrics = np.empty(params.k)
+    out_metrics = np.empty(metrics.shape)
 
-    out_symbols[direct_slots] = symbols[direct_parent]
-    out_symbols[direct_slots, layer] = order[direct_parent, direct_rank]
-    out_metrics[direct_slots] = child_metrics[direct_parent, direct_rank]
+    out_symbols[:, direct_slots] = symbols[:, direct_parent]
+    out_symbols[:, direct_slots, layer] = order[:, direct_parent, direct_rank]
+    out_metrics[:, direct_slots] = child_metrics[:, direct_parent, direct_rank]
 
     if params.s:
-        pool_metrics = child_metrics[pool_parent, pool_rank]
-        winners = np.argsort(pool_metrics, kind="stable")[: params.s]
+        rows = np.arange(symbols.shape[0])[:, None]
+        pool_metrics = child_metrics[:, pool_parent, pool_rank]
+        winners = np.argsort(pool_metrics, axis=-1, kind="stable")[:, : params.s]
+        parents = pool_parent[winners]
         q_slots = params.q - 1
-        out_symbols[q_slots] = symbols[pool_parent[winners]]
-        out_symbols[q_slots, layer] = order[pool_parent[winners], pool_rank[winners]]
-        out_metrics[q_slots] = pool_metrics[winners]
+        out_symbols[:, q_slots] = symbols[rows, parents]
+        out_symbols[:, q_slots, layer] = order[rows, parents, pool_rank[winners]]
+        out_metrics[:, q_slots] = pool_metrics[rows, winners]
     return out_symbols, out_metrics
 
 
@@ -393,30 +461,27 @@ def sr_kbest_detect(
     ``params.k`` candidates exist the search warms up by keeping every
     child (sorted); once the survivor list is full each layer applies the
     ``(p, v, q)`` schedule, whose positional placement replaces the full
-    per-layer sort. The output is sorted ascending by metric.
+    per-layer sort. The output is sorted ascending by metric. Batches over
+    the rows of a ``(B, m)`` ``y_tilde`` as :func:`kbest_detect` does.
     """
-    r = as_complex_matrix(r, "r")
-    y_tilde = as_complex_vector(y_tilde, "y_tilde")
+    r, y_tilde, single = _triangular_system(r, y_tilde)
     m = r.shape[0]
-    if r.shape[1] != m or y_tilde.size != m:
-        raise DimensionMismatchError("r must be m x m and y_tilde length m")
     points = cons.points
     if int(np.max(params.p + params.v)) > cons.size:
         raise InvalidSearchParamsError("schedule needs more children than the constellation has")
-    fill = _sr_fill_indices(params)
-    symbols = np.zeros((1, m), dtype=np.int64)
-    metrics = np.zeros(1)
+    n_vec = y_tilde.shape[0]
+    symbols = np.zeros((n_vec, 1, m), dtype=np.int64)
+    metrics = np.zeros((n_vec, 1))
     for layer in range(m - 1, -1, -1):
-        if symbols.shape[0] == params.k:
-            symbols, metrics = _sr_step(
-                r, y_tilde, layer, symbols, metrics, points, params, fill
-            )
+        if symbols.shape[1] == params.k:
+            symbols, metrics = _sr_step(r, y_tilde, layer, symbols, metrics, points, params)
         else:
             symbols, metrics = _kbest_step(
                 r, y_tilde, layer, symbols, metrics, points, cons.size, params.k
             )
-    final = np.argsort(metrics, kind="stable")
-    return CandidateList(symbols=symbols[final], metrics=metrics[final])
+    final = np.argsort(metrics, axis=-1, kind="stable")
+    rows = np.arange(n_vec)[:, None]
+    return _candidate_list(symbols[rows, final], metrics[rows, final], single)
 
 
 def osic_detect(qrd: SortedQR, y_ext, cons: Constellation) -> DetectorOutput:
@@ -424,23 +489,24 @@ def osic_detect(qrd: SortedQR, y_ext, cons: Constellation) -> DetectorOutput:
 
     Starts at the last (strongest) layer of the sorted triangular system,
     slices each residual to the nearest constellation point, cancels it,
-    and maps the result back to the original user order.
+    and maps the result back to the original user order. ``y_ext`` of
+    shape ``(B, n_ext)`` detects each row and batches every output.
     """
-    y_ext = as_complex_vector(y_ext, "y_ext")
     q, r, perm = qrd.q, qrd.r, qrd.perm
-    if q.shape[0] != y_ext.size:
-        raise DimensionMismatchError("y_ext length must match the factorized rows")
+    y_ext, single = _rows(y_ext, q.shape[0], "y_ext")
     m = r.shape[0]
-    y_tilde = q.conj().T @ y_ext
-    hard = np.empty(m, dtype=np.int64)
+    y_tilde = y_ext @ q.conj()
+    hard = np.empty((y_ext.shape[0], m), dtype=np.int64)
     points = cons.points
     for layer in range(m - 1, -1, -1):
-        resid = y_tilde[layer] - r[layer, layer + 1 :] @ points[hard[layer + 1 :]]
-        hard[layer] = cons.nearest(resid / r[layer, layer])
-    metric = float(np.sum(np.abs(y_tilde - r @ points[hard]) ** 2))
-    cands = CandidateList(symbols=hard[None, :], metrics=np.array([metric])).permuted(perm)
+        resid = y_tilde[:, layer] - points[hard[:, layer + 1 :]] @ r[layer, layer + 1 :]
+        hard[:, layer] = cons.nearest(resid / r[layer, layer])
+    metric = np.sum(np.abs(y_tilde - points[hard] @ r.T) ** 2, axis=-1)
+    cands = CandidateList(symbols=hard[:, None, :], metrics=metric[:, None]).permuted(perm)
     llr = compute_llrs(cands, cons, m)
-    return DetectorOutput(hard=cands.symbols[0], llr=llr, metric=metric)
+    if single:
+        return DetectorOutput(hard=cands.symbols[0, 0], llr=llr[0], metric=float(metric[0]))
+    return DetectorOutput(hard=cands.symbols[:, 0], llr=llr, metric=metric)
 
 
 def ml_bruteforce(h, y, cons: Constellation) -> DetectorOutput:
@@ -457,8 +523,8 @@ def ml_bruteforce(h, y, cons: Constellation) -> DetectorOutput:
         raise DimensionMismatchError("y length must equal the channel rows")
     size = cons.size
     total = size**m
-    if total > _ML_GUARD:
-        raise SearchSpaceTooLargeError(f"{total} candidates exceeds guard {_ML_GUARD}")
+    if total > ML_GUARD:
+        raise SearchSpaceTooLargeError(f"{total} candidates exceeds guard {ML_GUARD}")
     n_bits = m * cons.bits_per_symbol
     best_metric = np.inf
     best_idx = 0
@@ -503,24 +569,20 @@ def robust_plan(h_hat, r_uu) -> RobustPlan:
     r1_hinv = np.linalg.solve(r1.conj().T, np.eye(m, dtype=complex))
     h2 = r1_hinv + r1
     sq2 = sorted_qr(h2)
-    mid_gram = np.eye(m) + r1.conj().T @ r1
-    mid_gram = 0.5 * (mid_gram + mid_gram.conj().T)
-    return RobustPlan(
-        w=w, h1=h1, q1=q1, r1=r1, h2=h2, q2=sq2.q, r2=sq2.r, perm=sq2.perm,
-        mid_gram=mid_gram,
-    )
+    return RobustPlan(w=w, h1=h1, q1=q1, r1=r1, h2=h2, q2=sq2.q, r2=sq2.r, perm=sq2.perm)
 
 
 def robust_apply(plan: RobustPlan, y) -> RobustState:
-    """Run one received vector through a pre-computed robust plan."""
-    y = as_complex_vector(y, "y")
-    y1 = plan.w @ y
-    y2 = plan.q1.conj().T @ y1
-    x_mid = solve_hermitian(plan.mid_gram, plan.r1.conj().T @ y2)
-    y3 = plan.q2.conj().T @ y2
+    """Run received vectors, ``(n_rx,)`` or ``(B, n_rx)``, through a
+    pre-computed robust plan."""
+    y, single = _rows(y, plan.w.shape[0], "y")
+    y1 = y @ plan.w.T
+    y2 = y1 @ plan.q1.conj()
+    y3 = y2 @ plan.q2.conj()
+    if single:
+        y1, y2, y3 = y1[0], y2[0], y3[0]
     return RobustState(
-        h1=plan.h1, r1=plan.r1, h2=plan.h2, r2=plan.r2,
-        y1=y1, y2=y2, y3=y3, x_mid=x_mid, perm=plan.perm,
+        h1=plan.h1, r1=plan.r1, h2=plan.h2, r2=plan.r2, y1=y1, y2=y2, y3=y3, perm=plan.perm
     )
 
 
@@ -591,9 +653,7 @@ def _kbest_list(r, y_tilde, k: int, points):
     symbols = np.zeros((n_vec, 1, m), dtype=np.int64)
     metrics = np.zeros((n_vec, 1))
     for layer in range(m - 1, -1, -1):
-        tail = points[symbols[:, :, layer + 1 :]] @ r[layer, layer + 1 :]
-        b = y_tilde[:, layer, None] - tail
-        inc = np.abs(b[:, :, None] - r[layer, layer] * points) ** 2
+        inc = _layer_increments(r, y_tilde, layer, symbols, points)
         child = (metrics[:, :, None] + inc).reshape(n_vec, -1)
         if child.shape[1] > k:
             sel = np.argpartition(child, k - 1, axis=1)[:, :k]
@@ -615,17 +675,18 @@ def compute_llrs(cands: CandidateList, cons: Constellation, n_users: int) -> np.
 
     For each coded bit (user-major order), the LLR is the minimum metric
     among candidates carrying bit 1 minus the minimum among those carrying
-    bit 0; a missing hypothesis clamps the value to ``+/- LLR_MAX``.
+    bit 0; a missing hypothesis clamps the value to ``+/- LLR_MAX``. A
+    batched list (leading axis ``B``) gives ``(B, n_bits)``.
     """
     if len(cands) == 0:
         raise ValueError("empty candidate list")
-    if cands.symbols.shape[1] != n_users:
+    if cands.symbols.shape[-1] != n_users:
         raise DimensionMismatchError("candidate width must equal n_users")
     n_bits = n_users * cons.bits_per_symbol
-    bits = cons.bit_patterns[cands.symbols].reshape(len(cands), n_bits)
-    metrics = cands.metrics[:, None]
-    min0 = np.where(bits == 0, metrics, np.inf).min(axis=0)
-    min1 = np.where(bits == 1, metrics, np.inf).min(axis=0)
+    bits = cons.bit_patterns[cands.symbols].reshape(*cands.metrics.shape, n_bits)
+    metrics = cands.metrics[..., None]
+    min0 = np.where(bits == 0, metrics, np.inf).min(axis=-2)
+    min1 = np.where(bits == 1, metrics, np.inf).min(axis=-2)
     llr = np.where(np.isinf(min1), LLR_MAX, np.where(np.isinf(min0), -LLR_MAX, min1 - min0))
     return np.clip(llr, -LLR_MAX, LLR_MAX)
 
@@ -663,15 +724,17 @@ def equalizer_llrs(x_eq, bias, noise_var, cons: Constellation) -> np.ndarray:
     ``x_eq[m]`` is modelled as ``bias[m] * x[m]`` plus residual noise of
     power ``noise_var[m]``; the per-symbol distances are scaled by the
     residual power so the LLRs are decoder-calibrated. Same sign
-    convention and clamp as :func:`compute_llrs`.
+    convention and clamp as :func:`compute_llrs`. ``x_eq`` of shape
+    ``(B, n_users)`` gives one row of LLRs per equalized vector.
     """
-    x_eq = as_complex_vector(x_eq, "x_eq")
     bias = np.asarray(bias, dtype=complex)
+    x_eq, single = _rows(x_eq, bias.size, "x_eq")
     noise_var = np.maximum(np.asarray(noise_var, dtype=float), 1e-30)
-    d = np.abs(x_eq[:, None] - bias[:, None] * cons.points[None, :]) ** 2
+    d = np.abs(x_eq[:, :, None] - bias[:, None] * cons.points) ** 2
     d = d / noise_var[:, None]
-    llr = np.empty((x_eq.size, cons.bits_per_symbol))
+    llr = np.empty(x_eq.shape + (cons.bits_per_symbol,))
     for b in range(cons.bits_per_symbol):
         mask1 = cons.bit_patterns[:, b] == 1
-        llr[:, b] = d[:, mask1].min(axis=1) - d[:, ~mask1].min(axis=1)
-    return np.clip(llr.ravel(), -LLR_MAX, LLR_MAX)
+        llr[..., b] = d[..., mask1].min(axis=-1) - d[..., ~mask1].min(axis=-1)
+    llr = np.clip(llr.reshape(x_eq.shape[0], -1), -LLR_MAX, LLR_MAX)
+    return llr[0] if single else llr

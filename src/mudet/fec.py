@@ -38,8 +38,6 @@ class LdpcCode:
     parity: np.ndarray
     parity_solver: np.ndarray
     column_order: np.ndarray
-    check_adj: np.ndarray
-    var_adj: np.ndarray
     check_edges: np.ndarray
     var_edges: np.ndarray
     edge_var: np.ndarray
@@ -172,8 +170,6 @@ def build_code(
 
 
 def _finish_code(parity, parity_solver, column_order, max_iters, normalization) -> LdpcCode:
-    check_adj = np.vstack([np.flatnonzero(row) for row in parity])
-    var_adj = np.vstack([np.flatnonzero(col) for col in parity.T])
     edge_check, edge_var = np.nonzero(parity)
     # edges are check-major, so check e-blocks are contiguous
     check_edges = np.arange(edge_check.size).reshape(K_BITS, ROW_WEIGHT)
@@ -182,8 +178,6 @@ def _finish_code(parity, parity_solver, column_order, max_iters, normalization) 
         parity=parity,
         parity_solver=parity_solver,
         column_order=column_order,
-        check_adj=check_adj,
-        var_adj=var_adj,
         check_edges=check_edges,
         var_edges=var_edges,
         edge_var=edge_var,

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import io
 import subprocess
 import sys
@@ -64,6 +66,30 @@ def test_snr_spec_forms():
         bench.parse_snr_spec("5:1:2")
     with pytest.raises(ValueError):
         bench.parse_snr_spec("1:2")
+
+
+def test_qpsk_alone_runs_with_default_search_widths():
+    cfg = bench.parse_config("constellation = qpsk\n")
+    assert cfg.constellation == "qpsk" and cfg.kbest_expand is None
+    tiny = dataclasses.replace(
+        cfg, snr_grid_db=(10.0,), trials_per_point=2, symbols_per_trial=3
+    )
+    records = bench.run_scenario(tiny)
+    assert [r.detector for r in records] == list(cfg.detectors)
+    assert all(r.bits == 2 * 3 * 4 * 2 for r in records)
+
+
+def test_sr_schedule_without_pool_from_config():
+    # s = 0 needs an empty q, written as a key with no value
+    cfg = bench.parse_config(
+        "sr.k = 4\nsr.s = 0\nsr.p = 1,1,1,1\nsr.v = 0,0,0,0\nsr.q =\n"
+        "snr_db = 10\ntrials_per_point = 2\nsymbols_per_trial = 3\ndetectors = sr-kbest\n"
+    )
+    assert cfg.sr_params.s == 0 and cfg.sr_params.q.size == 0
+    (rec,) = bench.run_scenario(cfg)
+    assert rec.bits == 2 * 3 * 4 * 4
+    with pytest.raises(ConfigParseError):
+        bench.parse_config("n_rx =\n")
 
 
 def test_bool_values():
@@ -141,6 +167,54 @@ def test_detector_subset_invariance():
     alone = bench.run_scenario(bench.parse_config(base + "detectors = sr-kbest\n"))
     rec_both = [r for r in both if r.detector == "sr-kbest"][0]
     assert bench.format_record(rec_both) == bench.format_record(alone[0])
+
+
+# Frozen records of two small scenarios that run every detector, one
+# uncoded and one coded with LS pilot estimates: SHA-256 of csv_bytes as
+# recorded with a per-vector search loop. Batching a search over the uses
+# of a trial, or any other change to a detector's arithmetic or tie rule
+# that moves a decision or an LLR enough to flip a bit, shows here.
+GOLDEN_UNCODED = """
+n_rx = 8
+n_users = 3
+n_interferers = 2
+rx_correlation = 0.5
+constellation = qam16
+snr_db = 4,10
+trials_per_point = 3
+symbols_per_trial = 6
+detectors = mrc,mmse-irc,osic,kbest,sr-kbest,robust-sr-kbest,ml
+master_seed = 7
+"""
+
+GOLDEN_CODED = """
+n_rx = 8
+n_users = 3
+n_interferers = 2
+rx_correlation = 0.5
+constellation = qam16
+ce_mode = ls_pilot
+pilot_count = 4
+covariance_samples = 24
+coded = true
+snr_db = 2,6
+trials_per_point = 2
+detectors = mrc,mmse-irc,osic,kbest,sr-kbest,robust-sr-kbest,ml
+master_seed = 7
+"""
+
+
+@pytest.mark.parametrize(
+    "text, digest",
+    [
+        (GOLDEN_UNCODED, "6e7ec7cb2926ff46bed9eadafa41097c20317af2ccfb27d58e5e3a9941f5adef"),
+        (GOLDEN_CODED, "375a9cc302947f3195756b224a0c7a0f7b7fe52082fb1d465da4000a050bf6e7"),
+    ],
+    ids=["uncoded", "coded-ls-pilot"],
+)
+def test_golden_records(text, digest):
+    records = bench.run_scenario(bench.parse_config(text))
+    assert hashlib.sha256(bench.csv_bytes(records)).hexdigest() == digest
 
 
 def test_run_scenario_adds_trial_context_to_errors(monkeypatch):

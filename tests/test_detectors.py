@@ -261,6 +261,70 @@ def test_sr_dominance_and_equality_rate_vs_kbest(qam16):
     assert equal >= 0.9 * n_trials
 
 
+# --- batching over received vectors -----------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_vec=st.integers(1, 6),
+    m=st.integers(1, 4),
+    use_qpsk=st.booleans(),
+    k=st.sampled_from([1, 3, 16]),
+    zero_row=st.booleans(),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_batched_searches_equal_row_by_row(qpsk, qam16, n_vec, m, use_qpsk, k, zero_row, seed):
+    cons = qpsk if use_qpsk else qam16
+    rng = np.random.default_rng(seed)
+    h = crandn(rng, m + 2, m)
+    y = h @ cons.points[rng.integers(0, cons.size, (m, n_vec))] + 0.5 * crandn(rng, m + 2, n_vec)
+    y = y.T
+    if zero_row:
+        y[0] = 0.0  # y_tilde = 0: every layer is full of exact ties
+    ext = det.build_extended(h, y, 0.25, 0.0)
+    sq = sorted_qr(ext.h_ext)
+    y_tilde = ext.y_ext @ sq.q.conj()
+    params = det.SrKBestParams.default_16_4()
+    expand = min(4, cons.size)
+    kb = det.kbest_detect(sq.r, y_tilde, k, cons, expand)
+    sr = det.sr_kbest_detect(sq.r, y_tilde, params, cons)
+    os_ = det.osic_detect(sq, ext.y_ext, cons)
+    assert kb.symbols.shape[0] == sr.symbols.shape[0] == os_.hard.shape[0] == n_vec
+    for t in range(n_vec):
+        one = det.kbest_detect(sq.r, y_tilde[t], k, cons, expand)
+        assert np.array_equal(kb.symbols[t], one.symbols)
+        assert np.array_equal(kb.metrics[t], one.metrics)
+        one = det.sr_kbest_detect(sq.r, y_tilde[t], params, cons)
+        assert np.array_equal(sr.symbols[t], one.symbols)
+        assert np.array_equal(sr.metrics[t], one.metrics)
+        one = det.osic_detect(sq, ext.y_ext[t], cons)
+        assert np.array_equal(os_.hard[t], one.hard)
+        assert np.array_equal(os_.llr[t], one.llr)
+        assert np.isclose(os_.metric[t], one.metric, rtol=1e-12, atol=1e-12)
+
+
+def test_batched_apply_and_llrs_equal_row_by_row(qam16):
+    rng = np.random.default_rng(28)
+    h = crandn(rng, 8, 3)
+    r_uu = random_pd(rng, 8)
+    y = crandn(rng, 5, 8)
+    plan = det.robust_plan(h, r_uu)
+    batch = det.robust_apply(plan, y)
+    cands = det.sr_kbest_detect(batch.r2, batch.y3, det.SrKBestParams.default_16_4(), qam16)
+    llr = det.compute_llrs(cands, qam16, 3)
+    x_eq = 1.3 * crandn(rng, 5, 3)
+    bias = np.array([0.9, 1.0, 1.1])
+    noise = np.array([0.1, 0.2, 0.3])
+    eq = det.equalizer_llrs(x_eq, bias, noise, qam16)
+    for t in range(5):
+        one = det.robust_apply(plan, y[t])
+        for field in ("y1", "y2", "y3", "x_mid"):
+            assert np.allclose(getattr(batch, field)[t], getattr(one, field), rtol=0, atol=1e-12)
+        row = det.CandidateList(symbols=cands.symbols[t], metrics=cands.metrics[t])
+        assert np.array_equal(llr[t], det.compute_llrs(row, qam16, 3))
+        assert np.array_equal(eq[t], det.equalizer_llrs(x_eq[t], bias, noise, qam16))
+
+
 # --- brute-force ML -------------------------------------------------------------
 
 
