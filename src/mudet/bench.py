@@ -60,6 +60,7 @@ from .detectors import (
     compute_llrs,
     equalizer_llrs,
     kbest_detect,
+    linear_weights,
     ml_bruteforce,
     mmse_irc_weights,
     osic_detect,
@@ -69,7 +70,7 @@ from .detectors import (
     sr_kbest_detect,
 )
 from .errors import ConfigParseError, ConfigValidationError
-from .numkit import solve_hermitian, sorted_qr
+from .numkit import sorted_qr
 
 DETECTOR_NAMES = ("mrc", "mmse-irc", "osic", "kbest", "sr-kbest", "robust-sr-kbest", "ml")
 
@@ -121,10 +122,14 @@ class ScenarioConfig:
             raise ConfigValidationError("constellation", f"unknown kind {self.constellation!r}")
         if len(self.snr_grid_db) == 0:
             raise ConfigValidationError("snr_db", "SNR grid must be non-empty")
+        if any(math.isnan(s) or s == -math.inf for s in self.snr_grid_db):
+            raise ConfigValidationError("snr_db", "SNR values must be numbers above -inf")
         if self.trials_per_point < 1:
             raise ConfigValidationError("trials_per_point", "must be >= 1")
         if self.symbols_per_trial < 1:
             raise ConfigValidationError("symbols_per_trial", "must be >= 1")
+        if not 0 <= self.master_seed < 2**64:
+            raise ConfigValidationError("master_seed", "must be in [0, 2**64)")
         if self.ce_mode not in ("ideal", "ls_pilot"):
             raise ConfigValidationError("ce_mode", f"unknown mode {self.ce_mode!r}")
         if self.pilot_count < 1:
@@ -140,14 +145,14 @@ class ScenarioConfig:
                 )
         if not 0.0 <= self.rx_correlation < 1.0:
             raise ConfigValidationError("rx_correlation", "must be in [0, 1)")
-        if self.interferer_power_ratio <= 0.0:
-            raise ConfigValidationError("interferer_power_ratio", "must be > 0")
+        if not 0.0 < self.interferer_power_ratio < math.inf:
+            raise ConfigValidationError("interferer_power_ratio", "must be finite and > 0")
         if self.kbest_k < 1:
             raise ConfigValidationError("kbest.k", "must be >= 1")
         cons_size = 4 if self.constellation == "qpsk" else 16
         if self.kbest_expand is not None and not 1 <= self.kbest_expand <= cons_size:
             raise ConfigValidationError("kbest.expand", "must be in [1, constellation size]")
-        if self.llr_clip <= 0:
+        if not self.llr_clip > 0:
             raise ConfigValidationError("llr_clip", "must be > 0")
         if "ml" in self.detectors and cons_size**self.n_users > ML_GUARD:
             raise ConfigValidationError(
@@ -366,72 +371,58 @@ def _pilot_covariance(cfg, cons_pilot, cons_interf, channel, h_hat, rng):
     return estimate_covariance(residuals).r_uu
 
 
-def _detect_uses(cfg, name: str, cons, know: _TrialKnowledge, y_block, need_llr: bool):
-    """Run one detector over every use of a trial.
+def _detect_uses(cfg, name: str, cons, know: _TrialKnowledge, y_block, coded: bool):
+    """Run one detector over every use of a trial in one batched call.
 
-    Returns hard decisions ``(n_uses, n_users)`` and, when requested,
-    LLRs ``(n_uses, n_users * bits_per_symbol)``. Every use shares the
-    trial's channel knowledge, so each detector factorizes once and
-    searches all uses in one batched call; only ``ml`` runs per vector.
-    The robust detector's LLRs come from its own soft-output list, not
-    from its hard search, so when they are requested it runs that list
-    alone and returns no hard decisions (``None``): the coded path reads
-    only the LLRs.
+    Returns hard decisions ``(n_uses, n_users)`` when uncoded and LLRs
+    ``(n_uses, n_users * bits_per_symbol)`` when coded. Every use shares
+    the trial's channel knowledge, so each detector factorizes once and
+    searches all uses together. The robust detector's LLRs come from its
+    own soft-output list, not from its hard search.
     """
-    n_users = cfg.n_users
     h_hat, r_uu, sigma_det = know.h_hat, know.r_uu, know.sigma_det
 
     if name in ("mrc", "mmse-irc"):
         if name == "mrc":
-            gram = sigma_det * np.eye(n_users) + h_hat.conj().T @ h_hat
-            gram = 0.5 * (gram + gram.conj().T)
-            w = solve_hermitian(gram, h_hat.conj().T)
+            w = linear_weights(h_hat, h_hat, sigma_det)
             r_model = sigma_det * np.eye(cfg.n_rx)
         else:
             w = mmse_irc_weights(h_hat, r_uu, sigma_det)
             r_model = r_uu
         x_eq = y_block @ w.T
-        hard = cons.nearest(x_eq)
-        if not need_llr:
-            return hard, None
+        if not coded:
+            return cons.nearest(x_eq)
         gain = w @ h_hat
         bias = np.diag(gain)
         inter = np.sum(np.abs(gain) ** 2, axis=1) - np.abs(bias) ** 2
         noise = np.real(np.diag(w @ r_model @ w.conj().T))
-        return hard, equalizer_llrs(x_eq, bias, inter + noise, cons)
+        return equalizer_llrs(x_eq, bias, inter + noise, cons)
 
     if name in ("osic", "kbest", "sr-kbest"):
         ext = build_extended(h_hat, y_block, sigma_det, know.sigma_i2)
         sq = sorted_qr(ext.h_ext)
         if name == "osic":
             out = osic_detect(sq, ext.y_ext, cons)
-            return out.hard, out.llr if need_llr else None
+            return out.llr if coded else out.hard
         y_tilde = ext.y_ext @ sq.q.conj()
         if name == "kbest":
             cands = kbest_detect(sq.r, y_tilde, cfg.kbest_k, cons, cfg.kbest_expand)
         else:
             cands = sr_kbest_detect(sq.r, y_tilde, cfg.sr_params, cons)
         cands = cands.permuted(sq.perm)
-        return cands.symbols[:, 0], compute_llrs(cands, cons, n_users) if need_llr else None
+        return compute_llrs(cands, cons, cfg.n_users) if coded else cands.symbols[:, 0]
 
     if name == "robust-sr-kbest":
         plan = robust_plan(h_hat, r_uu)
-        if need_llr:
-            return None, robust_soft_llrs(plan, y_block, cons)
+        if coded:
+            return robust_soft_llrs(plan, y_block, cons)
         state = robust_apply(plan, y_block)
         cands = sr_kbest_detect(state.r2, state.y3, cfg.sr_params, cons)
-        return cands.permuted(state.perm).symbols[:, 0], None
+        return cands.permuted(state.perm).symbols[:, 0]
 
     if name == "ml":
-        n_uses = y_block.shape[0]
-        hard = np.empty((n_uses, n_users), dtype=np.int64)
-        llr = np.empty((n_uses, n_users * cons.bits_per_symbol)) if need_llr else None
-        for t in range(n_uses):
-            out = ml_bruteforce(h_hat, y_block[t], cons)
-            hard[t] = out.hard
-            if need_llr:
-                llr[t] = out.llr
-        return hard, llr
+        out = ml_bruteforce(h_hat, y_block, cons)
+        return out.llr if coded else out.hard
 
     raise ValueError(f"unknown detector {name!r}")
 
@@ -472,12 +463,12 @@ def _run_trial(
         y_block = y_block + s_i @ channel.g.T
     y_block = y_block + np.sqrt(sigma_n2) * complex_randn(rng, n_uses, cfg.n_rx)
 
-    hard, llr = _detect_uses(cfg, det_name, cons, know, y_block, need_llr=cfg.coded)
+    out = _detect_uses(cfg, det_name, cons, know, y_block, cfg.coded)
 
     if not cfg.coded:
-        rx_bits = cons.indices_to_bits(hard).reshape(n_uses, bits_per_use)
+        rx_bits = cons.indices_to_bits(out).reshape(n_uses, bits_per_use)
         return tx_bits.size, int(np.sum(rx_bits != tx_bits))
-    llr_stream = np.clip(llr.reshape(-1)[: code.n], -cfg.llr_clip, cfg.llr_clip)
+    llr_stream = np.clip(out.reshape(-1)[: code.n], -cfg.llr_clip, cfg.llr_clip)
     decoded, _, _ = fec.decode_min_sum(code, llr_stream)
     return code.k, int(np.sum(decoded != message))
 

@@ -22,18 +22,19 @@ LLR convention: positive favours bit 0. Magnitudes are clamped to
 for the decoder.
 
 Batching: the tree searches (:func:`osic_detect`, :func:`kbest_detect`,
-:func:`sr_kbest_detect`), :func:`robust_apply`, :func:`compute_llrs` and
-:func:`equalizer_llrs` take either one received vector or a ``(B, ...)``
-stack of vectors that share one channel factorization; a 1-D input is a
-batch of one and returns unbatched output. Every row is searched exactly
-as it would be alone: per-row sorts are stable along the last axis, so
-ties resolve the same way at any batch size.
+:func:`sr_kbest_detect`), :func:`ml_bruteforce`, :func:`robust_apply`,
+:func:`compute_llrs` and :func:`equalizer_llrs` take either one received
+vector or a ``(B, ...)`` stack of vectors that share one channel
+factorization; a 1-D input is a batch of one and returns unbatched output.
+Every row is searched exactly as it would be alone: per-row sorts are
+stable along the last axis, so ties resolve the same way at any batch
+size.
 
 All functions are pure: they read their arguments and return fresh
 arrays, so concurrent calls on distinct subcarrier instances are safe.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -112,7 +113,6 @@ class ExtendedModel:
 
     h_ext: np.ndarray
     y_ext: np.ndarray
-    reg: float
 
 
 @dataclass(frozen=True)
@@ -189,37 +189,6 @@ class SrKBestParams:
 
 
 @dataclass(frozen=True)
-class RobustState:
-    """Intermediates of the whitening pre-processing chain.
-
-    ``y2 = q1' y1`` exactly by construction; the final search runs over
-    ``(r2, y3)`` and reads results back through ``perm``. ``y1``, ``y2``
-    and ``y3`` carry a leading batch axis when the input did.
-    """
-
-    h1: np.ndarray
-    r1: np.ndarray
-    h2: np.ndarray
-    r2: np.ndarray
-    y1: np.ndarray
-    y2: np.ndarray
-    y3: np.ndarray
-    perm: np.ndarray
-
-    @cached_property
-    def x_mid(self) -> np.ndarray:
-        """MMSE mid-stage estimate ``(I + r1' r1)^-1 r1' y2``.
-
-        Not on the detection path: computed on first read, so only callers
-        that inspect it pay for its Cholesky solve.
-        """
-        m = self.r1.shape[0]
-        gram = np.eye(m) + self.r1.conj().T @ self.r1
-        gram = 0.5 * (gram + gram.conj().T)
-        return solve_hermitian(gram, (self.y2 @ self.r1.conj()).T).T
-
-
-@dataclass(frozen=True)
 class RobustPlan:
     """Per-block (y-independent) factors of the whitening chain, reusable
     across every received vector that shares ``h_hat`` and ``r_uu``."""
@@ -245,6 +214,32 @@ class RobustPlan:
         return sorted_qr(self.r1)
 
 
+@dataclass(frozen=True)
+class RobustState(RobustPlan):
+    """A robust plan applied to received vectors.
+
+    ``y2 = q1' y1`` exactly by construction; the final search runs over
+    ``(r2, y3)`` and reads results back through ``perm``. ``y1``, ``y2``
+    and ``y3`` carry a leading batch axis when the input did.
+    """
+
+    y1: np.ndarray
+    y2: np.ndarray
+    y3: np.ndarray
+
+    @cached_property
+    def x_mid(self) -> np.ndarray:
+        """MMSE mid-stage estimate ``(I + r1' r1)^-1 r1' y2``.
+
+        Not on the detection path: computed on first read, so only callers
+        that inspect it pay for its Cholesky solve.
+        """
+        m = self.r1.shape[0]
+        gram = np.eye(m) + self.r1.conj().T @ self.r1
+        gram = 0.5 * (gram + gram.conj().T)
+        return solve_hermitian(gram, (self.y2 @ self.r1.conj()).T).T
+
+
 # ---------------------------------------------------------------------------
 # linear detectors
 
@@ -264,16 +259,21 @@ def mmse_single(h, r_uu, y) -> complex:
     return complex(z.conj() @ y) / denom
 
 
+def linear_weights(h_hat, z, sigma_n2: float) -> np.ndarray:
+    """Weight matrix ``(sigma_n2 I + H' Z)^-1 Z'`` of a regularized linear
+    detector: ``Z = R_uu^-1 H`` gives MMSE-IRC, ``Z = H`` white-noise MRC."""
+    gram = sigma_n2 * np.eye(h_hat.shape[1]) + h_hat.conj().T @ z
+    gram = 0.5 * (gram + gram.conj().T)
+    return solve_hermitian(gram, z.conj().T)
+
+
 def mmse_irc_weights(h_hat, r_uu, sigma_n2: float) -> np.ndarray:
     """Weight matrix ``(sigma_n2 I + H' R_uu^-1 H)^-1 H' R_uu^-1``."""
     h_hat = as_complex_matrix(h_hat, "h_hat")
     n_rx, n_users = h_hat.shape
     if n_rx < n_users:
         raise DimensionMismatchError("need n_rx >= n_users")
-    z = solve_hermitian(r_uu, h_hat)
-    gram = sigma_n2 * np.eye(n_users) + h_hat.conj().T @ z
-    gram = 0.5 * (gram + gram.conj().T)
-    return solve_hermitian(gram, z.conj().T)
+    return linear_weights(h_hat, solve_hermitian(r_uu, h_hat), sigma_n2)
 
 
 def mmse_irc(h_hat, r_uu, sigma_n2: float, y) -> tuple[np.ndarray, np.ndarray]:
@@ -298,9 +298,7 @@ def mrc_white(h_hat, sigma_n2: float, y) -> np.ndarray:
         raise DimensionMismatchError("need n_rx >= n_users")
     if y.size != n_rx:
         raise DimensionMismatchError("y length must equal n_rx")
-    gram = sigma_n2 * np.eye(n_users) + h_hat.conj().T @ h_hat
-    gram = 0.5 * (gram + gram.conj().T)
-    return solve_hermitian(gram, h_hat.conj().T @ y)
+    return linear_weights(h_hat, h_hat, sigma_n2) @ y
 
 
 # ---------------------------------------------------------------------------
@@ -350,11 +348,10 @@ def build_extended(h_hat, y, sigma_n2: float, sigma_i2: float) -> ExtendedModel:
     total = sigma_n2 + sigma_i2
     if total <= 0.0:
         raise ValueError("sigma_n2 + sigma_i2 must be > 0")
-    reg = float(np.sqrt(total))
     n_users = h_hat.shape[1]
-    h_ext = np.vstack([h_hat, reg * np.eye(n_users)])
+    h_ext = np.vstack([h_hat, np.sqrt(total) * np.eye(n_users)])
     y_ext = np.hstack([rows, np.zeros((rows.shape[0], n_users), dtype=complex)])
-    return ExtendedModel(h_ext=h_ext, y_ext=y_ext[0] if single else y_ext, reg=reg)
+    return ExtendedModel(h_ext=h_ext, y_ext=y_ext[0] if single else y_ext)
 
 
 def _layer_increments(r, y_tilde, layer, symbols, points):
@@ -512,39 +509,48 @@ def osic_detect(qrd: SortedQR, y_ext, cons: Constellation) -> DetectorOutput:
 def ml_bruteforce(h, y, cons: Constellation) -> DetectorOutput:
     """Exhaustive minimum-distance search over every symbol vector.
 
-    Guarded to one million candidates. Evaluation is chunked so memory
-    stays bounded; LLRs are exact max-log values over the full search
-    space. Ties resolve to the lexicographically smallest index sequence.
+    Guarded to one million candidates. ``y`` is one received vector or a
+    ``(B, n)`` batch; each chunk of ``_ML_CHUNK`` candidate images is
+    computed once for the whole batch and scored in steps of at most
+    ``max(_ML_CHUNK, B)`` (candidate, vector) pairs, so memory stays
+    bounded. LLRs are exact max-log values over the full search space.
+    Ties resolve to the lexicographically smallest index sequence.
     """
     h = as_complex_matrix(h, "h")
-    y = as_complex_vector(y, "y")
     n, m = h.shape
-    if y.size != n:
-        raise DimensionMismatchError("y length must equal the channel rows")
+    y, single = _rows(y, n, "y")
     size = cons.size
     total = size**m
     if total > ML_GUARD:
         raise SearchSpaceTooLargeError(f"{total} candidates exceeds guard {ML_GUARD}")
+    n_vec = y.shape[0]
     n_bits = m * cons.bits_per_symbol
-    best_metric = np.inf
-    best_idx = 0
-    min_by_bit = np.full((n_bits, 2), np.inf)
+    rows = np.arange(n_vec)
+    best_metric = np.full(n_vec, np.inf)
+    best_idx = np.zeros(n_vec, dtype=np.int64)
+    min_by_bit = np.full((2, n_vec, n_bits), np.inf)
     weights = size ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    step = max(1, _ML_CHUNK // n_vec)
     for start in range(0, total, _ML_CHUNK):
         idx = np.arange(start, min(start + _ML_CHUNK, total), dtype=np.int64)
         sym = (idx[:, None] // weights) % size
-        diff = y[None, :] - cons.points[sym] @ h.T
-        metrics = np.sum(np.abs(diff) ** 2, axis=1)
-        j = int(np.argmin(metrics))
-        if metrics[j] < best_metric:
-            best_metric = float(metrics[j])
-            best_idx = int(idx[j])
+        images = cons.points[sym] @ h.T
         bits = cons.bit_patterns[sym].reshape(idx.size, n_bits)
-        for hyp in (0, 1):
-            masked = np.where(bits == hyp, metrics[:, None], np.inf)
-            np.minimum(min_by_bit[:, hyp], masked.min(axis=0), out=min_by_bit[:, hyp])
-    hard = ((best_idx // weights) % size).astype(np.int64)
-    llr = np.clip(min_by_bit[:, 1] - min_by_bit[:, 0], -LLR_MAX, LLR_MAX)
+        for lo in range(0, idx.size, step):
+            part = slice(lo, lo + step)
+            metrics = np.sum(np.abs(y[:, None, :] - images[part]) ** 2, axis=-1)
+            j = np.argmin(metrics, axis=1)
+            low = metrics[rows, j]
+            better = low < best_metric
+            best_metric = np.where(better, low, best_metric)
+            best_idx = np.where(better, idx[lo + j], best_idx)
+            for hyp in (0, 1):
+                masked = np.where(bits[part] == hyp, metrics[:, :, None], np.inf)
+                np.minimum(min_by_bit[hyp], masked.min(axis=1), out=min_by_bit[hyp])
+    hard = (best_idx[:, None] // weights) % size
+    llr = np.clip(min_by_bit[1] - min_by_bit[0], -LLR_MAX, LLR_MAX)
+    if single:
+        return DetectorOutput(hard=hard[0], llr=llr[0], metric=float(best_metric[0]))
     return DetectorOutput(hard=hard, llr=llr, metric=best_metric)
 
 
@@ -581,9 +587,8 @@ def robust_apply(plan: RobustPlan, y) -> RobustState:
     y3 = y2 @ plan.q2.conj()
     if single:
         y1, y2, y3 = y1[0], y2[0], y3[0]
-    return RobustState(
-        h1=plan.h1, r1=plan.r1, h2=plan.h2, r2=plan.r2, y1=y1, y2=y2, y3=y3, perm=plan.perm
-    )
+    factors = {f.name: getattr(plan, f.name) for f in fields(RobustPlan)}
+    return RobustState(**factors, y1=y1, y2=y2, y3=y3)
 
 
 def robust_preprocess(h_hat, y, r_uu) -> RobustState:

@@ -20,8 +20,8 @@ K_BITS = 144
 COL_WEIGHT = 3
 ROW_WEIGHT = 6
 
-DEFAULT_MAX_ITERS = 25
-DEFAULT_NORMALIZATION = 0.75
+MAX_ITERS = 25
+NORMALIZATION = 0.75
 
 _CONSTRUCTION_RETRIES = 32
 
@@ -41,8 +41,6 @@ class LdpcCode:
     check_edges: np.ndarray
     var_edges: np.ndarray
     edge_var: np.ndarray
-    max_iters: int = DEFAULT_MAX_ITERS
-    normalization: float = DEFAULT_NORMALIZATION
 
     @property
     def n(self) -> int:
@@ -137,11 +135,7 @@ def _gf2_inverse(a: np.ndarray) -> np.ndarray:
     return work[:, m:]
 
 
-def build_code(
-    seed: int = 0,
-    max_iters: int = DEFAULT_MAX_ITERS,
-    normalization: float = DEFAULT_NORMALIZATION,
-) -> LdpcCode:
+def build_code(seed: int = 0) -> LdpcCode:
     """Construct the seeded (288, 144) regular code.
 
     Deterministic for a given seed; internally retries with derived seeds
@@ -163,27 +157,17 @@ def build_code(
         b_block = parity[:, K_BITS:]
         b_inv = _gf2_inverse(b_block)
         parity_solver = (b_inv @ a_block) % 2
-        return _finish_code(
-            parity, parity_solver.astype(np.uint8), column_order, max_iters, normalization
+        edge_check, edge_var = np.nonzero(parity)
+        return LdpcCode(
+            parity=parity,
+            parity_solver=parity_solver.astype(np.uint8),
+            column_order=column_order,
+            # edges are check-major, so check e-blocks are contiguous
+            check_edges=np.arange(edge_check.size).reshape(K_BITS, ROW_WEIGHT),
+            var_edges=np.argsort(edge_var, kind="stable").reshape(N_BITS, COL_WEIGHT),
+            edge_var=edge_var,
         )
     raise CodeConstructionError(f"no valid code found from seed {seed}")
-
-
-def _finish_code(parity, parity_solver, column_order, max_iters, normalization) -> LdpcCode:
-    edge_check, edge_var = np.nonzero(parity)
-    # edges are check-major, so check e-blocks are contiguous
-    check_edges = np.arange(edge_check.size).reshape(K_BITS, ROW_WEIGHT)
-    var_edges = np.argsort(edge_var, kind="stable").reshape(N_BITS, COL_WEIGHT)
-    return LdpcCode(
-        parity=parity,
-        parity_solver=parity_solver,
-        column_order=column_order,
-        check_edges=check_edges,
-        var_edges=var_edges,
-        edge_var=edge_var,
-        max_iters=max_iters,
-        normalization=normalization,
-    )
 
 
 def encode(code: LdpcCode, bits) -> np.ndarray:
@@ -238,14 +222,13 @@ def decode_min_sum_batch(code: LdpcCode, llrs) -> tuple[np.ndarray, np.ndarray, 
     """
     llrs = np.asarray(llrs, dtype=float)
     batch = llrs.shape[0]
-    alpha = code.normalization
     # variable-to-check messages live on edges: (batch, n_edges)
     v2c = llrs[:, code.edge_var].copy()
     hard = (llrs < 0).astype(np.uint8)
     good = _checks_satisfied(code, hard)
     iters = np.zeros(batch, dtype=int)
     active = ~good
-    for _ in range(code.max_iters):
+    for _ in range(MAX_ITERS):
         if not active.any():
             break
         rows = np.flatnonzero(active)
@@ -259,7 +242,7 @@ def decode_min_sum_batch(code: LdpcCode, llrs) -> tuple[np.ndarray, np.ndarray, 
         is_min = np.arange(ROW_WEIGHT)[None, None, :] == part[:, :, :1]
         other_min = np.where(is_min, min2, min1)
         # check_edges is check-major arange, so the reshape is edge order
-        c2v_rows = (alpha * row_sign * signs * other_min).reshape(rows.size, -1)
+        c2v_rows = (NORMALIZATION * row_sign * signs * other_min).reshape(rows.size, -1)
         total_rows = llrs[rows] + c2v_rows[:, code.var_edges].sum(axis=2)
         v2c[rows] = total_rows[:, code.edge_var] - c2v_rows
         hard[rows] = (total_rows < 0).astype(np.uint8)

@@ -1,7 +1,15 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from mudet.airlink import build_constellation
+
+# pyproject's pytest `pythonpath` puts src/ on this interpreter's path only;
+# a test that starts a fresh interpreter finds the package through this
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(p for p in (_SRC, os.environ.get("PYTHONPATH")) if p)
 
 
 @pytest.fixture(scope="session")

@@ -35,6 +35,18 @@ def test_parse_error_carries_line_number():
     assert err.value.line_no == 3
 
 
+# one-key configs that would otherwise pass validation and abort the first trial
+OUT_OF_RANGE_CONFIGS = [
+    ("n_interferers = 1\ninterferer_power_ratio = nan\n", "interferer_power_ratio"),
+    ("n_interferers = 1\ninterferer_power_ratio = inf\n", "interferer_power_ratio"),
+    ("coded = true\nllr_clip = nan\n", "llr_clip"),
+    ("snr_db = nan\n", "snr_db"),
+    ("snr_db = 4,-inf\n", "snr_db"),
+    ("master_seed = -1\n", "master_seed"),
+    (f"master_seed = {2**64}\n", "master_seed"),
+]
+
+
 def test_validation_error_names_key():
     with pytest.raises(ConfigValidationError) as err:
         bench.parse_config("sr.k=16\nsr.s=20\n")
@@ -45,6 +57,10 @@ def test_validation_error_names_key():
     with pytest.raises(ConfigValidationError) as err:
         bench.parse_config("bogus_key = 1")
     assert err.value.key == "bogus_key"
+    for text, key in OUT_OF_RANGE_CONFIGS:
+        with pytest.raises(ConfigValidationError) as err:
+            bench.parse_config(text)
+        assert err.value.key == key
 
 
 def test_large_array_config_accepted():
@@ -369,6 +385,9 @@ def test_cli_invalid_config_is_config_error(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("detectors = zf\n")
     assert cli_main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 1
+    for text, _ in OUT_OF_RANGE_CONFIGS:
+        cfg.write_text(text + "trials_per_point = 1\nsymbols_per_trial = 2\n")
+        assert cli_main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 1
 
 
 def test_cli_runtime_error_exit_code(tmp_path):

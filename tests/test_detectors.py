@@ -303,7 +303,7 @@ def test_batched_searches_equal_row_by_row(qpsk, qam16, n_vec, m, use_qpsk, k, z
         assert np.isclose(os_.metric[t], one.metric, rtol=1e-12, atol=1e-12)
 
 
-def test_batched_apply_and_llrs_equal_row_by_row(qam16):
+def test_batched_apply_and_llrs_equal_row_by_row(qam16, monkeypatch):
     rng = np.random.default_rng(28)
     h = crandn(rng, 8, 3)
     r_uu = random_pd(rng, 8)
@@ -323,6 +323,20 @@ def test_batched_apply_and_llrs_equal_row_by_row(qam16):
         row = det.CandidateList(symbols=cands.symbols[t], metrics=cands.metrics[t])
         assert np.array_equal(llr[t], det.compute_llrs(row, qam16, 3))
         assert np.array_equal(eq[t], det.equalizer_llrs(x_eq[t], bias, noise, qam16))
+    # 4096 candidates in chunks of 64, scored 12 at a time for 5 vectors, so
+    # a row's minimum can fall in any chunk; at y = 0 the candidates x and
+    # -x tie exactly, and they lie in different chunks
+    monkeypatch.setattr(det, "_ML_CHUNK", 64)
+    y[4] = 0.0
+    ml = det.ml_bruteforce(h, y, qam16)
+    for t in range(5):
+        one = det.ml_bruteforce(h, y[t], qam16)
+        assert np.array_equal(ml.hard[t], one.hard)
+        assert np.array_equal(ml.llr[t], one.llr)
+        assert np.isclose(ml.metric[t], one.metric, rtol=1e-12, atol=1e-12)
+    every = (np.arange(4096)[:, None] // np.array([256, 16, 1])) % 16
+    dist = np.sum(np.abs(qam16.points[every] @ h.T) ** 2, axis=1)
+    assert np.array_equal(ml.hard[4], every[np.argmin(dist)])  # lowest index wins
 
 
 # --- brute-force ML -------------------------------------------------------------
