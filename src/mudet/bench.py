@@ -40,7 +40,7 @@ the first 288 detector LLRs; errors are counted on the 144 message bits.
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -124,6 +124,12 @@ class ScenarioConfig:
             raise ConfigValidationError("snr_db", "SNR grid must be non-empty")
         if any(math.isnan(s) or s == -math.inf for s in self.snr_grid_db):
             raise ConfigValidationError("snr_db", "SNR values must be numbers above -inf")
+        try:
+            top_noise = snr_to_noise_power(min(self.snr_grid_db), self.n_users)
+        except OverflowError:
+            top_noise = math.inf
+        if not math.isfinite(top_noise):
+            raise ConfigValidationError("snr_db", "noise power of the lowest SNR overflows")
         if self.trials_per_point < 1:
             raise ConfigValidationError("trials_per_point", "must be >= 1")
         if self.symbols_per_trial < 1:
@@ -178,19 +184,6 @@ class BerRecord:
 # ---------------------------------------------------------------------------
 # configuration parsing
 
-# keys whose value is a comma list; an empty value is the empty list, so a
-# schedule with s = 0 can state its empty q
-_LIST_KEYS = {"sr.p", "sr.v", "sr.q"}
-
-_KNOWN_KEYS = {
-    "n_rx", "n_users", "n_interferers", "constellation", "snr_db",
-    "trials_per_point", "symbols_per_trial", "master_seed", "ce_mode",
-    "pilot_count", "covariance_samples", "detectors", "coded", "noiseless",
-    "rx_correlation", "interferer_power_ratio",
-    "sr.k", "sr.s", "sr.p", "sr.v", "sr.q", "sr.expand",
-    "kbest.k", "kbest.expand", "llr_clip",
-}
-
 
 def parse_snr_spec(spec: str) -> tuple:
     """Parse ``lo:hi:step`` (inclusive of ``hi`` within half a step) or a
@@ -221,6 +214,49 @@ def _parse_bool(value: str) -> bool:
     raise ValueError(f"not a boolean: {value!r}")
 
 
+def _int_list(value: str) -> tuple:
+    return tuple(int(p) for p in value.split(",")) if value else ()
+
+
+def _str_list(value: str) -> tuple:
+    return tuple(p.strip() for p in value.split(",") if p.strip())
+
+
+# config key -> (field, converter); the fields of the ``sr.*`` keys belong
+# to SrKBestParams, the others to ScenarioConfig
+_KEYS = {
+    "n_rx": ("n_rx", int),
+    "n_users": ("n_users", int),
+    "n_interferers": ("n_interferers", int),
+    "constellation": ("constellation", str.lower),
+    "snr_db": ("snr_grid_db", parse_snr_spec),
+    "trials_per_point": ("trials_per_point", int),
+    "symbols_per_trial": ("symbols_per_trial", int),
+    "master_seed": ("master_seed", int),
+    "ce_mode": ("ce_mode", str.lower),
+    "pilot_count": ("pilot_count", int),
+    "covariance_samples": ("covariance_samples", int),
+    "detectors": ("detectors", _str_list),
+    "coded": ("coded", _parse_bool),
+    "noiseless": ("noiseless", _parse_bool),
+    "rx_correlation": ("rx_correlation", float),
+    "interferer_power_ratio": ("interferer_power_ratio", float),
+    "sr.k": ("k", int),
+    "sr.s": ("s", int),
+    "sr.p": ("p", _int_list),
+    "sr.v": ("v", _int_list),
+    "sr.q": ("q", _int_list),
+    "sr.expand": ("expand", int),
+    "kbest.k": ("kbest_k", int),
+    "kbest.expand": ("kbest_expand", int),
+    "llr_clip": ("llr_clip", float),
+}
+
+# keys whose value is a comma list; an empty value is the empty list, so a
+# schedule with s = 0 can state its empty q
+_LIST_KEYS = {"sr.p", "sr.v", "sr.q"}
+
+
 def parse_config(text: str) -> ScenarioConfig:
     """Parse ``key=value`` lines (``#`` comments) into a validated config.
 
@@ -239,61 +275,24 @@ def parse_config(text: str) -> ScenarioConfig:
         value = value.strip()
         if not key or (not value and key not in _LIST_KEYS):
             raise ConfigParseError(line_no, "empty key or value")
-        if key not in _KNOWN_KEYS:
+        if key not in _KEYS:
             raise ConfigValidationError(key, "unknown configuration key")
         raw[key] = (value, line_no)
 
-    def take(key, convert, default):
-        if key not in raw:
-            return default
-        value, line_no = raw[key]
+    values: dict = {}
+    sr_values: dict = {}
+    for key, (value, line_no) in raw.items():
+        name, convert = _KEYS[key]
         try:
-            return convert(value)
+            converted = convert(value)
         except ValueError as exc:
             raise ConfigParseError(line_no, f"{key}: {exc}") from exc
-
-    int_list = lambda v: tuple(int(p) for p in v.split(",")) if v else ()
-    str_list = lambda v: tuple(p.strip() for p in v.split(",") if p.strip())
-
-    defaults = ScenarioConfig()
-    sr_default = SrKBestParams.default_16_4()
-    sr_fields = {
-        "k": take("sr.k", int, sr_default.k),
-        "s": take("sr.s", int, sr_default.s),
-        "p": take("sr.p", int_list, tuple(sr_default.p)),
-        "v": take("sr.v", int_list, tuple(sr_default.v)),
-        "q": take("sr.q", int_list, tuple(sr_default.q)),
-        "expand": take("sr.expand", int, sr_default.expand),
-    }
+        (sr_values if key.startswith("sr.") else values)[name] = converted
     try:
-        sr_params = SrKBestParams(**sr_fields)
+        sr_params = replace(SrKBestParams.default_16_4(), **sr_values)
     except ValueError as exc:
         raise ConfigValidationError("sr", str(exc)) from exc
-
-    cfg = ScenarioConfig(
-        n_rx=take("n_rx", int, defaults.n_rx),
-        n_users=take("n_users", int, defaults.n_users),
-        n_interferers=take("n_interferers", int, defaults.n_interferers),
-        constellation=take("constellation", lambda v: v.lower(), defaults.constellation),
-        snr_grid_db=take("snr_db", parse_snr_spec, defaults.snr_grid_db),
-        trials_per_point=take("trials_per_point", int, defaults.trials_per_point),
-        symbols_per_trial=take("symbols_per_trial", int, defaults.symbols_per_trial),
-        master_seed=take("master_seed", int, defaults.master_seed),
-        ce_mode=take("ce_mode", lambda v: v.lower(), defaults.ce_mode),
-        pilot_count=take("pilot_count", int, defaults.pilot_count),
-        covariance_samples=take("covariance_samples", int, defaults.covariance_samples),
-        detectors=take("detectors", str_list, defaults.detectors),
-        coded=take("coded", _parse_bool, defaults.coded),
-        noiseless=take("noiseless", _parse_bool, defaults.noiseless),
-        rx_correlation=take("rx_correlation", float, defaults.rx_correlation),
-        interferer_power_ratio=take(
-            "interferer_power_ratio", float, defaults.interferer_power_ratio
-        ),
-        sr_params=sr_params,
-        kbest_k=take("kbest.k", int, defaults.kbest_k),
-        kbest_expand=take("kbest.expand", int, defaults.kbest_expand),
-        llr_clip=take("llr_clip", float, defaults.llr_clip),
-    )
+    cfg = ScenarioConfig(sr_params=sr_params, **values)
     cfg.validate()
     return cfg
 

@@ -636,9 +636,8 @@ def robust_soft_llrs(plan: RobustPlan, y_block, cons: Constellation) -> np.ndarr
     sq = plan.soft_qr
     rotate = sq.q.conj().T @ plan.q1.conj().T @ plan.w
     symbols, metrics = _kbest_list(sq.r, y_block @ rotate.T, SOFT_LIST_WIDTH, cons.points)
-    user_symbols = np.empty_like(symbols)
-    user_symbols[..., sq.perm] = symbols
-    return logmap_llrs(user_symbols, metrics, cons)
+    cands = CandidateList(symbols, metrics).permuted(sq.perm)
+    return logmap_llrs(cands.symbols, cands.metrics, cons)
 
 
 def _kbest_list(r, y_tilde, k: int, points):

@@ -1,9 +1,10 @@
 """Dense complex linear-algebra kernels shared by every detector.
 
-Householder QR with an optional greedy weakest-column-first pivot order,
-Cholesky factorization, the inverse-square-root whitener, and Hermitian
-solves. Matrices and vectors are plain complex ``numpy`` arrays; the
-factorization results are small frozen dataclasses.
+Thin QR from LAPACK, a sorted Gram-Schmidt QR with a greedy
+weakest-column-first pivot order, Cholesky factorization, the
+inverse-square-root whitener, and Hermitian solves. Matrices and vectors
+are plain complex ``numpy`` arrays; the factorization results are small
+frozen dataclasses.
 
 Conventions
 -----------
@@ -73,60 +74,22 @@ def invert_permutation(perm: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _householder_qr(a: np.ndarray, pivot: bool):
-    """Shared Householder elimination; returns ``(q, r, perm)``.
-
-    With ``pivot=True``, each step brings forward the remaining column with
-    the smallest residual norm (the norm of its rows at and below the
-    current elimination row, i.e. after projecting out all previously
-    selected columns).
-    """
+def _tall_input(a):
+    """Validated ``n x m`` input with ``n >= m`` and its rank threshold."""
+    a = as_complex_matrix(a)
     n, m = a.shape
     if n < m:
         raise ValueError(f"need rows >= cols, got {n} x {m}")
-    anorm = np.linalg.norm(a)
-    threshold = RANK_TOL * anorm
-    r = a.astype(complex, copy=True)
-    perm = np.arange(m)
-    reflectors: list[np.ndarray] = []
-    for k in range(m):
-        if pivot:
-            norms = np.linalg.norm(r[k:, k:], axis=0)
-            lead = norms.min()
-            tied = np.flatnonzero(norms <= lead * (1.0 + SORT_TIE_REL))
-            j = k + tied[np.argmin(perm[k + tied])]
-            if j != k:
-                r[:, [k, j]] = r[:, [j, k]]
-                perm[[k, j]] = perm[[j, k]]
-        x = r[k:, k].copy()
-        xnorm = np.linalg.norm(x)
-        if xnorm <= threshold:
-            raise RankDeficientError(
-                f"pivot {k} has magnitude {xnorm:.3e} <= {threshold:.3e}"
-            )
-        phase = x[0] / abs(x[0]) if abs(x[0]) > 0 else 1.0 + 0.0j
-        v = x
-        v[0] += phase * xnorm
-        v /= np.linalg.norm(v)
-        r[k:, k:] -= 2.0 * np.outer(v, v.conj() @ r[k:, k:])
-        r[k + 1 :, k] = 0.0
-        reflectors.append(v)
-    q = np.eye(n, m, dtype=complex)
-    for k in range(m - 1, -1, -1):
-        v = reflectors[k]
-        q[k:, :] -= 2.0 * np.outer(v, v.conj() @ q[k:, :])
-    # Absorb diagonal phases into q so diag(r) is real positive.
-    rt = r[:m, :].copy()
-    diag = rt[np.arange(m), np.arange(m)]
-    phases = diag / np.abs(diag)
-    rt *= phases.conj()[:, None]
-    q *= phases[None, :]
-    rt[np.arange(m), np.arange(m)] = np.abs(diag)
-    return q, rt, perm
+    return a, RANK_TOL * np.linalg.norm(a)
+
+
+def _check_pivot(k: int, magnitude: float, threshold: float) -> None:
+    if magnitude <= threshold:
+        raise RankDeficientError(f"pivot {k} has magnitude {magnitude:.3e} <= {threshold:.3e}")
 
 
 def qr_decompose(a) -> tuple[np.ndarray, np.ndarray]:
-    """Thin Householder QR with real positive diagonal.
+    """Thin QR (LAPACK, via ``numpy``) with real positive diagonal.
 
     Parameters
     ----------
@@ -144,22 +107,55 @@ def qr_decompose(a) -> tuple[np.ndarray, np.ndarray]:
     RankDeficientError
         If a pivot magnitude falls below ``RANK_TOL * ||a||_F``.
     """
-    a = as_complex_matrix(a)
-    q, r, _ = _householder_qr(a, pivot=False)
+    a, threshold = _tall_input(a)
+    q, r = np.linalg.qr(a)
+    diag = np.abs(np.diagonal(r))
+    for k, magnitude in enumerate(diag):
+        _check_pivot(k, magnitude, threshold)
+    phases = np.diagonal(r) / diag
+    q = q * phases
+    r = r * phases.conj()[:, None]
+    np.fill_diagonal(r, diag)
     return q, r
 
 
 def sorted_qr(a) -> SortedQR:
-    """QR with greedy weakest-column-first ordering.
+    """QR with greedy weakest-column-first ordering (sorted Gram-Schmidt).
 
-    At each elimination step the remaining column with minimum residual
-    norm is selected next, so the leading diagonal entries of ``r`` are the
-    weakest layers and a back-substitution detector resolves the strongest
-    layer first. Ties go to the lowest original column index.
+    Each step selects the remaining column with minimum residual norm (its
+    norm after projecting out every selected column), so the leading
+    diagonal entries of ``r`` are the weakest layers and a back-substitution
+    detector resolves the strongest layer first. Ties go to the lowest
+    original column index. This is the modified Gram-Schmidt sorted QR of
+    Wubben et al., "Efficient algorithm for decoding layered space-time
+    codes" (Electronics Letters, 2001). Raises ``RankDeficientError`` like
+    :func:`qr_decompose`.
     """
-    a = as_complex_matrix(a)
-    q, r, perm = _householder_qr(a, pivot=True)
-    return SortedQR(q=q, r=r, perm=perm)
+    a, threshold = _tall_input(a)
+    n, m = a.shape
+    resid = a.copy()
+    q = np.zeros((n, m), dtype=complex)
+    coef = np.zeros((m, m), dtype=complex)  # rows of r, columns in input order
+    perm = np.empty(m, dtype=int)
+    left = np.arange(m)
+    for k in range(m):
+        norms = np.linalg.norm(resid[:, left], axis=0)
+        # left stays ascending, so a tie goes to the lowest original index
+        j = left[np.argmax(norms <= norms.min() * (1.0 + SORT_TIE_REL))]
+        perm[k] = j
+        left = left[left != j]
+        # Projecting the pivot once more on the chosen basis keeps q
+        # orthonormal to machine precision on ill-conditioned inputs.
+        extra = q[:, :k].conj().T @ resid[:, j]
+        coef[:k, j] += extra
+        col = resid[:, j] - q[:, :k] @ extra
+        rkk = np.linalg.norm(col)
+        _check_pivot(k, rkk, threshold)
+        coef[k, j] = rkk
+        q[:, k] = col / rkk
+        coef[k, left] = q[:, k].conj() @ resid[:, left]
+        resid[:, left] -= np.outer(q[:, k], coef[k, left])
+    return SortedQR(q=q, r=coef[:, perm], perm=perm)
 
 
 def cholesky(a) -> np.ndarray:

@@ -6,6 +6,7 @@ Monte-Carlo scenarios use frozen seeds, so every number here is
 reproducible bit-for-bit.
 """
 
+import hashlib
 import time
 
 import numpy as np
@@ -34,6 +35,10 @@ symbols_per_trial = 50
 detectors = mmse-irc,robust-sr-kbest
 master_seed = {MASTER_SEED}
 """
+
+# SHA-256 of the CSV of INTERFERENCE_SCENARIO: its records are frozen, so a
+# change to the numerics that moves any bit error shows here.
+INTERFERENCE_CSV_SHA256 = "b79c4634cd7a21ce87c84f8d0ca82cbe759eb314d7a7c54c5c89d5b018888d7e"
 
 AWGN_SCENARIO = f"""
 n_rx = 16
@@ -209,6 +214,12 @@ def test_c05_interference_suppression_ordering(interference_run):
         f"in-band SNRs {in_band}, ordered={ordered}, separated at {separated}, "
         f"{elapsed:.0f} s",
     )
+
+
+def test_c05_records_match_frozen_digest(interference_run):
+    _, records, _ = interference_run
+    digest = hashlib.sha256(bench.csv_bytes(records)).hexdigest()
+    _report("C5 frozen records", digest == INTERFERENCE_CSV_SHA256, f"CSV SHA-256 {digest}")
 
 
 def test_c06_awgn_near_ml_ordering():

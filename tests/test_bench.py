@@ -42,6 +42,7 @@ OUT_OF_RANGE_CONFIGS = [
     ("coded = true\nllr_clip = nan\n", "llr_clip"),
     ("snr_db = nan\n", "snr_db"),
     ("snr_db = 4,-inf\n", "snr_db"),
+    ("snr_db = -4000\n", "snr_db"),
     ("master_seed = -1\n", "master_seed"),
     (f"master_seed = {2**64}\n", "master_seed"),
 ]

@@ -60,6 +60,8 @@ def test_qr_seeded_8x4():
 def test_qr_rank_deficient_raises():
     with pytest.raises(RankDeficientError):
         qr_decompose([[1.0, 1.0], [1.0, 1.0]])
+    with pytest.raises(RankDeficientError):
+        sorted_qr([[1.0, 2.0, 3.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [2.0, 1.0, 3.0]])
 
 
 def test_qr_rejects_bad_input():
@@ -121,6 +123,31 @@ def test_sorted_qr_greedy_matches_projection_oracle():
         assert np.linalg.norm(sq.q @ sq.r - a[:, sq.perm]) <= 1e-10 * np.linalg.norm(a)
         # step-1 greedy optimality: r11 is the smallest column norm
         assert abs(sq.r[0, 0] - np.linalg.norm(a, axis=0).min()) < 1e-9
+
+
+def _with_condition_number(rng, n, m, kappa):
+    """Random complex n x m matrix, singular values log-spaced from 1 to 1/kappa."""
+    u, _ = np.linalg.qr(crandn(rng, n, m))
+    v, _ = np.linalg.qr(crandn(rng, m, m))
+    return (u * np.logspace(0, -np.log10(kappa), m)) @ v.conj().T
+
+
+@pytest.mark.parametrize("kappa", [1e2, 1e4, 1e6, 1e8])
+def test_sorted_qr_orthonormal_when_ill_conditioned(kappa):
+    rng = np.random.default_rng(13)
+    for _ in range(20):
+        sq = sorted_qr(_with_condition_number(rng, 20, 4, kappa))
+        assert np.linalg.norm(sq.q.conj().T @ sq.q - np.eye(4)) <= 1e-12
+
+
+def test_sorted_qr_r_equals_plain_qr_of_permuted_input():
+    rng = np.random.default_rng(17)
+    inputs = [crandn(rng, int(n), int(m)) for n, m in rng.integers(1, 9, (40, 2)) if n >= m]
+    inputs += [_with_condition_number(rng, 20, 4, 1e6) for _ in range(10)]
+    for a in inputs:
+        sq = sorted_qr(a)
+        _, r = qr_decompose(a[:, sq.perm])
+        assert np.max(np.abs(sq.r - r)) <= 1e-10
 
 
 @settings(max_examples=50, deadline=None)
