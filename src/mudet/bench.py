@@ -24,7 +24,8 @@ SNR definition
 over the noise power: with unit-energy symbols and unit-variance channel
 entries the expected signal power per antenna is ``n_users``, so
 ``sigma_n2 = n_users * 10**(-snr_db / 10)``. Interferers are excluded
-from the numerator.
+from the numerator. SNRs whose noise power exceeds
+:data:`MAX_NOISE_POWER` are rejected.
 
 Noiseless runs (``noiseless=true``) transmit with zero noise while the
 detectors are fed ``sigma_n2 = NOISELESS_FLOOR`` and a matching covariance
@@ -75,6 +76,12 @@ from .numkit import sorted_qr
 DETECTOR_NAMES = ("mrc", "mmse-irc", "osic", "kbest", "sr-kbest", "robust-sr-kbest", "ml")
 
 NOISELESS_FLOOR = 1e-12
+
+# Highest noise power a scenario may ask for (an SNR of about -1000 dB per
+# user). Covariances and norms square received samples, and a noise power
+# near 1e154 overflows those squares; 1e100 leaves room for the sums over
+# antennas and samples and for strong interferers on top.
+MAX_NOISE_POWER = 1e100
 
 CSV_HEADER = "detector,snr_db,trials,bits,bit_errors,ber,coded,ce_mode,seed"
 
@@ -128,8 +135,10 @@ class ScenarioConfig:
             top_noise = snr_to_noise_power(min(self.snr_grid_db), self.n_users)
         except OverflowError:
             top_noise = math.inf
-        if not math.isfinite(top_noise):
-            raise ConfigValidationError("snr_db", "noise power of the lowest SNR overflows")
+        if not top_noise <= MAX_NOISE_POWER:
+            raise ConfigValidationError(
+                "snr_db", f"noise power of the lowest SNR exceeds {MAX_NOISE_POWER:g}"
+            )
         if self.trials_per_point < 1:
             raise ConfigValidationError("trials_per_point", "must be >= 1")
         if self.symbols_per_trial < 1:

@@ -162,6 +162,19 @@ class SrKBestParams:
         if int(self.v.sum()) < self.s:
             raise InvalidSearchParamsError("sorting pool smaller than s")
 
+    def _key(self) -> tuple:
+        arrays = (tuple(a.tolist()) for a in (self.p, self.v, self.q))
+        return (self.k, self.s, *arrays, self.expand)
+
+    # the generated methods would compare and hash the arrays themselves
+    def __eq__(self, other):
+        if not isinstance(other, SrKBestParams):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
     @cached_property
     def fill_indices(self):
         """Static gather indices of one scheduled layer.

@@ -29,18 +29,22 @@ _CONSTRUCTION_RETRIES = 32
 @dataclass(frozen=True)
 class LdpcCode:
     """Immutable (288, 144) code: parity matrix, systematic encoder tables,
-    and the edge adjacency used by the decoder.
+    and the edge tables the decoder reads.
 
     ``column_order[j]`` records which column of the originally sampled
     matrix sits at position ``j``; positions ``0..143`` carry the message.
+
+    Edges are numbered slot-major: edge ``s * 144 + c`` is the ``s``-th
+    edge of check ``c``, counting its variables in ascending order.
+    ``check_vars[s, c]`` is that edge's variable, and ``var_edges[:, v]``
+    lists the edges of variable ``v`` in ascending check order.
     """
 
     parity: np.ndarray
     parity_solver: np.ndarray
     column_order: np.ndarray
-    check_edges: np.ndarray
+    check_vars: np.ndarray
     var_edges: np.ndarray
-    edge_var: np.ndarray
 
     @property
     def n(self) -> int:
@@ -60,32 +64,27 @@ def _sample_regular_parity(rng: np.random.Generator) -> np.ndarray | None:
     """Greedy progressive edge placement for a regular (3, 6) matrix.
 
     Each column connects to the least-filled checks, preferring checks that
-    do not close a 4-cycle (a repeated check pair across columns). Returns
-    None when the degree constraints wedge, so the caller can retry.
+    do not close a 4-cycle (a check pair already shared by an earlier
+    column). Returns None when the degree constraints wedge, so the caller
+    can retry.
     """
     h = np.zeros((K_BITS, N_BITS), dtype=np.uint8)
     row_deg = np.zeros(K_BITS, dtype=int)
-    used_pairs: set[tuple[int, int]] = set()
+    pair_used = np.zeros((K_BITS, K_BITS), dtype=bool)
     for col in range(N_BITS):
         chosen: list[int] = []
         for _ in range(COL_WEIGHT):
-            avail = np.flatnonzero(row_deg < ROW_WEIGHT)
-            avail = np.setdiff1d(avail, chosen, assume_unique=False)
-            if avail.size == 0:
+            open_rows = row_deg < ROW_WEIGHT
+            open_rows[chosen] = False
+            if not open_rows.any():
                 return None
-            min_deg = row_deg[avail].min()
-            cand = avail[row_deg[avail] == min_deg]
-            safe = [
-                c
-                for c in cand
-                if all((min(c, d), max(c, d)) not in used_pairs for d in chosen)
-            ]
-            pool = np.asarray(safe if safe else cand)
+            min_deg = row_deg[open_rows].min()
+            cand = np.flatnonzero(open_rows & (row_deg == min_deg))
+            safe = cand[~pair_used[chosen][:, cand].any(axis=0)]
+            pool = safe if safe.size else cand
             pick = int(pool[rng.integers(pool.size)])
             chosen.append(pick)
-        for a in range(COL_WEIGHT):
-            for b in range(a + 1, COL_WEIGHT):
-                used_pairs.add((min(chosen[a], chosen[b]), max(chosen[a], chosen[b])))
+        pair_used[np.ix_(chosen, chosen)] = True
         h[chosen, col] = 1
         row_deg[chosen] += 1
     return h
@@ -157,15 +156,16 @@ def build_code(seed: int = 0) -> LdpcCode:
         b_block = parity[:, K_BITS:]
         b_inv = _gf2_inverse(b_block)
         parity_solver = (b_inv @ a_block) % 2
+        # np.nonzero walks check by check, variables ascending within each
         edge_check, edge_var = np.nonzero(parity)
+        slot_major = (np.arange(edge_var.size) % ROW_WEIGHT) * K_BITS + edge_check
+        by_var = np.argsort(edge_var, kind="stable")
         return LdpcCode(
             parity=parity,
             parity_solver=parity_solver.astype(np.uint8),
             column_order=column_order,
-            # edges are check-major, so check e-blocks are contiguous
-            check_edges=np.arange(edge_check.size).reshape(K_BITS, ROW_WEIGHT),
-            var_edges=np.argsort(edge_var, kind="stable").reshape(N_BITS, COL_WEIGHT),
-            edge_var=edge_var,
+            check_vars=edge_var.reshape(K_BITS, ROW_WEIGHT).T.copy(),
+            var_edges=slot_major[by_var].reshape(N_BITS, COL_WEIGHT).T.copy(),
         )
     raise CodeConstructionError(f"no valid code found from seed {seed}")
 
@@ -192,8 +192,7 @@ def parity_ok(code: LdpcCode, codeword) -> np.ndarray | bool:
     single = cw.ndim == 1
     if single:
         cw = cw[None, :]
-    syndrome = (cw @ code.parity.T) % 2
-    ok = ~syndrome.any(axis=1)
+    ok = _checks_satisfied(code, cw & 1)
     return bool(ok[0]) if single else ok
 
 
@@ -218,41 +217,55 @@ def decode_min_sum_batch(code: LdpcCode, llrs) -> tuple[np.ndarray, np.ndarray, 
     """Vectorized min-sum over a ``(batch, n)`` block of LLR vectors.
 
     Semantics per row are identical to :func:`decode_min_sum`; rows that
-    converge early freeze while the rest keep iterating.
+    converge early freeze while the rest keep iterating. Messages live on
+    the slot-major edges, ``(rows, ROW_WEIGHT, n_checks)``, so each check
+    reduces over contiguous rows of its slots.
     """
     llrs = np.asarray(llrs, dtype=float)
-    batch = llrs.shape[0]
-    # variable-to-check messages live on edges: (batch, n_edges)
-    v2c = llrs[:, code.edge_var].copy()
-    hard = (llrs < 0).astype(np.uint8)
-    good = _checks_satisfied(code, hard)
-    iters = np.zeros(batch, dtype=int)
-    active = ~good
-    for _ in range(MAX_ITERS):
-        if not active.any():
-            break
-        rows = np.flatnonzero(active)
-        msg = v2c[rows][:, code.check_edges]  # (r, n_checks, ROW_WEIGHT)
-        signs = np.where(msg < 0, -1.0, 1.0)
-        mags = np.abs(msg)
-        row_sign = signs.prod(axis=2, keepdims=True)
-        part = np.argsort(mags, axis=2, kind="stable")
-        min1 = np.take_along_axis(mags, part[:, :, :1], axis=2)
-        min2 = np.take_along_axis(mags, part[:, :, 1:2], axis=2)
-        is_min = np.arange(ROW_WEIGHT)[None, None, :] == part[:, :, :1]
-        other_min = np.where(is_min, min2, min1)
-        # check_edges is check-major arange, so the reshape is edge order
-        c2v_rows = (NORMALIZATION * row_sign * signs * other_min).reshape(rows.size, -1)
-        total_rows = llrs[rows] + c2v_rows[:, code.var_edges].sum(axis=2)
-        v2c[rows] = total_rows[:, code.edge_var] - c2v_rows
-        hard[rows] = (total_rows < 0).astype(np.uint8)
-        iters[rows] += 1
-        good_now = _checks_satisfied(code, hard[rows])
-        active[rows[good_now]] = False
+    hard = llrs < 0
     converged = _checks_satisfied(code, hard)
-    return hard[:, : code.k], converged, iters
+    iters = np.zeros(llrs.shape[0], dtype=int)
+    rows = np.flatnonzero(~converged)  # batch rows still iterating
+    llr = llrs[rows]
+    v2c = np.take(llr, code.check_vars, axis=1)
+    for it in range(1, MAX_ITERS + 1):
+        if rows.size == 0:
+            break
+        c2v = _check_messages(v2c)
+        from_checks = np.take(c2v.reshape(rows.size, -1), code.var_edges, axis=1)
+        # ascending check order, as a left-to-right sum
+        total = llr + ((from_checks[:, 0] + from_checks[:, 1]) + from_checks[:, 2])
+        v2c = np.take(total, code.check_vars, axis=1) - c2v
+        row_hard = total < 0
+        ok = _checks_satisfied(code, row_hard)
+        stop = ok | (it == MAX_ITERS)
+        if stop.any():
+            out = rows[stop]
+            hard[out] = row_hard[stop]
+            converged[out] = ok[stop]
+            iters[out] = it
+            keep = ~stop
+            rows, llr, v2c = rows[keep], llr[keep], v2c[keep]
+    return hard[:, : code.k].astype(np.uint8), converged, iters
+
+
+def _check_messages(v2c: np.ndarray) -> np.ndarray:
+    """Normalized min-sum check-to-variable messages on slot-major edges.
+
+    Each edge gets the smallest magnitude among its check's other edges:
+    the check's second smallest magnitude on the edge holding the smallest,
+    the smallest everywhere else (on a tie the two are equal). Its sign is
+    the product of the other edges' signs, a zero counting as positive.
+    """
+    mags = np.abs(v2c)
+    low = np.sort(mags, axis=1)
+    mag = NORMALIZATION * np.where(mags == low[:, :1], low[:, 1:2], low[:, :1])
+    neg = v2c < 0
+    flip = neg ^ np.logical_xor.reduce(neg, axis=1, keepdims=True)
+    return np.where(flip, -mag, mag)
 
 
 def _checks_satisfied(code: LdpcCode, hard: np.ndarray) -> np.ndarray:
-    syndrome = (hard @ code.parity.T) % 2
+    """Per row of 0/1 (or boolean) bits, whether every check's XOR is 0."""
+    syndrome = np.bitwise_xor.reduce(np.take(hard, code.check_vars, axis=1), axis=1)
     return ~syndrome.any(axis=1)

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import io
+import math
 import subprocess
 import sys
 
@@ -43,6 +44,8 @@ OUT_OF_RANGE_CONFIGS = [
     ("snr_db = nan\n", "snr_db"),
     ("snr_db = 4,-inf\n", "snr_db"),
     ("snr_db = -4000\n", "snr_db"),
+    ("snr_db = -3076\n", "snr_db"),
+    ("snr_db = -3070\n", "snr_db"),
     ("master_seed = -1\n", "master_seed"),
     (f"master_seed = {2**64}\n", "master_seed"),
 ]
@@ -62,6 +65,35 @@ def test_validation_error_names_key():
         with pytest.raises(ConfigValidationError) as err:
             bench.parse_config(text)
         assert err.value.key == key
+
+
+def test_config_equality():
+    assert bench.parse_config("") == bench.ScenarioConfig()
+    assert hash(bench.parse_config("")) == hash(bench.ScenarioConfig())
+    assert bench.parse_config("n_rx = 8\n") != bench.ScenarioConfig()
+    other_p = bench.parse_config("sr.p = 1,2,1,1,1,1,1,1,1,1,1,0,0,0,0,0\n")
+    assert other_p != bench.ScenarioConfig()
+    assert other_p.sr_params != bench.ScenarioConfig().sr_params
+
+
+@pytest.mark.parametrize(
+    "extra", ["", "coded = true\nce_mode = ls_pilot\n"], ids=["uncoded", "coded"]
+)
+def test_lowest_accepted_snr_runs_every_detector(extra):
+    # the suite turns numpy's RuntimeWarnings into errors, so an overflow
+    # anywhere in the trial fails this test
+    lowest = -10.0 * math.log10(bench.MAX_NOISE_POWER / 2)
+    text = (
+        "n_rx = 4\nn_users = 2\nn_interferers = 1\nrx_correlation = 0.5\n"
+        f"detectors = {','.join(bench.DETECTOR_NAMES)}\n"
+        "trials_per_point = 1\nsymbols_per_trial = 2\n" + extra
+    )
+    with pytest.raises(ConfigValidationError):
+        bench.parse_config(text + f"snr_db = {lowest - 0.01!r}\n")
+    cfg = bench.parse_config(text + f"snr_db = {lowest!r}\n")
+    records = bench.run_scenario(cfg)
+    assert [r.detector for r in records] == list(bench.DETECTOR_NAMES)
+    assert all(0 <= r.bit_errors <= r.bits for r in records)
 
 
 def test_large_array_config_accepted():

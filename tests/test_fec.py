@@ -1,7 +1,24 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mudet import fec
+
+# SHA-256 of ``parity`` and of ``column_order`` (as little-endian int64) per
+# seed, recorded from the set-based pair bookkeeping the sampler used first
+CODE_DIGESTS = {
+    0: ("5ce496d0d634d0a0345fd745a371e3e99b62bb9ee46bea93a566ca106a1eb06d",
+        "278cf0cf87ad0ce5c3f03370e7204e25b21abfc9d506f9f84c324c4fbce925c4"),
+    1: ("cba07f20f13192d4786b35b20de0ba75b5ba08abda0f86c27210e409c1cc5844",
+        "6474fa17491c720867c06eea6b428a24f4db422f2d2b23d8c8e17b3d357d49f0"),
+    2: ("0c1b2cda146a6b554ebcff1e66ce089324d922ce57ba090d29a4a96dd85d2e88",
+        "43c89f9353b68d64d30dd83d68314e724ac66e638b60ff4a46810f0e3e20b682"),
+    3: ("03ffb2840de9f4eef41e6dcf3a227ddb16b77d38b08e4a1421b85770518e5b92",
+        "a64b4d69543bfe3815fe39f853cb7a1b147d349fa99b4a447d9e4cef8f76433a"),
+}
 
 
 @pytest.fixture(scope="module")
@@ -20,6 +37,29 @@ def test_construction_deterministic():
     b = fec.build_code(seed=5)
     assert np.array_equal(a.parity, b.parity)
     assert np.array_equal(a.column_order, b.column_order)
+
+
+@pytest.mark.parametrize("seed", sorted(CODE_DIGESTS))
+def test_construction_frozen(seed):
+    c = fec.build_code(seed=seed)
+    digests = (
+        hashlib.sha256(c.parity.astype(np.uint8).tobytes()).hexdigest(),
+        hashlib.sha256(c.column_order.astype("<i8").tobytes()).hexdigest(),
+    )
+    assert digests == CODE_DIGESTS[seed]
+
+
+def test_edge_tables_match_parity(code):
+    # every check lists its variables in ascending order, one per slot
+    for c in range(code.parity.shape[0]):
+        assert np.array_equal(code.check_vars[:, c], np.flatnonzero(code.parity[c]))
+    # every variable lists its edges in ascending check order
+    edge_check = np.tile(np.arange(code.parity.shape[0]), fec.ROW_WEIGHT)
+    edge_var = code.check_vars.reshape(-1)
+    for v in range(code.n):
+        edges = code.var_edges[:, v]
+        assert np.all(edge_var[edges] == v)
+        assert np.array_equal(edge_check[edges], np.flatnonzero(code.parity[:, v]))
 
 
 def test_any_seed_valid():
@@ -167,3 +207,110 @@ def test_bpsk_awgn_coded_ber_regression(code):
         errors += int(np.sum(decoded != msgs))
         bits += msgs.size
     assert errors / bits < 1e-3
+
+
+# --- decoding against a per-edge reference --------------------------------------
+
+
+def _reference_min_sum(code, llr):
+    """Flooding normalized min-sum written one check and one edge at a time.
+
+    Sums run in ascending check order and a zero message counts as positive,
+    as in the library, so results must match bit for bit.
+    """
+    checks = [np.flatnonzero(row) for row in code.parity]
+    var_checks = [np.flatnonzero(col) for col in code.parity.T]
+
+    def satisfied(hard):
+        return all(sum(hard[v] for v in vs) % 2 == 0 for vs in checks)
+
+    llr = [float(x) for x in llr]
+    hard = [int(x < 0) for x in llr]
+    if satisfied(hard):
+        return hard[: code.k], True, 0
+    v2c = {(c, v): llr[v] for c, vs in enumerate(checks) for v in vs}
+    for it in range(1, fec.MAX_ITERS + 1):
+        c2v = {}
+        for c, vs in enumerate(checks):
+            for v in vs:
+                others = [v2c[c, u] for u in vs if u != v]
+                sign = 1.0
+                for x in others:
+                    if x < 0:
+                        sign = -sign
+                c2v[c, v] = sign * (fec.NORMALIZATION * min(abs(x) for x in others))
+        total = []
+        for v, cs in enumerate(var_checks):
+            acc = 0.0
+            for c in cs:
+                acc += c2v[c, v]
+            total.append(llr[v] + acc)
+        for c, v in v2c:
+            v2c[c, v] = total[v] - c2v[c, v]
+        hard = [int(t < 0) for t in total]
+        if satisfied(hard):
+            return hard[: code.k], True, it
+    return hard[: code.k], False, fec.MAX_ITERS
+
+
+def _assert_matches_reference(code, llrs):
+    """Both entry points against the reference, row by row."""
+    llrs = np.atleast_2d(llrs)
+    bits_b, conv_b, iters_b = fec.decode_min_sum_batch(code, llrs)
+    for i, row in enumerate(llrs):
+        ref_bits, ref_conv, ref_iters = _reference_min_sum(code, row)
+        bits, conv, iters = fec.decode_min_sum(code, row)
+        assert (list(bits), conv, iters) == (ref_bits, ref_conv, ref_iters)
+        assert (list(bits_b[i]), bool(conv_b[i]), int(iters_b[i])) == (
+            ref_bits, ref_conv, ref_iters
+        )
+    return conv_b, iters_b
+
+
+def _noisy_llrs(code, rng, sigma, rows=1):
+    cws = fec.encode(code, rng.integers(0, 2, (rows, code.k)))
+    y = (1.0 - 2.0 * cws) + sigma * rng.standard_normal(cws.shape)
+    return 2.0 * y / sigma**2
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sigma=st.sampled_from([0.6, 0.75, 0.9]),
+    zeros=st.integers(0, 60),
+)
+def test_decoder_matches_reference_on_tied_llrs(code, seed, sigma, zeros):
+    # half-step LLRs put many equal magnitudes on one check; a zero prefix
+    # adds exact zeros, whose sign must count as positive
+    rng = np.random.default_rng(seed)
+    llr = np.clip(np.round(2.0 * _noisy_llrs(code, rng, sigma)[0]) / 2.0, -4.0, 4.0)
+    llr[:zeros] = 0.0
+    _assert_matches_reference(code, llr)
+
+
+def test_decoder_all_zero_llrs(code):
+    # hard decision all zeros is the zero codeword: valid before any iteration
+    conv, iters = _assert_matches_reference(code, np.zeros(code.n))
+    assert conv[0] and iters[0] == 0
+
+
+def test_decoder_valid_codeword_zero_iterations_matches_reference(code):
+    rng = np.random.default_rng(20)
+    cw = fec.encode(code, rng.integers(0, 2, code.k))
+    conv, iters = _assert_matches_reference(code, np.where(cw == 0, 0.5, -0.5))
+    assert conv[0] and iters[0] == 0
+
+
+def test_decoder_max_iters_unconverged_matches_reference(code):
+    llr = _noisy_llrs(code, np.random.default_rng(21), sigma=1.5)[0]
+    conv, iters = _assert_matches_reference(code, llr)
+    assert not conv[0] and iters[0] == fec.MAX_ITERS
+
+
+def test_decoder_batch_rows_stop_at_different_iterations(code):
+    rng = np.random.default_rng(22)
+    sigmas = (0.3, 0.6, 0.7, 0.75, 0.8, 1.5)
+    llrs = np.vstack([_noisy_llrs(code, rng, s) for s in sigmas])
+    conv, iters = _assert_matches_reference(code, llrs)
+    assert len(set(iters.tolist())) >= 4
+    assert conv.any() and not conv.all()
