@@ -11,6 +11,7 @@ way and scaled by the square root of the interferer power ratio.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -161,12 +162,20 @@ class CovarianceEstimate:
     loading: float
 
 
+@lru_cache(maxsize=16)
 def rx_correlation_root(n_rx: int, rho: float) -> np.ndarray:
-    """Lower Cholesky factor of the exponential antenna correlation matrix."""
+    """Lower Cholesky factor of the exponential antenna correlation matrix.
+
+    Every trial of a scenario asks for the same factor, so it is computed
+    once per ``(n_rx, rho)`` and returned read-only.
+    """
     if rho == 0.0:
-        return np.eye(n_rx)
-    c = rho ** np.abs(np.subtract.outer(np.arange(n_rx), np.arange(n_rx)))
-    return np.linalg.cholesky(c)
+        root = np.eye(n_rx)
+    else:
+        c = rho ** np.abs(np.subtract.outer(np.arange(n_rx), np.arange(n_rx)))
+        root = np.linalg.cholesky(c)
+    root.flags.writeable = False
+    return root
 
 
 def complex_randn(rng: np.random.Generator, *shape: int) -> np.ndarray:

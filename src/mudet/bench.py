@@ -25,7 +25,9 @@ over the noise power: with unit-energy symbols and unit-variance channel
 entries the expected signal power per antenna is ``n_users``, so
 ``sigma_n2 = n_users * 10**(-snr_db / 10)``. Interferers are excluded
 from the numerator. SNRs whose noise power exceeds
-:data:`MAX_NOISE_POWER` are rejected.
+:data:`MAX_NOISE_POWER` are rejected, and so are interferers whose power
+summed over the array exceeds :data:`MAX_ARRAY_INR` times the lowest
+noise power the detectors see.
 
 Noiseless runs (``noiseless=true``) transmit with zero noise while the
 detectors are fed ``sigma_n2 = NOISELESS_FLOOR`` and a matching covariance
@@ -82,6 +84,14 @@ NOISELESS_FLOOR = 1e-12
 # near 1e154 overflows those squares; 1e100 leaves room for the sums over
 # antennas and samples and for strong interferers on top.
 MAX_NOISE_POWER = 1e100
+
+# Highest interference-to-noise ratio over the whole array, ``n_rx *
+# interferer_power_ratio / sigma_det``, a scenario may ask for. The ideal-CE
+# covariance ``g g' + sigma_det I`` has about that ratio between its largest
+# and smallest eigenvalues; from about 4e15 (1 / machine epsilon) rounding
+# leaves it not positive definite in some draws. 1e14 keeps a margin over
+# the lowest failure seen in probes at 4 to 128 antennas.
+MAX_ARRAY_INR = 1e14
 
 CSV_HEADER = "detector,snr_db,trials,bits,bit_errors,ber,coded,ce_mode,seed"
 
@@ -162,6 +172,11 @@ class ScenarioConfig:
             raise ConfigValidationError("rx_correlation", "must be in [0, 1)")
         if not 0.0 < self.interferer_power_ratio < math.inf:
             raise ConfigValidationError("interferer_power_ratio", "must be finite and > 0")
+        if self.n_interferers and self.interferer_power_ratio > self.max_interferer_power():
+            raise ConfigValidationError(
+                "interferer_power_ratio",
+                f"interference-to-noise ratio over the array exceeds {MAX_ARRAY_INR:g}",
+            )
         if self.kbest_k < 1:
             raise ConfigValidationError("kbest.k", "must be >= 1")
         cons_size = 4 if self.constellation == "qpsk" else 16
@@ -173,6 +188,13 @@ class ScenarioConfig:
             raise ConfigValidationError(
                 "detectors", "ml is infeasible at this scale; drop it or shrink n_users"
             )
+
+    def max_interferer_power(self) -> float:
+        """Largest ``interferer_power_ratio`` this scenario accepts: the one
+        that reaches ``MAX_ARRAY_INR`` at the lowest noise power the
+        detectors see."""
+        noise = 0.0 if self.noiseless else snr_to_noise_power(max(self.snr_grid_db), self.n_users)
+        return MAX_ARRAY_INR * max(noise, NOISELESS_FLOOR) / self.n_rx
 
 
 @dataclass(frozen=True)
@@ -410,7 +432,7 @@ def _detect_uses(cfg, name: str, cons, know: _TrialKnowledge, y_block, coded: bo
         ext = build_extended(h_hat, y_block, sigma_det, know.sigma_i2)
         sq = sorted_qr(ext.h_ext)
         if name == "osic":
-            out = osic_detect(sq, ext.y_ext, cons)
+            out = osic_detect(sq, ext.y_ext, cons, soft=coded)
             return out.llr if coded else out.hard
         y_tilde = ext.y_ext @ sq.q.conj()
         if name == "kbest":
@@ -429,7 +451,7 @@ def _detect_uses(cfg, name: str, cons, know: _TrialKnowledge, y_block, coded: bo
         return cands.permuted(state.perm).symbols[:, 0]
 
     if name == "ml":
-        out = ml_bruteforce(h_hat, y_block, cons)
+        out = ml_bruteforce(h_hat, y_block, cons, soft=coded)
         return out.llr if coded else out.hard
 
     raise ValueError(f"unknown detector {name!r}")

@@ -26,9 +26,13 @@ Batching: the tree searches (:func:`osic_detect`, :func:`kbest_detect`,
 :func:`compute_llrs` and :func:`equalizer_llrs` take either one received
 vector or a ``(B, ...)`` stack of vectors that share one channel
 factorization; a 1-D input is a batch of one and returns unbatched output.
-Every row is searched exactly as it would be alone: per-row sorts are
-stable along the last axis, so ties resolve the same way at any batch
-size.
+Every row is searched exactly as it would be alone: each selection along
+the last axis returns what a stable sort of that row would, so ties
+resolve the same way at any batch size. Survivor cuts take the default
+(unstable) sort and fall back to a stable one only when an exact tie
+reaches the cut (:func:`_smallest`); a full-expansion K-best layer cuts
+its unsorted children, so its ties go to the lower survivor index, then
+to the lower constellation index.
 
 All functions are pure: they read their arguments and return fresh
 arrays, so concurrent calls on distinct subcarrier instances are safe.
@@ -74,11 +78,12 @@ _ML_CHUNK = 1 << 15
 
 @dataclass(frozen=True)
 class DetectorOutput:
-    """Hard decisions (constellation indices per user), per-bit LLRs, best
-    metric; each with a leading batch axis when the input had one."""
+    """Hard decisions (constellation indices per user), per-bit LLRs (None
+    from a hard-only call), best metric; each with a leading batch axis when
+    the input had one."""
 
     hard: np.ndarray
-    llr: np.ndarray
+    llr: np.ndarray | None
     metric: float | np.ndarray
 
 
@@ -349,6 +354,14 @@ def _candidate_list(symbols, metrics, single: bool) -> CandidateList:
     return CandidateList(symbols=symbols, metrics=metrics)
 
 
+def _output(hard, llr, metric, single: bool) -> DetectorOutput:
+    if single:
+        return DetectorOutput(
+            hard=hard[0], llr=None if llr is None else llr[0], metric=float(metric[0])
+        )
+    return DetectorOutput(hard=hard, llr=llr, metric=metric)
+
+
 def build_extended(h_hat, y, sigma_n2: float, sigma_i2: float) -> ExtendedModel:
     """Stack ``sqrt(sigma_n2 + sigma_i2) * I`` under the channel.
 
@@ -377,21 +390,40 @@ def _layer_increments(r, y_tilde, layer, symbols, points):
     return np.abs(b[:, :, None] - r[layer, layer] * points) ** 2
 
 
+def _smallest(values, count):
+    """Indices of the ``count`` smallest entries along the last axis, ascending.
+
+    Always equal to ``np.argsort(values, kind="stable")[..., :count]``. The
+    default sort (faster, but not stable) decides unless two of the first
+    ``count + 1`` sorted values are equal, the only case in which the two
+    sorts can keep different indices or order them differently; then the
+    stable sort runs instead.
+    """
+    order = np.argsort(values, axis=-1)
+    head = np.take_along_axis(values, order[..., : count + 1], axis=-1)
+    if np.any(head[..., 1:] == head[..., :-1]):
+        order = np.argsort(values, axis=-1, kind="stable")
+    return order[..., :count]
+
+
 def _kbest_step(r, y_tilde, layer, symbols, metrics, points, expand, keep):
     """One breadth-first layer: expand each parent, keep the best sorted.
 
     ``symbols (B, K, m)`` and ``metrics (B, K)`` in, the ``keep`` best
-    children of each row out.
+    children of each row out. Only a partial expansion sorts each parent's
+    children; a full one cuts the unsorted children directly.
     """
     n_vec = symbols.shape[0]
     rows = np.arange(n_vec)[:, None]
     inc = _layer_increments(r, y_tilde, layer, symbols, points)
-    order = np.argsort(inc, axis=-1, kind="stable")[:, :, :expand]
-    child_metrics = metrics[:, :, None] + np.take_along_axis(inc, order, axis=-1)
-    flat = child_metrics.reshape(n_vec, -1)
-    sel = np.argsort(flat, axis=-1, kind="stable")[:, : min(keep, flat.shape[1])]
+    full = expand == points.size
+    if not full:
+        order = np.argsort(inc, axis=-1, kind="stable")[:, :, :expand]
+        inc = np.take_along_axis(inc, order, axis=-1)
+    flat = (metrics[:, :, None] + inc).reshape(n_vec, -1)
+    sel = _smallest(flat, keep)
     out = symbols[rows, sel // expand]
-    out[:, :, layer] = order.reshape(n_vec, -1)[rows, sel]
+    out[:, :, layer] = sel % expand if full else order.reshape(n_vec, -1)[rows, sel]
     return out, flat[rows, sel]
 
 
@@ -404,10 +436,16 @@ def kbest_detect(
     layer on, each survivor spawns its ``expand`` best children in
     Schnorr-Euchner order (ascending per-layer distance) and the ``k``
     smallest accumulated distances survive. The returned list is sorted
-    ascending by metric; ties resolve to the lexicographically smaller
-    symbol sequence via stable sorting. ``y_tilde`` of shape ``(B, m)``
-    searches each row against the shared ``r`` and returns lists with a
-    leading batch axis.
+    ascending by metric. Ties in a layer go to the lower survivor index
+    (its position in the previous layer's sorted list), then to the lower
+    constellation index. With ``expand`` below the constellation size the
+    children of one survivor are ranked by per-layer distance first, then
+    by constellation index, and a tie between two of them goes to that
+    rank; with full expansion no child is ranked before the cut, so two
+    children of one survivor whose accumulated metrics round to the same
+    value go to the lower constellation index even when their per-layer
+    distances differ. ``y_tilde`` of shape ``(B, m)`` searches each row
+    against the shared ``r`` and returns lists with a leading batch axis.
     """
     r, y_tilde, single = _triangular_system(r, y_tilde)
     m = r.shape[0]
@@ -494,13 +532,14 @@ def sr_kbest_detect(
     return _candidate_list(symbols[rows, final], metrics[rows, final], single)
 
 
-def osic_detect(qrd: SortedQR, y_ext, cons: Constellation) -> DetectorOutput:
+def osic_detect(qrd: SortedQR, y_ext, cons: Constellation, soft: bool = True) -> DetectorOutput:
     """Ordered successive interference cancellation by back-substitution.
 
     Starts at the last (strongest) layer of the sorted triangular system,
     slices each residual to the nearest constellation point, cancels it,
     and maps the result back to the original user order. ``y_ext`` of
-    shape ``(B, n_ext)`` detects each row and batches every output.
+    shape ``(B, n_ext)`` detects each row and batches every output;
+    ``soft=False`` skips the LLRs.
     """
     q, r, perm = qrd.q, qrd.r, qrd.perm
     y_ext, single = _rows(y_ext, q.shape[0], "y_ext")
@@ -513,21 +552,20 @@ def osic_detect(qrd: SortedQR, y_ext, cons: Constellation) -> DetectorOutput:
         hard[:, layer] = cons.nearest(resid / r[layer, layer])
     metric = np.sum(np.abs(y_tilde - points[hard] @ r.T) ** 2, axis=-1)
     cands = CandidateList(symbols=hard[:, None, :], metrics=metric[:, None]).permuted(perm)
-    llr = compute_llrs(cands, cons, m)
-    if single:
-        return DetectorOutput(hard=cands.symbols[0, 0], llr=llr[0], metric=float(metric[0]))
-    return DetectorOutput(hard=cands.symbols[:, 0], llr=llr, metric=metric)
+    llr = compute_llrs(cands, cons, m) if soft else None
+    return _output(cands.symbols[:, 0], llr, metric, single)
 
 
-def ml_bruteforce(h, y, cons: Constellation) -> DetectorOutput:
+def ml_bruteforce(h, y, cons: Constellation, soft: bool = True) -> DetectorOutput:
     """Exhaustive minimum-distance search over every symbol vector.
 
     Guarded to one million candidates. ``y`` is one received vector or a
     ``(B, n)`` batch; each chunk of ``_ML_CHUNK`` candidate images is
     computed once for the whole batch and scored in steps of at most
     ``max(_ML_CHUNK, B)`` (candidate, vector) pairs, so memory stays
-    bounded. LLRs are exact max-log values over the full search space.
-    Ties resolve to the lexicographically smallest index sequence.
+    bounded. LLRs are exact max-log values over the full search space;
+    ``soft=False`` skips them. Ties resolve to the lexicographically
+    smallest index sequence.
     """
     h = as_complex_matrix(h, "h")
     n, m = h.shape
@@ -548,7 +586,8 @@ def ml_bruteforce(h, y, cons: Constellation) -> DetectorOutput:
         idx = np.arange(start, min(start + _ML_CHUNK, total), dtype=np.int64)
         sym = (idx[:, None] // weights) % size
         images = cons.points[sym] @ h.T
-        bits = cons.bit_patterns[sym].reshape(idx.size, n_bits)
+        if soft:
+            bits = cons.bit_patterns[sym].reshape(idx.size, n_bits)
         for lo in range(0, idx.size, step):
             part = slice(lo, lo + step)
             metrics = np.sum(np.abs(y[:, None, :] - images[part]) ** 2, axis=-1)
@@ -557,14 +596,13 @@ def ml_bruteforce(h, y, cons: Constellation) -> DetectorOutput:
             better = low < best_metric
             best_metric = np.where(better, low, best_metric)
             best_idx = np.where(better, idx[lo + j], best_idx)
-            for hyp in (0, 1):
-                masked = np.where(bits[part] == hyp, metrics[:, :, None], np.inf)
-                np.minimum(min_by_bit[hyp], masked.min(axis=1), out=min_by_bit[hyp])
+            if soft:
+                for hyp in (0, 1):
+                    masked = np.where(bits[part] == hyp, metrics[:, :, None], np.inf)
+                    np.minimum(min_by_bit[hyp], masked.min(axis=1), out=min_by_bit[hyp])
     hard = (best_idx[:, None] // weights) % size
-    llr = np.clip(min_by_bit[1] - min_by_bit[0], -LLR_MAX, LLR_MAX)
-    if single:
-        return DetectorOutput(hard=hard[0], llr=llr[0], metric=float(best_metric[0]))
-    return DetectorOutput(hard=hard, llr=llr, metric=best_metric)
+    llr = np.clip(min_by_bit[1] - min_by_bit[0], -LLR_MAX, LLR_MAX) if soft else None
+    return _output(hard, llr, best_metric, single)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from mudet.airlink import (
     estimate_covariance,
     generate_channel,
     apply_channel,
+    rx_correlation_root,
 )
 from mudet.errors import (
     DimensionMismatchError,
@@ -88,6 +89,16 @@ def test_channel_correlated_covariance_matches_model():
     cols = np.stack([generate_channel(cfg, rng, 0.1).h[:, 0] for _ in range(10000)])
     cov = (cols[:, :, None] * cols[:, None, :].conj()).mean(axis=0)
     assert np.linalg.norm(cov - c) <= 0.05 * np.linalg.norm(c)
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.9])
+def test_rx_correlation_root_cached_read_only(rho):
+    root = rx_correlation_root(8, rho)
+    assert rx_correlation_root(8, rho) is root
+    c = rho ** np.abs(np.subtract.outer(np.arange(8), np.arange(8)))
+    assert np.allclose(root @ root.T, c, rtol=0, atol=1e-14)
+    with pytest.raises(ValueError):
+        root[0, 0] = 2.0
 
 
 def test_interferer_power_scaling():

@@ -40,6 +40,8 @@ def test_parse_error_carries_line_number():
 OUT_OF_RANGE_CONFIGS = [
     ("n_interferers = 1\ninterferer_power_ratio = nan\n", "interferer_power_ratio"),
     ("n_interferers = 1\ninterferer_power_ratio = inf\n", "interferer_power_ratio"),
+    ("n_interferers = 1\ninterferer_power_ratio = 1e20\nsnr_db = 10\n", "interferer_power_ratio"),
+    ("n_interferers = 1\ninterferer_power_ratio = 1e300\nsnr_db = 10\n", "interferer_power_ratio"),
     ("coded = true\nllr_clip = nan\n", "llr_clip"),
     ("snr_db = nan\n", "snr_db"),
     ("snr_db = 4,-inf\n", "snr_db"),
@@ -91,6 +93,28 @@ def test_lowest_accepted_snr_runs_every_detector(extra):
     with pytest.raises(ConfigValidationError):
         bench.parse_config(text + f"snr_db = {lowest - 0.01!r}\n")
     cfg = bench.parse_config(text + f"snr_db = {lowest!r}\n")
+    records = bench.run_scenario(cfg)
+    assert [r.detector for r in records] == list(bench.DETECTOR_NAMES)
+    assert all(0 <= r.bit_errors <= r.bits for r in records)
+
+
+@pytest.mark.parametrize(
+    "extra",
+    ["", "noiseless = true\n", "coded = true\nce_mode = ls_pilot\n"],
+    ids=["uncoded", "noiseless", "coded"],
+)
+def test_largest_accepted_interferer_power_runs_every_detector(extra):
+    # run under the suite's RuntimeWarning-as-error filter, as above
+    text = (
+        "n_rx = 4\nn_users = 2\nn_interferers = 1\nrx_correlation = 0.5\nsnr_db = 10\n"
+        f"detectors = {','.join(bench.DETECTOR_NAMES)}\n"
+        "trials_per_point = 3\nsymbols_per_trial = 2\n" + extra
+    )
+    largest = bench.parse_config(text).max_interferer_power()
+    with pytest.raises(ConfigValidationError) as err:
+        bench.parse_config(text + f"interferer_power_ratio = {largest * 1.001!r}\n")
+    assert err.value.key == "interferer_power_ratio"
+    cfg = bench.parse_config(text + f"interferer_power_ratio = {largest!r}\n")
     records = bench.run_scenario(cfg)
     assert [r.detector for r in records] == list(bench.DETECTOR_NAMES)
     assert all(0 <= r.bit_errors <= r.bits for r in records)

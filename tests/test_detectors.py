@@ -187,6 +187,90 @@ def test_kbest_output_sorted(qam16):
     assert np.all(np.diff(cl.metrics) >= 0)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    shape=st.sampled_from([(1, 1), (1, 16), (3, 256), (2, 4, 16), (50, 17)]),
+    count=st.integers(1, 20),
+    levels=st.sampled_from([0, 2, 5]),
+    seed=st.integers(0, 2**31 - 1),
+)
+def test_smallest_equals_stable_argsort(shape, count, levels, seed):
+    rng = np.random.default_rng(seed)
+    if levels:  # few distinct values: ties everywhere, at the cut too
+        values = rng.integers(0, levels, shape).astype(float)
+    else:
+        values = rng.random(shape)
+    ref = np.argsort(values, axis=-1, kind="stable")[..., :count]
+    assert np.array_equal(det._smallest(values, count), ref)
+
+
+def _sorted_children_kbest(r, y_tilde, k, points):
+    """Full-expansion K-best whose layers stable-sort the children of each
+    parent before the cut, as the search did before the unsorted cut."""
+    n_vec, m = y_tilde.shape
+    size = points.size
+    rows = np.arange(n_vec)[:, None]
+    symbols = np.zeros((n_vec, 1, m), dtype=np.int64)
+    metrics = np.zeros((n_vec, 1))
+    for layer in range(m - 1, -1, -1):
+        inc = det._layer_increments(r, y_tilde, layer, symbols, points)
+        order = np.argsort(inc, axis=-1, kind="stable")
+        flat = (metrics[:, :, None] + np.take_along_axis(inc, order, axis=-1)).reshape(n_vec, -1)
+        sel = np.argsort(flat, axis=-1, kind="stable")[:, :k]
+        symbols = symbols[rows, sel // size]
+        symbols[:, :, layer] = order.reshape(n_vec, -1)[rows, sel]
+        metrics = flat[rows, sel]
+    return symbols, metrics
+
+
+def _tie_rule_kbest(r, y_tilde, k, points):
+    """Full-expansion K-best that ranks every child of a layer by
+    (accumulated metric, survivor index, constellation index)."""
+    n_vec, m = y_tilde.shape
+    symbols = np.zeros((n_vec, 1, m), dtype=np.int64)
+    metrics = np.zeros((n_vec, 1))
+    for layer in range(m - 1, -1, -1):
+        child = metrics[:, :, None] + det._layer_increments(r, y_tilde, layer, symbols, points)
+        survivor, point = np.indices(child.shape[1:]).reshape(2, -1)
+        new_symbols, new_metrics = [], []
+        for b in range(n_vec):
+            keep = np.lexsort((point, survivor, child[b].ravel()))[:k]
+            row = symbols[b, survivor[keep]]
+            row[:, layer] = point[keep]
+            new_symbols.append(row)
+            new_metrics.append(child[b].ravel()[keep])
+        symbols, metrics = np.stack(new_symbols), np.stack(new_metrics)
+    return symbols, metrics
+
+
+@pytest.mark.parametrize("k", [1, 5, 16, 64])
+def test_full_expansion_matches_sorted_children(qpsk, qam16, k):
+    rng = np.random.default_rng(29)
+    for cons, m in ((qam16, 4), (qpsk, 6)):
+        h = crandn(rng, m + 2, m)
+        q, r = qr_decompose(h)
+        x = cons.points[rng.integers(0, cons.size, (40, m))]
+        y_tilde = (x @ h.T + 0.5 * crandn(rng, 40, m + 2)) @ q.conj()
+        cl = det.kbest_detect(r, y_tilde, k, cons)
+        symbols, metrics = _sorted_children_kbest(r, y_tilde, k, cons.points)
+        assert np.array_equal(cl.symbols, symbols)
+        assert np.array_equal(cl.metrics, metrics)
+
+
+@pytest.mark.parametrize("k", [1, 3, 16, 40])
+def test_full_expansion_tie_rule(qpsk, qam16, k):
+    # y = 0: every layer is full of exact ties, at the cut as well
+    rng = np.random.default_rng(30)
+    for cons in (qam16, qpsk):
+        q, r = qr_decompose(crandn(rng, 5, 3))
+        y_tilde = crandn(rng, 6, 3)
+        y_tilde[::2] = 0.0
+        cl = det.kbest_detect(r, y_tilde, k, cons)
+        symbols, metrics = _tie_rule_kbest(r, y_tilde, k, cons.points)
+        assert np.array_equal(cl.symbols, symbols)
+        assert np.array_equal(cl.metrics, metrics)
+
+
 # --- SR-K-best ------------------------------------------------------------------
 
 
@@ -337,6 +421,24 @@ def test_batched_apply_and_llrs_equal_row_by_row(qam16, monkeypatch):
     every = (np.arange(4096)[:, None] // np.array([256, 16, 1])) % 16
     dist = np.sum(np.abs(qam16.points[every] @ h.T) ** 2, axis=1)
     assert np.array_equal(ml.hard[4], every[np.argmin(dist)])  # lowest index wins
+
+
+def test_hard_only_paths_match_soft(qam16):
+    rng = np.random.default_rng(31)
+    h = crandn(rng, 6, 2)
+    y = h @ qam16.points[rng.integers(0, 16, (2, 7))] + 0.4 * crandn(rng, 6, 7)
+    y = y.T
+    ext = det.build_extended(h, y, 0.16, 0.0)
+    sq = sorted_qr(ext.h_ext)
+    pairs = (
+        (det.osic_detect(sq, ext.y_ext, qam16), det.osic_detect(sq, ext.y_ext, qam16, soft=False)),
+        (det.ml_bruteforce(h, y, qam16), det.ml_bruteforce(h, y, qam16, soft=False)),
+        (det.ml_bruteforce(h, y[0], qam16), det.ml_bruteforce(h, y[0], qam16, soft=False)),
+    )
+    for soft, hard in pairs:
+        assert hard.llr is None and soft.llr is not None
+        assert np.array_equal(hard.hard, soft.hard)
+        assert np.array_equal(hard.metric, soft.metric)
 
 
 # --- brute-force ML -------------------------------------------------------------
