@@ -277,7 +277,6 @@ _KEYS = {
     "sr.p": ("p", _int_list),
     "sr.v": ("v", _int_list),
     "sr.q": ("q", _int_list),
-    "sr.expand": ("expand", int),
     "kbest.k": ("kbest_k", int),
     "kbest.expand": ("kbest_expand", int),
     "llr_clip": ("llr_clip", float),

@@ -10,12 +10,13 @@ search robust to spatially coloured interference.
 
 Soft output of the robust detector: its hard decisions come from the
 sorting-reduced search on the second-stage model ``(r2, y3)``, but its
-LLRs are exact log-MAP values over a K-best list of width
-``SOFT_LIST_WIDTH``, searched on the sorted QR of the whitened channel,
-where the noise is white with unit variance. The search metric there is
-the whitened log-likelihood ``||y2 - r1 x||^2`` itself, which the ``h2``
-metric of the hard search is not. The other list detectors give max-log
-LLRs over their own search metric.
+LLRs are exact log-MAP values over the list of a full-expansion
+:func:`kbest_detect` of width ``SOFT_LIST_WIDTH``, searched on the sorted
+QR of the whitened channel, where the noise is white with unit variance.
+The search metric there is the whitened log-likelihood ``||y2 - r1 x||^2``
+itself, which the ``h2`` metric of the hard search is not. Every K-best
+list, hard or soft, comes from that one search and its one tie rule. The
+other list detectors give max-log LLRs over their own search metric.
 
 LLR convention: positive favours bit 0. Magnitudes are clamped to
 ``LLR_MAX`` so a missing bit hypothesis in a candidate list stays finite
@@ -136,7 +137,6 @@ class SrKBestParams:
     p: np.ndarray
     v: np.ndarray
     q: np.ndarray
-    expand: int = SR_EXPAND_BUDGET
 
     def __post_init__(self):
         object.__setattr__(self, "p", np.asarray(self.p, dtype=int))
@@ -160,16 +160,16 @@ class SrKBestParams:
             or np.any(np.diff(self.q) <= 0)
         ):
             raise InvalidSearchParamsError("q must be strictly increasing within [1..k]")
-        if np.any(self.p + self.v > self.expand):
+        if np.any(self.p + self.v > SR_EXPAND_BUDGET):
             raise InvalidSearchParamsError(
-                f"p[i] + v[i] must stay within the expansion budget {self.expand}"
+                f"p[i] + v[i] must stay within the expansion budget {SR_EXPAND_BUDGET}"
             )
         if int(self.v.sum()) < self.s:
             raise InvalidSearchParamsError("sorting pool smaller than s")
 
     def _key(self) -> tuple:
         arrays = (tuple(a.tolist()) for a in (self.p, self.v, self.q))
-        return (self.k, self.s, *arrays, self.expand)
+        return (self.k, self.s, *arrays)
 
     # the generated methods would compare and hash the arrays themselves
     def __eq__(self, other):
@@ -667,58 +667,28 @@ def robust_sr_kbest(
     plan = robust_plan(h_hat, r_uu)
     state = robust_apply(plan, y)
     cands = sr_kbest_detect(state.r2, state.y3, params, cons).permuted(state.perm)
-    llr = robust_soft_llrs(plan, y[None, :], cons)[0]
+    llr = robust_soft_llrs(plan, y, cons)
     return DetectorOutput(hard=cands.symbols[0], llr=llr, metric=float(cands.metrics[0]))
 
 
 def robust_soft_llrs(plan: RobustPlan, y_block, cons: Constellation) -> np.ndarray:
     """Exact log-MAP LLRs of the whitened model, one row per received vector.
 
-    ``y_block`` is ``(n_vectors, n_rx)``. Each vector is whitened and
-    rotated onto ``plan.soft_qr``; a breadth-first K-best search of width
-    ``SOFT_LIST_WIDTH`` (every child of every survivor considered) then
-    lists candidates whose accumulated metric is ``||y2 - r1 x||^2``, and
-    :func:`logmap_llrs` turns each list into LLRs at unit noise variance.
-    Returns ``(n_vectors, n_users * bits_per_symbol)``, user-major.
+    ``y_block`` is ``(n_vectors, n_rx)``, or one ``(n_rx,)`` vector whose
+    LLRs come back unbatched. Each vector is whitened and rotated onto
+    ``plan.soft_qr``; :func:`kbest_detect` of width ``SOFT_LIST_WIDTH``
+    with full expansion then lists candidates whose accumulated metric is
+    ``||y2 - r1 x||^2``, ties going to the lower survivor index, then the
+    lower constellation index, and :func:`logmap_llrs` turns each list
+    into LLRs at unit noise variance. Returns
+    ``(n_vectors, n_users * bits_per_symbol)``, user-major.
     """
-    y_block = np.asarray(y_block, dtype=complex)
-    if y_block.ndim != 2 or y_block.shape[1] != plan.w.shape[0]:
-        raise DimensionMismatchError("y_block must be (n_vectors, n_rx)")
+    y_block, single = _rows(y_block, plan.w.shape[0], "y_block")
     sq = plan.soft_qr
     rotate = sq.q.conj().T @ plan.q1.conj().T @ plan.w
-    symbols, metrics = _kbest_list(sq.r, y_block @ rotate.T, SOFT_LIST_WIDTH, cons.points)
-    cands = CandidateList(symbols, metrics).permuted(sq.perm)
-    return logmap_llrs(cands.symbols, cands.metrics, cons)
-
-
-def _kbest_list(r, y_tilde, k: int, points):
-    """Full-expansion K-best search, batched over the rows of ``y_tilde``.
-
-    Per layer every child of every survivor is scored and the ``k`` best
-    survive, as in :func:`kbest_detect` with ``expand`` equal to the
-    constellation size, except that a tie at the cut may go either way:
-    each layer selects its survivors by partition, not by a full sort,
-    since only the set matters to the LLRs. Returns layer-ordered
-    ``symbols (B, k, m)`` and accumulated ``metrics (B, k)``, each list
-    sorted ascending.
-    """
-    n_vec, m = y_tilde.shape
-    size = points.size
-    rows = np.arange(n_vec)[:, None]
-    symbols = np.zeros((n_vec, 1, m), dtype=np.int64)
-    metrics = np.zeros((n_vec, 1))
-    for layer in range(m - 1, -1, -1):
-        inc = _layer_increments(r, y_tilde, layer, symbols, points)
-        child = (metrics[:, :, None] + inc).reshape(n_vec, -1)
-        if child.shape[1] > k:
-            sel = np.argpartition(child, k - 1, axis=1)[:, :k]
-        else:
-            sel = np.broadcast_to(np.arange(child.shape[1]), child.shape)
-        symbols = symbols[rows, sel // size]
-        symbols[:, :, layer] = sel % size
-        metrics = np.take_along_axis(child, sel, axis=1)
-    order = np.argsort(metrics, axis=1, kind="stable")
-    return symbols[rows, order], np.take_along_axis(metrics, order, axis=1)
+    cands = kbest_detect(sq.r, y_block @ rotate.T, SOFT_LIST_WIDTH, cons).permuted(sq.perm)
+    llr = logmap_llrs(cands.symbols, cands.metrics, cons)
+    return llr[0] if single else llr
 
 
 # ---------------------------------------------------------------------------

@@ -447,6 +447,15 @@ def test_cli_invalid_config_is_config_error(tmp_path):
         assert cli_main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 1
 
 
+def test_sr_expand_is_an_unknown_key(tmp_path):
+    with pytest.raises(ConfigValidationError) as err:
+        bench.parse_config("sr.expand = 4\n")
+    assert err.value.key == "sr.expand"
+    cfg = tmp_path / "expand.cfg"
+    cfg.write_text("sr.expand = 4\ntrials_per_point = 1\nsymbols_per_trial = 2\n")
+    assert cli_main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 1
+
+
 def test_cli_runtime_error_exit_code(tmp_path):
     cfg = tmp_path / "s.cfg"
     cfg.write_text(CLI_CFG)

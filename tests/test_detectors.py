@@ -257,7 +257,7 @@ def test_full_expansion_matches_sorted_children(qpsk, qam16, k):
         assert np.array_equal(cl.metrics, metrics)
 
 
-@pytest.mark.parametrize("k", [1, 3, 16, 40])
+@pytest.mark.parametrize("k", [1, 3, 16, 40, 64])
 def test_full_expansion_tie_rule(qpsk, qam16, k):
     # y = 0: every layer is full of exact ties, at the cut as well
     rng = np.random.default_rng(30)
@@ -279,7 +279,7 @@ def test_sr_params_default_schedule():
     assert p.k == 16 and p.s == 4
     assert int(p.p.sum()) == p.k - p.s == 12
     assert list(p.q) == [2, 4, 6, 8]
-    assert np.all(p.p + p.v <= p.expand)
+    assert np.all(p.p + p.v <= det.SR_EXPAND_BUDGET)
 
 
 @pytest.mark.parametrize(
@@ -632,18 +632,33 @@ def test_logmap_llrs_missing_hypothesis_clamps(qpsk):
     assert list(llr) == [-det.LLR_MAX, -det.LLR_MAX]
 
 
-def test_soft_list_matches_kbest_detect(qam16):
+def test_robust_soft_llrs_block_matches_rows(qam16):
+    # a y = 0 row fills every layer of the soft list with exact ties; its
+    # rotation is exactly zero alone or in a block, so its LLRs must match
+    # bit for bit. The rotation of a nonzero row rounds differently alone
+    # than inside a block product, so those rows match to rounding.
     rng = np.random.default_rng(27)
     h = crandn(rng, 16, 4)
     g = crandn(rng, 16, 2)
     plan = det.robust_plan(h, g @ g.conj().T + 0.3 * np.eye(16))
-    sq = plan.soft_qr
-    y_tilde = 2.0 * crandn(rng, 18, 4)
-    symbols, metrics = det._kbest_list(sq.r, y_tilde, det.SOFT_LIST_WIDTH, qam16.points)
+    y_block = 2.0 * crandn(rng, 18, 16)
+    y_block[5] = 0.0
+    llr = det.robust_soft_llrs(plan, y_block, qam16)
+    assert llr.shape == (18, 4 * qam16.bits_per_symbol)
+    assert np.array_equal(llr[5], det.robust_soft_llrs(plan, y_block[5], qam16))
     for t in range(18):
-        ref = det.kbest_detect(sq.r, y_tilde[t], det.SOFT_LIST_WIDTH, qam16)
-        assert np.array_equal(symbols[t], ref.symbols)
-        assert np.allclose(metrics[t], ref.metrics, rtol=0, atol=1e-12)
+        one = det.robust_soft_llrs(plan, y_block[t], qam16)
+        assert np.allclose(llr[t], one, rtol=0, atol=1e-12)
+
+
+def test_robust_soft_llrs_rejects_non_finite_row(qam16):
+    rng = np.random.default_rng(31)
+    plan = det.robust_plan(crandn(rng, 16, 4), np.eye(16))
+    y_block = crandn(rng, 3, 16)
+    for bad in (np.nan, np.inf):
+        y_block[1, 7] = bad
+        with pytest.raises(ValueError):
+            det.robust_soft_llrs(plan, y_block, qam16)
 
 
 def test_equalizer_llrs_signs_at_high_snr(qam16):
