@@ -21,7 +21,7 @@ from .errors import (
     InsufficientPilotsError,
     NotPositiveDefiniteError,
 )
-from .numkit import as_complex_matrix, as_complex_vector, cholesky
+from .numkit import as_complex_matrix, cholesky
 
 CONSTELLATION_KINDS = ("qpsk", "qam16")
 
@@ -209,24 +209,28 @@ def apply_channel(
     s_interf: np.ndarray,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Received vector ``h @ x + g @ s + n`` with fresh noise from ``rng``.
+    """Received vectors ``x h^T + s g^T + n`` with fresh noise from ``rng``.
 
-    The noise draw is consumed even at ``sigma_n2 == 0`` so generator
-    consumption does not depend on the noise power.
+    ``x`` is one vector of user symbols or a ``(B, n_users)`` block of them,
+    and ``s_interf`` holds the matching ``n_interferers`` symbols per vector;
+    the result is ``(n_rx,)`` or ``(B, n_rx)``. The noise draw is consumed
+    even at ``sigma_n2 == 0`` so generator consumption does not depend on
+    the noise power.
     """
-    x = as_complex_vector(x, "x")
+    x = np.asarray(x, dtype=complex)
     s_interf = np.asarray(s_interf, dtype=complex)
     n_rx, n_users = real.h.shape
-    if x.size != n_users:
-        raise DimensionMismatchError(f"x has {x.size} entries, channel has {n_users} users")
-    if s_interf.size != real.g.shape[1]:
+    n_interf = real.g.shape[1]
+    if x.ndim not in (1, 2) or x.shape[-1] != n_users:
+        raise DimensionMismatchError(f"x rows need {n_users} entries, got shape {x.shape}")
+    if s_interf.shape != x.shape[:-1] + (n_interf,):
         raise DimensionMismatchError(
-            f"s_interf has {s_interf.size} entries, channel has {real.g.shape[1]} interferers"
+            f"s_interf has shape {s_interf.shape}, channel has {n_interf} interferers"
         )
-    y = real.h @ x
-    if s_interf.size:
-        y = y + real.g @ s_interf
-    noise = complex_randn(rng, n_rx)
+    y = x @ real.h.T
+    if n_interf:
+        y = y + s_interf @ real.g.T
+    noise = complex_randn(rng, *x.shape[:-1], n_rx)
     return y + np.sqrt(real.sigma_n2) * noise
 
 

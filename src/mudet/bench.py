@@ -50,6 +50,7 @@ import numpy as np
 from . import fec
 from .airlink import (
     ChannelConfig,
+    apply_channel,
     build_constellation,
     complex_randn,
     estimate_channel,
@@ -92,6 +93,10 @@ MAX_NOISE_POWER = 1e100
 # leaves it not positive definite in some draws. 1e14 keeps a margin over
 # the lowest failure seen in probes at 4 to 128 antennas.
 MAX_ARRAY_INR = 1e14
+
+# Most points a ``lo:hi:step`` SNR range may expand to. A wider grid is
+# almost surely a typo, and building it could exhaust memory.
+MAX_SNR_POINTS = 10_000
 
 CSV_HEADER = "detector,snr_db,trials,bits,bit_errors,ber,coded,ce_mode,seed"
 
@@ -225,9 +230,15 @@ def parse_snr_spec(spec: str) -> tuple:
         if len(parts) != 3:
             raise ValueError("SNR range must be lo:hi:step")
         lo, hi, step = (float(p) for p in parts)
+        if not all(math.isfinite(v) for v in (lo, hi, step)):
+            raise ValueError("SNR range bounds and step must be finite")
         if step <= 0 or hi < lo:
             raise ValueError("need step > 0 and hi >= lo")
-        count = int(math.floor((hi - lo) / step + 0.5)) + 1
+        # an overflowing quotient is inf and fails the bound too
+        half_steps = (hi - lo) / step + 0.5
+        if not half_steps < MAX_SNR_POINTS:
+            raise ValueError(f"SNR range has more than {MAX_SNR_POINTS} points")
+        count = int(math.floor(half_steps)) + 1
         values = [lo + i * step for i in range(count)]
     else:
         values = [float(p) for p in spec.split(",") if p.strip()]
@@ -430,11 +441,10 @@ def _detect_uses(cfg, name: str, cons, know: _TrialKnowledge, y_block, coded: bo
     if name in ("osic", "kbest", "sr-kbest"):
         ext = build_extended(h_hat, y_block, sigma_det, know.sigma_i2)
         sq = sorted_qr(ext.h_ext)
-        if name == "osic":
-            out = osic_detect(sq, ext.y_ext, cons, soft=coded)
-            return out.llr if coded else out.hard
         y_tilde = ext.y_ext @ sq.q.conj()
-        if name == "kbest":
+        if name == "osic":
+            cands = osic_detect(sq.r, y_tilde, cons)
+        elif name == "kbest":
             cands = kbest_detect(sq.r, y_tilde, cfg.kbest_k, cons, cfg.kbest_expand)
         else:
             cands = sr_kbest_detect(sq.r, y_tilde, cfg.sr_params, cons)
@@ -484,13 +494,9 @@ def _run_trial(
         tx_bits = rng.integers(0, 2, (n_uses, bits_per_use), dtype=np.uint8)
 
     tx_idx = cons.bits_to_indices(tx_bits.reshape(n_uses, cfg.n_users, cons.bits_per_symbol))
-    y_block = cons.points[tx_idx] @ channel.h.T
-    if cfg.n_interferers:
-        s_i = cons_interf.points[
-            rng.integers(0, cons_interf.size, (n_uses, cfg.n_interferers))
-        ]
-        y_block = y_block + s_i @ channel.g.T
-    y_block = y_block + np.sqrt(sigma_n2) * complex_randn(rng, n_uses, cfg.n_rx)
+    # with no interferers the draw is empty and takes nothing from the stream
+    s_i = cons_interf.points[rng.integers(0, cons_interf.size, (n_uses, cfg.n_interferers))]
+    y_block = apply_channel(channel, cons.points[tx_idx], s_i, rng)
 
     out = _detect_uses(cfg, det_name, cons, know, y_block, cfg.coded)
 

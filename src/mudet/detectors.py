@@ -1,12 +1,15 @@
 """Multi-user uplink detectors.
 
-Linear detection (single-user Wiener filter in Sherman-Morrison form,
-multi-user MMSE with interference rejection, white-noise MRC), ordered
-successive interference cancellation on a sorted QR of the extended
-channel, breadth-first K-best tree search, its sorting-reduced variant
-driven by a ``(k, s, p, v, q)`` schedule, exhaustive maximum likelihood,
-and the interference-whitening pre-processing chain that makes the tree
-search robust to spatially coloured interference.
+Linear detection (single-user Wiener filter in Sherman-Morrison form, and
+the weight matrices of multi-user MMSE with interference rejection and of
+white-noise MRC), three tree searches on an upper-triangular system
+(ordered successive interference cancellation, breadth-first K-best, and
+its sorting-reduced variant driven by a ``(k, s, p, v, q)`` schedule),
+exhaustive maximum likelihood, and the interference-whitening
+pre-processing chain that makes the tree search robust to spatially
+coloured interference. A detector is composed from these parts in
+``mudet.bench``: a plan per channel, a rotation of the received vectors,
+one search and, on the coded path, LLRs.
 
 Soft output of the robust detector: its hard decisions come from the
 sorting-reduced search on the second-stage model ``(r2, y3)``, but its
@@ -24,16 +27,21 @@ for the decoder.
 
 Batching: the tree searches (:func:`osic_detect`, :func:`kbest_detect`,
 :func:`sr_kbest_detect`), :func:`ml_bruteforce`, :func:`robust_apply`,
-:func:`compute_llrs` and :func:`equalizer_llrs` take either one received
-vector or a ``(B, ...)`` stack of vectors that share one channel
-factorization; a 1-D input is a batch of one and returns unbatched output.
-Every row is searched exactly as it would be alone: each selection along
-the last axis returns what a stable sort of that row would, so ties
-resolve the same way at any batch size. Survivor cuts take the default
-(unstable) sort and fall back to a stable one only when an exact tie
-reaches the cut (:func:`_smallest`); a full-expansion K-best layer cuts
-its unsorted children, so its ties go to the lower survivor index, then
-to the lower constellation index.
+:func:`robust_soft_llrs`, :func:`compute_llrs` and :func:`equalizer_llrs`
+take either one received vector or a ``(B, ...)`` stack of vectors that
+share one channel factorization; a 1-D input is a batch of one and returns
+unbatched output. Given its rotated input ``y_tilde``, every row is
+searched exactly as it would be alone: each selection along the last axis
+returns what a stable sort of that row would, so ties resolve the same way
+at any batch size. Survivor cuts take the default (unstable) sort and
+fall back to a stable one only when an exact tie reaches the cut
+(:func:`_smallest`); a full-expansion K-best layer cuts its unsorted
+children, so its ties go to the lower survivor index, then to the lower
+constellation index. The rotations in front of a search (``y @ plan.w.T``,
+``y_ext @ q.conj()``) are matrix products and round a row differently
+alone than inside a block, so a row's ``y_tilde``, and the LLRs computed
+from it, match its row-alone values only to rounding; the records of the
+batched path are pinned by ``tests/test_bench.py::test_golden_records``.
 
 All functions are pure: they read their arguments and return fresh
 arrays, so concurrent calls on distinct subcarrier instances are safe.
@@ -79,9 +87,9 @@ _ML_CHUNK = 1 << 15
 
 @dataclass(frozen=True)
 class DetectorOutput:
-    """Hard decisions (constellation indices per user), per-bit LLRs (None
-    from a hard-only call), best metric; each with a leading batch axis when
-    the input had one."""
+    """Output of :func:`ml_bruteforce`: hard decisions (constellation indices
+    per user), per-bit LLRs (None from a hard-only call), best metric; each
+    with a leading batch axis when the input had one."""
 
     hard: np.ndarray
     llr: np.ndarray | None
@@ -294,31 +302,6 @@ def mmse_irc_weights(h_hat, r_uu, sigma_n2: float) -> np.ndarray:
     return linear_weights(h_hat, solve_hermitian(r_uu, h_hat), sigma_n2)
 
 
-def mmse_irc(h_hat, r_uu, sigma_n2: float, y) -> tuple[np.ndarray, np.ndarray]:
-    """Multi-user MMSE with interference rejection combining.
-
-    Returns ``(w, x_hat)`` where ``x_hat = w @ y`` is the unconstrained
-    linear estimate; slice it against a constellation for hard decisions.
-    """
-    y = as_complex_vector(y, "y")
-    w = mmse_irc_weights(h_hat, r_uu, sigma_n2)
-    if w.shape[1] != y.size:
-        raise DimensionMismatchError("y length must equal n_rx")
-    return w, w @ y
-
-
-def mrc_white(h_hat, sigma_n2: float, y) -> np.ndarray:
-    """Regularized matched-filter detector assuming spatially white noise."""
-    h_hat = as_complex_matrix(h_hat, "h_hat")
-    y = as_complex_vector(y, "y")
-    n_rx, n_users = h_hat.shape
-    if n_rx < n_users:
-        raise DimensionMismatchError("need n_rx >= n_users")
-    if y.size != n_rx:
-        raise DimensionMismatchError("y length must equal n_rx")
-    return linear_weights(h_hat, h_hat, sigma_n2) @ y
-
-
 # ---------------------------------------------------------------------------
 # tree-search detectors
 
@@ -352,14 +335,6 @@ def _candidate_list(symbols, metrics, single: bool) -> CandidateList:
     if single:
         return CandidateList(symbols=symbols[0], metrics=metrics[0])
     return CandidateList(symbols=symbols, metrics=metrics)
-
-
-def _output(hard, llr, metric, single: bool) -> DetectorOutput:
-    if single:
-        return DetectorOutput(
-            hard=hard[0], llr=None if llr is None else llr[0], metric=float(metric[0])
-        )
-    return DetectorOutput(hard=hard, llr=llr, metric=metric)
 
 
 def build_extended(h_hat, y, sigma_n2: float, sigma_i2: float) -> ExtendedModel:
@@ -532,28 +507,24 @@ def sr_kbest_detect(
     return _candidate_list(symbols[rows, final], metrics[rows, final], single)
 
 
-def osic_detect(qrd: SortedQR, y_ext, cons: Constellation, soft: bool = True) -> DetectorOutput:
+def osic_detect(r, y_tilde, cons: Constellation) -> CandidateList:
     """Ordered successive interference cancellation by back-substitution.
 
     Starts at the last (strongest) layer of the sorted triangular system,
-    slices each residual to the nearest constellation point, cancels it,
-    and maps the result back to the original user order. ``y_ext`` of
-    shape ``(B, n_ext)`` detects each row and batches every output;
-    ``soft=False`` skips the LLRs.
+    slices each residual to the nearest constellation point and cancels
+    it: the list of :func:`kbest_detect` with ``k = 1`` and ``expand = 1``,
+    one candidate in layer order with its squared distance. Batches over
+    the rows of a ``(B, m)`` ``y_tilde`` as :func:`kbest_detect` does.
     """
-    q, r, perm = qrd.q, qrd.r, qrd.perm
-    y_ext, single = _rows(y_ext, q.shape[0], "y_ext")
+    r, y_tilde, single = _triangular_system(r, y_tilde)
     m = r.shape[0]
-    y_tilde = y_ext @ q.conj()
-    hard = np.empty((y_ext.shape[0], m), dtype=np.int64)
+    hard = np.empty((y_tilde.shape[0], m), dtype=np.int64)
     points = cons.points
     for layer in range(m - 1, -1, -1):
         resid = y_tilde[:, layer] - points[hard[:, layer + 1 :]] @ r[layer, layer + 1 :]
         hard[:, layer] = cons.nearest(resid / r[layer, layer])
     metric = np.sum(np.abs(y_tilde - points[hard] @ r.T) ** 2, axis=-1)
-    cands = CandidateList(symbols=hard[:, None, :], metrics=metric[:, None]).permuted(perm)
-    llr = compute_llrs(cands, cons, m) if soft else None
-    return _output(cands.symbols[:, 0], llr, metric, single)
+    return _candidate_list(hard[:, None, :], metric[:, None], single)
 
 
 def ml_bruteforce(h, y, cons: Constellation, soft: bool = True) -> DetectorOutput:
@@ -602,7 +573,10 @@ def ml_bruteforce(h, y, cons: Constellation, soft: bool = True) -> DetectorOutpu
                     np.minimum(min_by_bit[hyp], masked.min(axis=1), out=min_by_bit[hyp])
     hard = (best_idx[:, None] // weights) % size
     llr = np.clip(min_by_bit[1] - min_by_bit[0], -LLR_MAX, LLR_MAX) if soft else None
-    return _output(hard, llr, best_metric, single)
+    if single:
+        llr = None if llr is None else llr[0]
+        return DetectorOutput(hard=hard[0], llr=llr, metric=float(best_metric[0]))
+    return DetectorOutput(hard=hard, llr=llr, metric=best_metric)
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +605,8 @@ def robust_plan(h_hat, r_uu) -> RobustPlan:
 
 def robust_apply(plan: RobustPlan, y) -> RobustState:
     """Run received vectors, ``(n_rx,)`` or ``(B, n_rx)``, through a
-    pre-computed robust plan."""
+    pre-computed robust plan: ``y1 = w y``, ``y2 = q1' y1``, ``y3 = q2' y2``.
+    The hard search runs over ``(r2, y3)`` and reads back through ``perm``."""
     y, single = _rows(y, plan.w.shape[0], "y")
     y1 = y @ plan.w.T
     y2 = y1 @ plan.q1.conj()
@@ -640,35 +615,6 @@ def robust_apply(plan: RobustPlan, y) -> RobustState:
         y1, y2, y3 = y1[0], y2[0], y3[0]
     factors = {f.name: getattr(plan, f.name) for f in fields(RobustPlan)}
     return RobustState(**factors, y1=y1, y2=y2, y3=y3)
-
-
-def robust_preprocess(h_hat, y, r_uu) -> RobustState:
-    """Whiten, factorize, MMSE mid-stage, re-factorize.
-
-    Steps: ``w = inv_sqrt(r_uu)``; ``y1 = w y``, ``h1 = w h``; thin QR of
-    ``h1``; ``y2 = q1' y1``; ``x_mid = (I + r1' r1)^-1 r1' y2``;
-    ``h2 = inv(r1') + r1``; sorted QR of ``h2``; ``y3 = q2' y2``. The
-    user sorting happens on ``h2`` only, and ``perm`` records it.
-    """
-    return robust_apply(robust_plan(h_hat, r_uu), y)
-
-
-def robust_sr_kbest(
-    h_hat, y, r_uu, params: SrKBestParams, cons: Constellation
-) -> DetectorOutput:
-    """Interference-whitened sorting-reduced K-best detector.
-
-    Hard decisions and metric: runs the chain of :func:`robust_preprocess`,
-    searches the original constellation alphabet against ``(r2, y3)``, and
-    un-permutes the result. LLRs: :func:`robust_soft_llrs`, log-MAP over a K-best list
-    of width ``SOFT_LIST_WIDTH`` on the whitened model.
-    """
-    y = as_complex_vector(y, "y")
-    plan = robust_plan(h_hat, r_uu)
-    state = robust_apply(plan, y)
-    cands = sr_kbest_detect(state.r2, state.y3, params, cons).permuted(state.perm)
-    llr = robust_soft_llrs(plan, y, cons)
-    return DetectorOutput(hard=cands.symbols[0], llr=llr, metric=float(cands.metrics[0]))
 
 
 def robust_soft_llrs(plan: RobustPlan, y_block, cons: Constellation) -> np.ndarray:

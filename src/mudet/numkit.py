@@ -66,14 +66,6 @@ def as_complex_vector(v, name: str = "v") -> np.ndarray:
     return arr
 
 
-def invert_permutation(perm: np.ndarray) -> np.ndarray:
-    """Return ``inv`` with ``inv[perm[j]] == j``."""
-    perm = np.asarray(perm)
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(perm.size)
-    return inv
-
-
 def _tall_input(a):
     """Validated ``n x m`` input with ``n >= m`` and its rank threshold."""
     a = as_complex_matrix(a)

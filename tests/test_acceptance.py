@@ -180,7 +180,7 @@ def test_c03_whitening_identity_and_whiteness():
 def test_c04_robust_pipeline_hand_check():
     rng = np.random.default_rng(404)
     y = complex_randn(rng, 4)
-    state = det.robust_preprocess(np.eye(4), y, np.eye(4))
+    state = det.robust_apply(det.robust_plan(np.eye(4), np.eye(4)), y)
     checks = [
         np.allclose(state.r1, np.eye(4), atol=1e-12),
         np.allclose(state.x_mid, y / 2, atol=1e-12),
@@ -259,41 +259,31 @@ def test_c07_osic_equals_kbest_k1():
         y = h @ QAM16.points[rng.integers(0, 16, 4)] + 0.3 * complex_randn(rng, 8)
         ext = det.build_extended(h, y, 0.09, 0.0)
         sq = sorted_qr(ext.h_ext)
-        osic = det.osic_detect(sq, ext.y_ext, QAM16)
-        kb = det.kbest_detect(sq.r, sq.q.conj().T @ ext.y_ext, 1, QAM16, expand=1)
-        if not np.array_equal(osic.hard, kb.permuted(sq.perm).symbols[0]):
+        y_tilde = sq.q.conj().T @ ext.y_ext
+        osic = det.osic_detect(sq.r, y_tilde, QAM16)
+        kb = det.kbest_detect(sq.r, y_tilde, 1, QAM16, expand=1)
+        if not np.array_equal(osic.symbols, kb.symbols):
             mismatches += 1
     _report("C7 OSIC = K-best(1)", mismatches == 0, f"{1000 - mismatches}/1000 identical")
 
 
 def test_c08_noiseless_exactness_every_detector():
+    # each detector as run_scenario composes it, fed one noiseless vector
+    # with the noiseless floor as its noise power
     rng = np.random.default_rng(808)
-    params = det.SrKBestParams.default_16_4()
-    floor = 1e-12
+    cfg = bench.ScenarioConfig(n_rx=8, n_users=3)
+    floor = bench.NOISELESS_FLOOR
     failures = []
     for trial in range(100):
         h = complex_randn(rng, 8, 3)
         idx = rng.integers(0, 16, 3)
         y = h @ QAM16.points[idx]
-        r_uu = floor * np.eye(8)
-        outputs = {}
-        w, x_eq = det.mmse_irc(h, r_uu, floor, y)
-        outputs["mmse-irc"] = QAM16.nearest(x_eq)
-        outputs["mrc"] = QAM16.nearest(det.mrc_white(h, floor, y))
-        ext = det.build_extended(h, y, floor, 0.0)
-        sq = sorted_qr(ext.h_ext)
-        outputs["osic"] = det.osic_detect(sq, ext.y_ext, QAM16).hard
-        y_tilde = sq.q.conj().T @ ext.y_ext
-        outputs["kbest"] = (
-            det.kbest_detect(sq.r, y_tilde, 16, QAM16).permuted(sq.perm).symbols[0]
+        know = bench._TrialKnowledge(
+            h_hat=h, r_uu=floor * np.eye(8), sigma_det=floor, sigma_i2=0.0
         )
-        outputs["sr-kbest"] = (
-            det.sr_kbest_detect(sq.r, y_tilde, params, QAM16).permuted(sq.perm).symbols[0]
-        )
-        outputs["robust-sr-kbest"] = det.robust_sr_kbest(h, y, r_uu, params, QAM16).hard
-        outputs["ml"] = det.ml_bruteforce(h, y, QAM16).hard
-        for name, hard in outputs.items():
-            if not np.array_equal(hard, idx):
+        for name in bench.DETECTOR_NAMES:
+            hard = bench._detect_uses(cfg, name, QAM16, know, y[None, :], coded=False)
+            if not np.array_equal(hard[0], idx):
                 failures.append((trial, name))
     _report(
         "C8 noiseless exactness",

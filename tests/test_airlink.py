@@ -152,11 +152,25 @@ def test_apply_channel_recomputation_oracle():
     assert np.allclose(y, expected)
 
 
+def test_apply_channel_block_oracle():
+    # a (B, n_users) block takes its noise as one (B, n_rx) draw
+    cfg = ChannelConfig(n_rx=5, n_users=2, n_interferers=1)
+    real = generate_channel(cfg, np.random.default_rng(11), 0.4)
+    x = crandn(np.random.default_rng(12), 4, 2)
+    s = crandn(np.random.default_rng(13), 4, 1)
+    block = apply_channel(real, x, s, np.random.default_rng(14))
+    noise = complex_randn(np.random.default_rng(14), 4, 5)
+    assert block.shape == (4, 5)
+    assert np.array_equal(block, x @ real.h.T + s @ real.g.T + np.sqrt(0.4) * noise)
+
+
 def test_apply_channel_dimension_mismatch():
     cfg = ChannelConfig(n_rx=4, n_users=2)
     real = generate_channel(cfg, np.random.default_rng(0), 0.1)
     with pytest.raises(DimensionMismatchError):
         apply_channel(real, np.zeros(3), np.zeros(0), np.random.default_rng(1))
+    with pytest.raises(DimensionMismatchError):
+        apply_channel(real, np.zeros((4, 2)), np.zeros(0), np.random.default_rng(1))
 
 
 # --- channel estimation ---------------------------------------------------------

@@ -27,6 +27,11 @@ def test_comments_and_blank_lines():
     assert cfg.n_rx == 32
 
 
+# SNR ranges with a non-finite bound or step, or with more points than
+# bench.MAX_SNR_POINTS (1e308:1.7e308:1e-300 overflows the point count)
+BAD_SNR_RANGES = ["0:inf:1", "-inf:0:1", "1e308:1.7e308:1e-300", "0:1e300:1", "0:10000:1"]
+
+
 def test_parse_error_carries_line_number():
     with pytest.raises(ConfigParseError) as err:
         bench.parse_config("n_rx = 8\nnot a pair\n")
@@ -34,6 +39,10 @@ def test_parse_error_carries_line_number():
     with pytest.raises(ConfigParseError) as err:
         bench.parse_config("\n\nn_rx = abc\n")
     assert err.value.line_no == 3
+    for spec in BAD_SNR_RANGES:
+        with pytest.raises(ConfigParseError) as err:
+            bench.parse_config(f"n_rx = 8\nsnr_db = {spec}\n")
+        assert err.value.line_no == 2
 
 
 # one-key configs that would otherwise pass validation and abort the first trial
@@ -139,6 +148,10 @@ def test_snr_spec_forms():
         bench.parse_snr_spec("5:1:2")
     with pytest.raises(ValueError):
         bench.parse_snr_spec("1:2")
+    for spec in BAD_SNR_RANGES:
+        with pytest.raises(ValueError):
+            bench.parse_snr_spec(spec)
+    assert len(bench.parse_snr_spec(f"0:{bench.MAX_SNR_POINTS - 1}:1")) == bench.MAX_SNR_POINTS
 
 
 def test_qpsk_alone_runs_with_default_search_widths():
@@ -242,9 +255,9 @@ def test_detector_subset_invariance():
     assert bench.format_record(rec_both) == bench.format_record(alone[0])
 
 
-# Frozen records of two small scenarios that run every detector, one
-# uncoded and one coded with LS pilot estimates: SHA-256 of csv_bytes as
-# recorded with a per-vector search loop. Batching a search over the uses
+# Frozen records of small scenarios that run every detector: SHA-256 of
+# csv_bytes. The uncoded and the coded LS-pilot digests were recorded with
+# a per-vector search loop. Batching a search over the uses
 # of a trial, or any other change to a detector's arithmetic or tie rule
 # that moves a decision or an LLR enough to flip a bit, shows here.
 GOLDEN_UNCODED = """
@@ -253,6 +266,25 @@ n_users = 3
 n_interferers = 2
 rx_correlation = 0.5
 constellation = qam16
+snr_db = 4,10
+trials_per_point = 3
+symbols_per_trial = 6
+detectors = mrc,mmse-irc,osic,kbest,sr-kbest,robust-sr-kbest,ml
+master_seed = 7
+"""
+
+# The zero-interferer draw path: no interferer symbols are drawn for the
+# pilot, covariance or data slots. Recorded before the data block moved onto
+# airlink.apply_channel.
+GOLDEN_NO_INTERFERERS = """
+n_rx = 8
+n_users = 3
+n_interferers = 0
+rx_correlation = 0.5
+constellation = qam16
+ce_mode = ls_pilot
+pilot_count = 4
+covariance_samples = 24
 snr_db = 4,10
 trials_per_point = 3
 symbols_per_trial = 6
@@ -282,8 +314,9 @@ master_seed = 7
     [
         (GOLDEN_UNCODED, "6e7ec7cb2926ff46bed9eadafa41097c20317af2ccfb27d58e5e3a9941f5adef"),
         (GOLDEN_CODED, "375a9cc302947f3195756b224a0c7a0f7b7fe52082fb1d465da4000a050bf6e7"),
+        (GOLDEN_NO_INTERFERERS, "d9c260b621360580ce9d2ca436b8d31d270704510c75fce592bd59d68a871adb"),
     ],
-    ids=["uncoded", "coded-ls-pilot"],
+    ids=["uncoded", "coded-ls-pilot", "uncoded-no-interferers"],
 )
 def test_golden_records(text, digest):
     records = bench.run_scenario(bench.parse_config(text))
@@ -438,13 +471,21 @@ def test_cli_missing_config_is_config_error(tmp_path):
     assert rc == 1
 
 
-def test_cli_invalid_config_is_config_error(tmp_path):
+def test_cli_invalid_config_is_config_error(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("detectors = zf\n")
     assert cli_main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 1
     for text, _ in OUT_OF_RANGE_CONFIGS:
         cfg.write_text(text + "trials_per_point = 1\nsymbols_per_trial = 2\n")
         assert cli_main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 1
+    for spec in BAD_SNR_RANGES:
+        cfg.write_text(f"snr_db = {spec}\ntrials_per_point = 1\nsymbols_per_trial = 2\n")
+        assert cli_main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 1
+    cfg.write_text(CLI_CFG)
+    capsys.readouterr()
+    rc = cli_main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv"),
+                   "--snr", "0:inf:1"])
+    assert rc == 1 and "config error:" in capsys.readouterr().err
 
 
 def test_sr_expand_is_an_unknown_key(tmp_path):

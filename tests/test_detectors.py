@@ -40,17 +40,17 @@ def test_mmse_single_sherman_morrison_equivalence():
 
 
 def test_mmse_irc_identity_case():
-    w, x = det.mmse_irc(np.eye(2), np.eye(2), 1.0, np.array([2.0, 4.0]))
+    w = det.mmse_irc_weights(np.eye(2), np.eye(2), 1.0)
     assert np.allclose(w, 0.5 * np.eye(2))
-    assert np.allclose(x, [1.0, 2.0])
+    assert np.allclose(w @ np.array([2.0, 4.0]), [1.0, 2.0])
 
 
 def test_mmse_irc_reduces_to_mrc_for_white_covariance():
     rng = np.random.default_rng(1)
     h = crandn(rng, 6, 3)
     y = crandn(rng, 6)
-    _, x_irc = det.mmse_irc(h, np.eye(6), 0.3, y)
-    x_mrc = det.mrc_white(h, 0.3, y)
+    x_irc = det.mmse_irc_weights(h, np.eye(6), 0.3) @ y
+    x_mrc = det.linear_weights(h, h, 0.3) @ y
     assert np.allclose(x_irc, x_mrc)
 
 
@@ -60,25 +60,29 @@ def test_mmse_irc_matches_independent_solver():
         h = crandn(rng, 8, 3)
         r_uu = random_pd(rng, 8)
         y = crandn(rng, 8)
-        _, x = det.mmse_irc(h, r_uu, 0.5, y)
+        x = det.mmse_irc_weights(h, r_uu, 0.5) @ y
         ri = np.linalg.inv(r_uu)
         ref = np.linalg.solve(0.5 * np.eye(3) + h.conj().T @ ri @ h, h.conj().T @ ri @ y)
         assert np.linalg.norm(x - ref) <= 1e-9 * max(1.0, np.linalg.norm(ref))
 
 
 def test_mrc_white_cases():
+    # white-noise MRC: linear_weights with Z = H
+    def mrc(h, sigma_n2, y):
+        return det.linear_weights(h, h, sigma_n2) @ y
+
     y = np.array([1.0 + 1j, 2.0])
-    assert np.allclose(det.mrc_white(np.eye(2), 0.5, y), y / 1.5)
+    assert np.allclose(mrc(np.eye(2), 0.5, y), y / 1.5)
     rng = np.random.default_rng(3)
     h = crandn(rng, 4, 4)
     x = crandn(rng, 4)
-    sol = det.mrc_white(h, 0.0, h @ x)
+    sol = mrc(h, 0.0, h @ x)
     assert np.linalg.norm(sol - x) <= 1e-9 * np.linalg.norm(x)
     # ridge oracle
     h = crandn(rng, 6, 2)
     y = crandn(rng, 6)
     ref = np.linalg.inv(0.3 * np.eye(2) + h.conj().T @ h) @ (h.conj().T @ y)
-    assert np.allclose(det.mrc_white(h, 0.3, y), ref)
+    assert np.allclose(mrc(h, 0.3, y), ref)
 
 
 # --- extended model -------------------------------------------------------------
@@ -101,13 +105,20 @@ def test_build_extended_blocks():
 # --- OSIC -----------------------------------------------------------------------
 
 
+def extended_triangle(h, y, sigma_n2):
+    """Sorted QR of the extended model and the rotated received vector(s)."""
+    ext = det.build_extended(h, y, sigma_n2, 0.0)
+    sq = sorted_qr(ext.h_ext)
+    return sq, ext.y_ext @ sq.q.conj()
+
+
 def test_osic_single_user_noiseless(qam16):
     rng = np.random.default_rng(5)
     h = crandn(rng, 4, 1)
     x = qam16.points[[7]]
-    ext = det.build_extended(h, h @ x, 1e-12, 0.0)
-    out = det.osic_detect(sorted_qr(ext.h_ext), ext.y_ext, qam16)
-    assert out.hard[0] == 7
+    sq, y_tilde = extended_triangle(h, h @ x, 1e-12)
+    out = det.osic_detect(sq.r, y_tilde, qam16)
+    assert len(out) == 1 and out.symbols[0, 0] == 7
 
 
 def test_osic_noiseless_multiuser_exact(qam16):
@@ -115,9 +126,9 @@ def test_osic_noiseless_multiuser_exact(qam16):
     for _ in range(50):
         h = crandn(rng, 8, 4)
         idx = rng.integers(0, 16, 4)
-        ext = det.build_extended(h, h @ qam16.points[idx], 1e-12, 0.0)
-        out = det.osic_detect(sorted_qr(ext.h_ext), ext.y_ext, qam16)
-        assert np.array_equal(out.hard, idx)
+        sq, y_tilde = extended_triangle(h, h @ qam16.points[idx], 1e-12)
+        out = det.osic_detect(sq.r, y_tilde, qam16).permuted(sq.perm)
+        assert np.array_equal(out.symbols[0], idx)
 
 
 def test_osic_equals_kbest_k1(qam16):
@@ -125,11 +136,11 @@ def test_osic_equals_kbest_k1(qam16):
     for _ in range(200):
         h = crandn(rng, 8, 4)
         y = h @ qam16.points[rng.integers(0, 16, 4)] + 0.3 * crandn(rng, 8)
-        ext = det.build_extended(h, y, 0.09, 0.0)
-        sq = sorted_qr(ext.h_ext)
-        out = det.osic_detect(sq, ext.y_ext, qam16)
-        cl = det.kbest_detect(sq.r, sq.q.conj().T @ ext.y_ext, 1, qam16, expand=1)
-        assert np.array_equal(out.hard, cl.permuted(sq.perm).symbols[0])
+        sq, y_tilde = extended_triangle(h, y, 0.09)
+        out = det.osic_detect(sq.r, y_tilde, qam16)
+        cl = det.kbest_detect(sq.r, y_tilde, 1, qam16, expand=1)
+        assert np.array_equal(out.symbols, cl.symbols)
+        assert np.isclose(out.metrics[0], cl.metrics[0], rtol=1e-12, atol=1e-12)
 
 
 # --- K-best ---------------------------------------------------------------------
@@ -372,8 +383,8 @@ def test_batched_searches_equal_row_by_row(qpsk, qam16, n_vec, m, use_qpsk, k, z
     expand = min(4, cons.size)
     kb = det.kbest_detect(sq.r, y_tilde, k, cons, expand)
     sr = det.sr_kbest_detect(sq.r, y_tilde, params, cons)
-    os_ = det.osic_detect(sq, ext.y_ext, cons)
-    assert kb.symbols.shape[0] == sr.symbols.shape[0] == os_.hard.shape[0] == n_vec
+    os_ = det.osic_detect(sq.r, y_tilde, cons)
+    assert kb.symbols.shape[0] == sr.symbols.shape[0] == os_.symbols.shape[0] == n_vec
     for t in range(n_vec):
         one = det.kbest_detect(sq.r, y_tilde[t], k, cons, expand)
         assert np.array_equal(kb.symbols[t], one.symbols)
@@ -381,10 +392,9 @@ def test_batched_searches_equal_row_by_row(qpsk, qam16, n_vec, m, use_qpsk, k, z
         one = det.sr_kbest_detect(sq.r, y_tilde[t], params, cons)
         assert np.array_equal(sr.symbols[t], one.symbols)
         assert np.array_equal(sr.metrics[t], one.metrics)
-        one = det.osic_detect(sq, ext.y_ext[t], cons)
-        assert np.array_equal(os_.hard[t], one.hard)
-        assert np.array_equal(os_.llr[t], one.llr)
-        assert np.isclose(os_.metric[t], one.metric, rtol=1e-12, atol=1e-12)
+        one = det.osic_detect(sq.r, y_tilde[t], cons)
+        assert np.array_equal(os_.symbols[t], one.symbols)
+        assert np.allclose(os_.metrics[t], one.metrics, rtol=1e-12, atol=1e-12)
 
 
 def test_batched_apply_and_llrs_equal_row_by_row(qam16, monkeypatch):
@@ -428,10 +438,7 @@ def test_hard_only_paths_match_soft(qam16):
     h = crandn(rng, 6, 2)
     y = h @ qam16.points[rng.integers(0, 16, (2, 7))] + 0.4 * crandn(rng, 6, 7)
     y = y.T
-    ext = det.build_extended(h, y, 0.16, 0.0)
-    sq = sorted_qr(ext.h_ext)
     pairs = (
-        (det.osic_detect(sq, ext.y_ext, qam16), det.osic_detect(sq, ext.y_ext, qam16, soft=False)),
         (det.ml_bruteforce(h, y, qam16), det.ml_bruteforce(h, y, qam16, soft=False)),
         (det.ml_bruteforce(h, y[0], qam16), det.ml_bruteforce(h, y[0], qam16, soft=False)),
     )
@@ -481,10 +488,20 @@ def test_ml_guard(qam16):
 # --- robust chain ---------------------------------------------------------------
 
 
+def robust_state(h, y, r_uu):
+    return det.robust_apply(det.robust_plan(h, r_uu), y)
+
+
+def robust_hard(h, y, r_uu, params, cons):
+    """Hard decisions of the robust detector, as ``mudet.bench`` composes it."""
+    st_ = robust_state(h, y, r_uu)
+    return det.sr_kbest_detect(st_.r2, st_.y3, params, cons).permuted(st_.perm).symbols[0]
+
+
 def test_robust_identity_hand_check():
     rng = np.random.default_rng(17)
     y = crandn(rng, 4)
-    st_ = det.robust_preprocess(np.eye(4), y, np.eye(4))
+    st_ = robust_state(np.eye(4), y, np.eye(4))
     assert np.allclose(st_.r1, np.eye(4), atol=1e-12)
     assert np.allclose(st_.x_mid, y / 2, atol=1e-12)
     assert np.allclose(st_.h2, 2 * np.eye(4), atol=1e-12)
@@ -496,20 +513,26 @@ def test_robust_identity_hand_check():
 def test_robust_identity_whitening_passthrough():
     rng = np.random.default_rng(18)
     h = crandn(rng, 6, 3)
-    st_ = det.robust_preprocess(h, crandn(rng, 6), np.eye(6))
+    st_ = robust_state(h, crandn(rng, 6), np.eye(6))
     assert np.allclose(st_.h1, h)
 
 
-def test_robust_plan_matches_preprocess():
+def test_robust_apply_follows_chain_steps():
+    # w = R_uu^-1/2; y1 = w y, h1 = w h = q1 r1; y2 = q1' y1;
+    # h2 = inv(r1') + r1 = q2 r2 (sorted by perm); y3 = q2' y2
     rng = np.random.default_rng(19)
     h = crandn(rng, 8, 4)
     r_uu = random_pd(rng, 8)
     y = crandn(rng, 8)
-    st_ = det.robust_preprocess(h, y, r_uu)
-    plan = det.robust_plan(h, r_uu)
-    st2 = det.robust_apply(plan, y)
-    for field in ("h1", "r1", "h2", "r2", "y1", "y2", "y3", "x_mid"):
-        assert np.allclose(getattr(st_, field), getattr(st2, field))
+    st_ = robust_state(h, y, r_uu)
+    assert np.allclose(st_.w @ r_uu @ st_.w.conj().T, np.eye(8))
+    assert np.allclose(st_.y1, st_.w @ y)
+    assert np.allclose(st_.h1, st_.w @ h)
+    assert np.allclose(st_.q1 @ st_.r1, st_.h1)
+    assert np.allclose(st_.y2, st_.q1.conj().T @ st_.y1)
+    assert np.allclose(st_.h2, np.linalg.inv(st_.r1.conj().T) + st_.r1)
+    assert np.allclose(st_.q2 @ st_.r2, st_.h2[:, st_.perm])
+    assert np.allclose(st_.y3, st_.q2.conj().T @ st_.y2)
 
 
 def test_robust_whiteness_monte_carlo(qam16):
@@ -530,8 +553,8 @@ def test_robust_sr_kbest_noiseless_recovery(qam16):
     for _ in range(100):
         h = crandn(rng, 8, 4)
         idx = rng.integers(0, 16, 4)
-        out = det.robust_sr_kbest(h, h @ qam16.points[idx], 1e-12 * np.eye(8), params, qam16)
-        assert np.array_equal(out.hard, idx)
+        hard = robust_hard(h, h @ qam16.points[idx], 1e-12 * np.eye(8), params, qam16)
+        assert np.array_equal(hard, idx)
 
 
 def test_whitening_preserves_ml_argmin(qam16):
@@ -558,10 +581,9 @@ def test_robust_full_search_matches_whitened_ml(qam16):
         r_uu = 1e-6 * (g @ g.conj().T + np.eye(6))
         idx = rng.integers(0, 16, 2)
         y = h @ qam16.points[idx]
-        out = det.robust_sr_kbest(h, y, r_uu, full, qam16)
-        st_ = det.robust_preprocess(h, y, r_uu)
+        st_ = robust_state(h, y, r_uu)
         mlo = det.ml_bruteforce(st_.h1, st_.y1, qam16)
-        assert np.array_equal(out.hard, mlo.hard)
+        assert np.array_equal(robust_hard(h, y, r_uu, full, qam16), mlo.hard)
 
 
 # --- soft output ----------------------------------------------------------------
@@ -608,7 +630,6 @@ def test_robust_llrs_match_bruteforce_logmap(qpsk):
     # so the list LLRs must equal exhaustive log-MAP on the whitened model
     assert qpsk.size**3 == det.SOFT_LIST_WIDTH
     rng = np.random.default_rng(26)
-    params = det.SrKBestParams.default_16_4()
     every = np.stack(np.meshgrid(*[np.arange(4)] * 3, indexing="ij"), -1).reshape(-1, 3)
     bits = qpsk.bit_patterns[every].reshape(every.shape[0], -1)
     for _ in range(30):
@@ -616,11 +637,12 @@ def test_robust_llrs_match_bruteforce_logmap(qpsk):
         g = crandn(rng, 6, 2)
         r_uu = g @ g.conj().T + 0.5 * np.eye(6)
         y = h @ qpsk.points[rng.integers(0, 4, 3)] + g @ crandn(rng, 2) + 0.7 * crandn(rng, 6)
-        out = det.robust_sr_kbest(h, y, r_uu, params, qpsk)
-        st_ = det.robust_preprocess(h, y, r_uu)
+        plan = det.robust_plan(h, r_uu)
+        llr = det.robust_soft_llrs(plan, y, qpsk)
+        st_ = det.robust_apply(plan, y)
         like = np.exp(-np.sum(np.abs(st_.y1 - qpsk.points[every] @ st_.h1.T) ** 2, axis=1))
         ref = np.log(like @ (bits == 0)) - np.log(like @ (bits == 1))
-        assert np.max(np.abs(out.llr - np.clip(ref, -det.LLR_MAX, det.LLR_MAX))) <= 1e-9
+        assert np.max(np.abs(llr - np.clip(ref, -det.LLR_MAX, det.LLR_MAX))) <= 1e-9
 
 
 def test_logmap_llrs_missing_hypothesis_clamps(qpsk):

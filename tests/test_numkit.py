@@ -1,13 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from mudet.errors import NotPositiveDefiniteError, RankDeficientError
 from mudet.numkit import (
     cholesky,
     inv_sqrt,
-    invert_permutation,
     qr_decompose,
     solve_hermitian,
     sorted_qr,
@@ -148,17 +145,6 @@ def test_sorted_qr_r_equals_plain_qr_of_permuted_input():
         sq = sorted_qr(a)
         _, r = qr_decompose(a[:, sq.perm])
         assert np.max(np.abs(sq.r - r)) <= 1e-10
-
-
-@settings(max_examples=50, deadline=None)
-@given(st.permutations(list(range(6))))
-def test_permutation_roundtrip(order):
-    perm = np.array(order)
-    inv = invert_permutation(perm)
-    assert np.array_equal(perm[inv], np.arange(6))
-    assert np.array_equal(inv[perm], np.arange(6))
-    a = np.arange(30, dtype=float).reshape(5, 6)
-    assert np.array_equal(a[:, perm][:, invert_permutation(perm)], a)
 
 
 # --- cholesky / whitening / solves ------------------------------------------

@@ -1,0 +1,12 @@
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_python_example_runs(capsys):
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    assert blocks, "README has no python example"
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})
+    assert "symbol errors" in capsys.readouterr().out
