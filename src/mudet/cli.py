@@ -33,7 +33,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config(args):
     try:
         text = Path(args.config).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
     cfg = parse_config(text)
     if args.seed is not None:

@@ -33,15 +33,18 @@ share one channel factorization; a 1-D input is a batch of one and returns
 unbatched output. Given its rotated input ``y_tilde``, every row is
 searched exactly as it would be alone: each selection along the last axis
 returns what a stable sort of that row would, so ties resolve the same way
-at any batch size. Survivor cuts take the default (unstable) sort and
-fall back to a stable one only when an exact tie reaches the cut
-(:func:`_smallest`); a full-expansion K-best layer cuts its unsorted
-children, so its ties go to the lower survivor index, then to the lower
-constellation index. The rotations in front of a search (``y @ plan.w.T``,
-``y_ext @ q.conj()``) are matrix products and round a row differently
-alone than inside a block, so a row's ``y_tilde``, and the LLRs computed
-from it, match its row-alone values only to rounding; the records of the
-batched path are pinned by ``tests/test_bench.py::test_golden_records``.
+at any batch size. Every selection of a search (the per-parent ranking of
+a partial-expansion or scheduled layer, each survivor and pool cut, and
+the final order) goes through :func:`_smallest`: a large input is ranked
+by one value sort of packed (metric, index) keys, and the stable argsort
+decides when two of the kept metrics lie within a few ulps of each other.
+A full-expansion K-best layer cuts its unsorted children, so its ties go
+to the lower survivor index, then to the lower constellation index. The
+rotations in front of a search (``y @ plan.w.T``, ``y_ext @ q.conj()``)
+are matrix products and round a row differently alone than inside a
+block, so a row's ``y_tilde``, and the LLRs computed from it, match its
+row-alone values only to rounding; the records of the batched path are
+pinned by ``tests/test_bench.py::test_golden_records``.
 
 All functions are pure: they read their arguments and return fresh
 arrays, so concurrent calls on distinct subcarrier instances are safe.
@@ -190,21 +193,20 @@ class SrKBestParams:
 
     @cached_property
     def fill_indices(self):
-        """Static gather indices of one scheduled layer.
+        """Static gather table of one scheduled layer.
 
-        ``(direct_parent, direct_rank, pool_parent, pool_rank,
-        direct_slots, max_rank)``: which parent and child rank feeds each
-        direct slot and each pool entry, the survivor slots outside ``q``,
-        and the deepest child rank the schedule reads.
+        ``(child, direct_slots, max_rank)``: ``child`` indexes the ranked
+        children of a layer flattened as ``parent * max_rank + rank``, the
+        ``k - s`` direct children first (parent order) and the pool after
+        them; ``direct_slots`` are the survivor slots outside ``q``, and
+        ``max_rank`` is the number of children the schedule reads per parent.
         """
-        k = self.k
-        direct_parent = np.repeat(np.arange(k), self.p)
-        direct_rank = np.concatenate([np.arange(c) for c in self.p])
-        pool_parent = np.repeat(np.arange(k), self.v)
-        pool_rank = np.concatenate([p + np.arange(c) for p, c in zip(self.p, self.v)])
-        direct_slots = np.setdiff1d(np.arange(k), self.q - 1)
         max_rank = int(np.max(self.p + self.v))
-        return direct_parent, direct_rank, pool_parent, pool_rank, direct_slots, max_rank
+        direct = [i * max_rank + j for i, p in enumerate(self.p) for j in range(p)]
+        ranks = enumerate(zip(self.p, self.v))
+        pool = [i * max_rank + p + j for i, (p, v) in ranks for j in range(v)]
+        direct_slots = np.setdiff1d(np.arange(self.k), self.q - 1)
+        return np.array(direct + pool, dtype=np.int64), direct_slots, max_rank
 
     @classmethod
     def default_16_4(cls) -> "SrKBestParams":
@@ -365,20 +367,39 @@ def _layer_increments(r, y_tilde, layer, symbols, points):
     return np.abs(b[:, :, None] - r[layer, layer] * points) ** 2
 
 
+# Below this many entries one stable argsort is cheaper than building and
+# sorting packed keys (measured on (B, 256) and (B, 16, 16) metrics).
+_KEY_SORT_MIN = 2048
+
+# Clears the sign bit, so -0.0 packs like +0.0.
+_MAGNITUDE = np.uint64(0x7FFF_FFFF_FFFF_FFFF)
+
+
 def _smallest(values, count):
     """Indices of the ``count`` smallest entries along the last axis, ascending.
 
-    Always equal to ``np.argsort(values, kind="stable")[..., :count]``. The
-    default sort (faster, but not stable) decides unless two of the first
-    ``count + 1`` sorted values are equal, the only case in which the two
-    sorts can keep different indices or order them differently; then the
-    stable sort runs instead.
+    Always equal to ``np.argsort(values, kind="stable")[..., :count]`` for
+    non-negative float64 ``values`` (``-0.0`` counts as ``0.0``). Inputs of
+    at least ``_KEY_SORT_MIN`` entries are ranked by one value sort of
+    packed keys: each value's bits, read as ``uint64`` (whose order is the
+    float order for non-negative values), with the low ``ceil(log2 n)``
+    bits replaced by the entry's index, so the indices come back from the
+    sorted keys. Clearing those bits can only merge values within ``n``
+    ulps of each other; when two of the first ``count + 1`` keys agree above
+    the index bits the stable argsort decides instead, and otherwise every
+    kept entry is strictly smaller than every entry after it.
     """
-    order = np.argsort(values, axis=-1)
-    head = np.take_along_axis(values, order[..., : count + 1], axis=-1)
-    if np.any(head[..., 1:] == head[..., :-1]):
-        order = np.argsort(values, axis=-1, kind="stable")
-    return order[..., :count]
+    n = values.shape[-1]
+    if values.size < _KEY_SORT_MIN:
+        return np.argsort(values, axis=-1, kind="stable")[..., :count]
+    low = np.uint64((1 << (n - 1).bit_length()) - 1)
+    keys = values.view(np.uint64) & (_MAGNITUDE & ~low)
+    keys |= np.arange(n, dtype=np.uint64)
+    keys.sort(axis=-1)
+    head = keys[..., : count + 1]
+    if np.any((head[..., 1:] ^ head[..., :-1]) <= low):
+        return np.argsort(values, axis=-1, kind="stable")[..., :count]
+    return (head[..., :count] & low).view(np.int64)
 
 
 def _kbest_step(r, y_tilde, layer, symbols, metrics, points, expand, keep):
@@ -393,7 +414,7 @@ def _kbest_step(r, y_tilde, layer, symbols, metrics, points, expand, keep):
     inc = _layer_increments(r, y_tilde, layer, symbols, points)
     full = expand == points.size
     if not full:
-        order = np.argsort(inc, axis=-1, kind="stable")[:, :, :expand]
+        order = _smallest(inc, expand)
         inc = np.take_along_axis(inc, order, axis=-1)
     flat = (metrics[:, :, None] + inc).reshape(n_vec, -1)
     sel = _smallest(flat, keep)
@@ -445,34 +466,26 @@ def kbest_detect(
 def _sr_step(r, y_tilde, layer, symbols, metrics, points, params):
     """One scheduled layer of the sorting-reduced search.
 
-    Direct children land at the non-``q`` slots in parent order without any
-    comparison; only the small pool is sorted, and its best ``s`` members
-    occupy the ``q`` slots in ascending metric order.
+    Each parent's children are ranked by per-layer distance; direct
+    children land at the non-``q`` slots in parent order without any
+    comparison, and only the small pool is cut: its best ``s`` members
+    occupy the ``q`` slots in ascending metric order. Every survivor field
+    is read through one ``(B, k)`` index into the ranked children.
     """
-    direct_parent, direct_rank, pool_parent, pool_rank, direct_slots, max_rank = (
-        params.fill_indices
-    )
+    child, direct_slots, max_rank = params.fill_indices
+    n_vec = symbols.shape[0]
     inc = _layer_increments(r, y_tilde, layer, symbols, points)
-    order = np.argsort(inc, axis=-1, kind="stable")[:, :, :max_rank]
-    child_metrics = metrics[:, :, None] + np.take_along_axis(inc, order, axis=-1)
-
-    out_symbols = np.empty_like(symbols)
-    out_metrics = np.empty(metrics.shape)
-
-    out_symbols[:, direct_slots] = symbols[:, direct_parent]
-    out_symbols[:, direct_slots, layer] = order[:, direct_parent, direct_rank]
-    out_metrics[:, direct_slots] = child_metrics[:, direct_parent, direct_rank]
-
+    order = _smallest(inc, max_rank)
+    ranked = (metrics[:, :, None] + np.take_along_axis(inc, order, axis=-1)).reshape(n_vec, -1)
+    src = np.empty((n_vec, params.k), dtype=np.int64)
+    src[:, direct_slots] = child[: direct_slots.size]
     if params.s:
-        rows = np.arange(symbols.shape[0])[:, None]
-        pool_metrics = child_metrics[:, pool_parent, pool_rank]
-        winners = np.argsort(pool_metrics, axis=-1, kind="stable")[:, : params.s]
-        parents = pool_parent[winners]
-        q_slots = params.q - 1
-        out_symbols[:, q_slots] = symbols[rows, parents]
-        out_symbols[:, q_slots, layer] = order[rows, parents, pool_rank[winners]]
-        out_metrics[:, q_slots] = pool_metrics[rows, winners]
-    return out_symbols, out_metrics
+        pool = child[direct_slots.size :]
+        src[:, params.q - 1] = pool[_smallest(ranked[:, pool], params.s)]
+    rows = np.arange(n_vec)[:, None]
+    out_symbols = symbols[rows, src // max_rank]
+    out_symbols[:, :, layer] = order.reshape(n_vec, -1)[rows, src]
+    return out_symbols, ranked[rows, src]
 
 
 def sr_kbest_detect(
@@ -502,7 +515,7 @@ def sr_kbest_detect(
             symbols, metrics = _kbest_step(
                 r, y_tilde, layer, symbols, metrics, points, cons.size, params.k
             )
-    final = np.argsort(metrics, axis=-1, kind="stable")
+    final = _smallest(metrics, params.k)
     rows = np.arange(n_vec)[:, None]
     return _candidate_list(symbols[rows, final], metrics[rows, final], single)
 

@@ -18,6 +18,7 @@ Conventions
   ``q @ r == a[:, perm]``.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,22 +132,28 @@ def sorted_qr(a) -> SortedQR:
     perm = np.empty(m, dtype=int)
     left = np.arange(m)
     for k in range(m):
-        norms = np.linalg.norm(resid[:, left], axis=0)
+        block = resid[:, left]
+        # the column norms np.linalg.norm(block, axis=0) computes
+        norms = np.sqrt(np.add.reduce((block.conj() * block).real, axis=0))
         # left stays ascending, so a tie goes to the lowest original index
-        j = left[np.argmax(norms <= norms.min() * (1.0 + SORT_TIE_REL))]
-        perm[k] = j
-        left = left[left != j]
-        # Projecting the pivot once more on the chosen basis keeps q
-        # orthonormal to machine precision on ill-conditioned inputs.
-        extra = q[:, :k].conj().T @ resid[:, j]
-        coef[:k, j] += extra
-        col = resid[:, j] - q[:, :k] @ extra
-        rkk = np.linalg.norm(col)
+        i = int(np.argmax(norms <= norms.min() * (1.0 + SORT_TIE_REL)))
+        j = perm[k] = left[i]
+        col = resid[:, j]
+        if k:
+            # Projecting the pivot once more on the chosen basis keeps q
+            # orthonormal to machine precision on ill-conditioned inputs.
+            extra = q[:, :k].conj().T @ col
+            coef[:k, j] += extra
+            col = col - q[:, :k] @ extra
+        # the vector norm np.linalg.norm(col) computes
+        rkk = math.sqrt(col.real.dot(col.real) + col.imag.dot(col.imag))
         _check_pivot(k, rkk, threshold)
         coef[k, j] = rkk
-        q[:, k] = col / rkk
-        coef[k, left] = q[:, k].conj() @ resid[:, left]
-        resid[:, left] -= np.outer(q[:, k], coef[k, left])
+        q[:, k] = unit = col / rkk
+        keep = np.arange(left.size) != i
+        left, block = left[keep], block[:, keep]
+        coef[k, left] = row = unit.conj() @ block
+        resid[:, left] = block - unit[:, None] * row
     return SortedQR(q=q, r=coef[:, perm], perm=perm)
 
 

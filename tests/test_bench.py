@@ -471,6 +471,14 @@ def test_cli_missing_config_is_config_error(tmp_path):
     assert rc == 1
 
 
+def test_cli_non_utf8_config_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"\xff\xfed\x00e\x00t\x00")  # UTF-16 with a byte-order mark
+    rc = cli_main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
+    assert rc == 1
+    assert "config error: cannot read config" in capsys.readouterr().err
+
+
 def test_cli_invalid_config_is_config_error(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("detectors = zf\n")

@@ -198,37 +198,100 @@ def test_kbest_output_sorted(qam16):
     assert np.all(np.diff(cl.metrics) >= 0)
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    shape=st.sampled_from([(1, 1), (1, 16), (3, 256), (2, 4, 16), (50, 17)]),
-    count=st.integers(1, 20),
-    levels=st.sampled_from([0, 2, 5]),
-    seed=st.integers(0, 2**31 - 1),
-)
-def test_smallest_equals_stable_argsort(shape, count, levels, seed):
-    rng = np.random.default_rng(seed)
-    if levels:  # few distinct values: ties everywhere, at the cut too
-        values = rng.integers(0, levels, shape).astype(float)
-    else:
+def _smallest_input(family, shape, rng):
+    """Non-negative metrics of one family that stresses the packed keys."""
+    if family == "random":
+        return rng.random(shape)
+    if family == "levels":  # few distinct values: ties everywhere, at the cut too
+        return rng.integers(0, 3, shape).astype(float)
+    if family == "ulps":  # neighbours 0-40 ulps apart, within the index bits
+        base = rng.choice([1.0, 0.75, 3.5e-7], shape)
+        return (base.view(np.int64) + rng.integers(0, 40, shape)).view(float)
+    if family == "nextafter":  # distinct values with 1-ulp neighbours
         values = rng.random(shape)
-    ref = np.argsort(values, axis=-1, kind="stable")[..., :count]
-    assert np.array_equal(det._smallest(values, count), ref)
+        nudge = rng.random(shape) < 0.3
+        values[nudge] = np.nextafter(np.roll(values, 1, axis=-1)[nudge], np.inf)
+        return values
+    if family == "cut_tie":  # an exact tie around every cut position
+        values = rng.random(shape)
+        for c in (1, 4, 16, 64):
+            if shape[-1] > c:
+                ranked = np.sort(values, axis=-1)
+                pos = rng.integers(0, shape[-1], shape[:-1])
+                np.put_along_axis(values, pos[..., None], ranked[..., c - 1 : c], axis=-1)
+        return values
+    if family == "inf":
+        return np.where(rng.random(shape) < 0.2, np.inf, rng.random(shape))
+    if family == "zeros":  # one -0.0 per row, and in half of the rows a +0.0
+        values = 0.5 + rng.random(shape)
+        neg = rng.integers(0, shape[-1], shape[:-1])[..., None]
+        np.put_along_axis(values, neg, -0.0, axis=-1)
+        values[rng.random(shape[:-1]) < 0.5, rng.integers(0, shape[-1])] = 0.0
+        return values
+    if family == "index_xor":  # two smallest one ulp apart, the larger first,
+        # at indices whose packed keys differ in every index bit
+        values = 1.0 + rng.random(shape)
+        n = shape[-1]
+        low = (1 << (n - 1).bit_length()) - 1
+        first = np.array([i for i in range(n) if i < i ^ low < n] or [0])
+        i = rng.choice(first, shape[:-1])[..., None]
+        j = np.where(i ^ low < n, i ^ low, i)
+        np.put_along_axis(values, i, np.nextafter(0.5, 1.0), axis=-1)
+        np.put_along_axis(values, j, 0.5, axis=-1)
+        return values
+    assert family == "magnitudes"
+    return 10.0 ** rng.uniform(-300, 300, shape)
 
 
-def _sorted_children_kbest(r, y_tilde, k, points):
-    """Full-expansion K-best whose layers stable-sort the children of each
-    parent before the cut, as the search did before the unsorted cut."""
+def test_smallest_equals_stable_argsort():
+    shapes = [(1, 1), (1, 16), (3, 256), (2, 4, 16), (50, 17), (50, 16, 16), (50, 256), (18, 1024)]
+    families = (
+        "random", "levels", "ulps", "nextafter", "cut_tie", "inf", "zeros", "index_xor",
+        "magnitudes",
+    )
+    rng = np.random.default_rng(37)
+    for shape in shapes:
+        for family in families:
+            for _ in range(3):
+                values = _smallest_input(family, shape, rng)
+                order = np.argsort(values, axis=-1, kind="stable")
+                for count in (1, 2, 4, 5, 16, 20, 64, 70):
+                    got = det._smallest(values, count)
+                    assert np.array_equal(got, order[..., :count]), (shape, family, count)
+
+
+def test_smallest_key_sort_needs_no_argsort(monkeypatch):
+    rng = np.random.default_rng(31)
+    big = {shape: rng.random(shape) for shape in ((50, 16, 16), (50, 256), (18, 1024))}
+    small = rng.random((2, 256))
+    refs = {shape: np.argsort(v, axis=-1, kind="stable") for shape, v in big.items()}
+
+    def no_argsort(*args, **kwargs):
+        raise AssertionError("argsort called")
+
+    monkeypatch.setattr(np, "argsort", no_argsort)
+    for shape, values in big.items():
+        assert values.size >= det._KEY_SORT_MIN
+        assert np.array_equal(det._smallest(values, 16), refs[shape][..., :16])
+    with pytest.raises(AssertionError, match="argsort called"):
+        det._smallest(small, 16)  # under the size threshold
+
+
+def _sorted_children_kbest(r, y_tilde, k, points, expand=None):
+    """K-best whose layers stable-sort the children of each parent, keep the
+    first ``expand`` (all by default) and stable-sort those for the cut, as
+    the search did before its selections went through ``_smallest``."""
     n_vec, m = y_tilde.shape
-    size = points.size
     rows = np.arange(n_vec)[:, None]
     symbols = np.zeros((n_vec, 1, m), dtype=np.int64)
     metrics = np.zeros((n_vec, 1))
     for layer in range(m - 1, -1, -1):
+        eff = points.size if layer == m - 1 or expand is None else expand
         inc = det._layer_increments(r, y_tilde, layer, symbols, points)
-        order = np.argsort(inc, axis=-1, kind="stable")
+        order = np.argsort(inc, axis=-1, kind="stable")[:, :, :eff]
         flat = (metrics[:, :, None] + np.take_along_axis(inc, order, axis=-1)).reshape(n_vec, -1)
         sel = np.argsort(flat, axis=-1, kind="stable")[:, :k]
-        symbols = symbols[rows, sel // size]
+        symbols = symbols[rows, sel // eff]
         symbols[:, :, layer] = order.reshape(n_vec, -1)[rows, sel]
         metrics = flat[rows, sel]
     return symbols, metrics
@@ -264,6 +327,23 @@ def test_full_expansion_matches_sorted_children(qpsk, qam16, k):
         y_tilde = (x @ h.T + 0.5 * crandn(rng, 40, m + 2)) @ q.conj()
         cl = det.kbest_detect(r, y_tilde, k, cons)
         symbols, metrics = _sorted_children_kbest(r, y_tilde, k, cons.points)
+        assert np.array_equal(cl.symbols, symbols)
+        assert np.array_equal(cl.metrics, metrics)
+
+
+@pytest.mark.parametrize("zero_rows", [False, True])
+def test_partial_expansion_matches_sorted_children(qpsk, qam16, zero_rows):
+    # 60 rows: the per-parent ranking and the cut are large enough for keys
+    rng = np.random.default_rng(43)
+    for cons, m, expand in ((qam16, 4, 4), (qam16, 5, 2), (qpsk, 6, 3)):
+        h = crandn(rng, m + 2, m)
+        q, r = qr_decompose(h)
+        x = cons.points[rng.integers(0, cons.size, (60, m))]
+        y_tilde = (x @ h.T + 0.5 * crandn(rng, 60, m + 2)) @ q.conj()
+        if zero_rows:
+            y_tilde[::5] = 0.0
+        cl = det.kbest_detect(r, y_tilde, 16, cons, expand)
+        symbols, metrics = _sorted_children_kbest(r, y_tilde, 16, cons.points, expand)
         assert np.array_equal(cl.symbols, symbols)
         assert np.array_equal(cl.metrics, metrics)
 
@@ -354,6 +434,83 @@ def test_sr_dominance_and_equality_rate_vs_kbest(qam16):
         if abs(sr.metrics[0] - kb.metrics[0]) < 1e-9:
             equal += 1
     assert equal >= 0.9 * n_trials
+
+
+def _sr_reference(r, y_tilde, params, points):
+    """Sorting-reduced K-best whose scheduled layers stable-sort all children
+    of each parent, then place the direct children and the stable-sorted
+    pool winners with separate gathers, as the search did before its
+    selections went through packed keys. The warm-up layers are
+    ``_kbest_step``, which ``_sorted_children_kbest`` pins."""
+    n_vec, m = y_tilde.shape
+    k, s = params.k, params.s
+    rows = np.arange(n_vec)[:, None]
+    direct_parent = np.repeat(np.arange(k), params.p)
+    direct_rank = np.concatenate([np.arange(c) for c in params.p]).astype(int)
+    pool_parent = np.repeat(np.arange(k), params.v)
+    pool_rank = np.concatenate([p + np.arange(c) for p, c in zip(params.p, params.v)]).astype(int)
+    direct_slots = np.setdiff1d(np.arange(k), params.q - 1)
+    q_slots = params.q - 1
+    symbols = np.zeros((n_vec, 1, m), dtype=np.int64)
+    metrics = np.zeros((n_vec, 1))
+    for layer in range(m - 1, -1, -1):
+        if symbols.shape[1] < k:
+            symbols, metrics = det._kbest_step(
+                r, y_tilde, layer, symbols, metrics, points, points.size, k
+            )
+            continue
+        inc = det._layer_increments(r, y_tilde, layer, symbols, points)
+        order = np.argsort(inc, axis=-1, kind="stable")
+        child = metrics[:, :, None] + np.take_along_axis(inc, order, axis=-1)
+        out_symbols = np.empty_like(symbols)
+        out_metrics = np.empty(metrics.shape)
+        out_symbols[:, direct_slots] = symbols[:, direct_parent]
+        out_symbols[:, direct_slots, layer] = order[:, direct_parent, direct_rank]
+        out_metrics[:, direct_slots] = child[:, direct_parent, direct_rank]
+        if s:
+            pool = child[:, pool_parent, pool_rank]
+            winners = np.argsort(pool, axis=-1, kind="stable")[:, :s]
+            parents = pool_parent[winners]
+            out_symbols[:, q_slots] = symbols[rows, parents]
+            out_symbols[:, q_slots, layer] = order[rows, parents, pool_rank[winners]]
+            out_metrics[:, q_slots] = pool[rows, winners]
+        symbols, metrics = out_symbols, out_metrics
+    final = np.argsort(metrics, axis=-1, kind="stable")
+    return symbols[rows, final], metrics[rows, final]
+
+
+SR_SCHEDULES = {
+    "default": det.SrKBestParams.default_16_4(),
+    "no-pool": det.SrKBestParams(
+        k=16, s=0, p=[4, 3, 2, 2, 1, 1, 1, 1, 1] + [0] * 7, v=[0] * 16, q=[]
+    ),
+    "full-budget": det.SrKBestParams(
+        k=16,
+        s=6,
+        p=[2, 2, 1, 1, 1, 1, 1, 1] + [0] * 8,
+        v=[2, 2, 3, 3, 1, 1, 1, 1, 1, 1, 1, 1, 4, 4, 0, 0],
+        q=[1, 3, 6, 9, 12, 16],
+    ),
+}
+
+
+@pytest.mark.parametrize("schedule", sorted(SR_SCHEDULES))
+@pytest.mark.parametrize("zero_rows", [False, True])
+def test_sr_matches_reference(qpsk, qam16, schedule, zero_rows):
+    params = SR_SCHEDULES[schedule]
+    rng = np.random.default_rng(41)
+    for cons in (qam16, qpsk):
+        for _ in range(3):
+            h = crandn(rng, 7, 5)
+            q, r = qr_decompose(h)
+            x = cons.points[rng.integers(0, cons.size, (60, 5))]
+            y_tilde = (x @ h.T + 0.6 * crandn(rng, 60, 7)) @ q.conj()
+            if zero_rows:  # y_tilde = 0: exact ties in every selection
+                y_tilde[::5] = 0.0
+            cl = det.sr_kbest_detect(r, y_tilde, params, cons)
+            symbols, metrics = _sr_reference(r, y_tilde, params, cons.points)
+            assert np.array_equal(cl.symbols, symbols)
+            assert np.array_equal(cl.metrics, metrics)
 
 
 # --- batching over received vectors -----------------------------------------------

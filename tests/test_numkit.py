@@ -3,6 +3,7 @@ import pytest
 
 from mudet.errors import NotPositiveDefiniteError, RankDeficientError
 from mudet.numkit import (
+    SORT_TIE_REL,
     cholesky,
     inv_sqrt,
     qr_decompose,
@@ -145,6 +146,52 @@ def test_sorted_qr_r_equals_plain_qr_of_permuted_input():
         sq = sorted_qr(a)
         _, r = qr_decompose(a[:, sq.perm])
         assert np.max(np.abs(sq.r - r)) <= 1e-10
+
+
+def _sorted_qr_loop(a):
+    """Sorted Gram-Schmidt QR written with ``np.linalg.norm`` and a full-width
+    residual matrix, as ``sorted_qr`` was before it called the norm formulas
+    directly and kept only the residuals of the columns not yet picked."""
+    a = np.asarray(a, dtype=complex)
+    n, m = a.shape
+    resid = a.copy()
+    q = np.zeros((n, m), dtype=complex)
+    coef = np.zeros((m, m), dtype=complex)
+    perm = np.empty(m, dtype=int)
+    left = np.arange(m)
+    for k in range(m):
+        norms = np.linalg.norm(resid[:, left], axis=0)
+        j = left[np.argmax(norms <= norms.min() * (1.0 + SORT_TIE_REL))]
+        perm[k] = j
+        left = left[left != j]
+        extra = q[:, :k].conj().T @ resid[:, j]
+        coef[:k, j] += extra
+        col = resid[:, j] - q[:, :k] @ extra
+        rkk = np.linalg.norm(col)
+        coef[k, j] = rkk
+        q[:, k] = col / rkk
+        coef[k, left] = q[:, k].conj() @ resid[:, left]
+        resid[:, left] -= np.outer(q[:, k], coef[k, left])
+    return q, coef[:, perm], perm
+
+
+def test_sorted_qr_bit_identical_to_norm_loop():
+    rng = np.random.default_rng(23)
+    inputs = []
+    for _ in range(60):
+        # the regularized 20 x 4 extended channel of a 16 x 4 scenario
+        h = crandn(rng, 16, 4)
+        inputs.append(np.vstack([h, np.sqrt(rng.uniform(1e-3, 1.0)) * np.eye(4)]))
+        inputs += [crandn(rng, 4, 4), crandn(rng, 8, 3), crandn(rng, 64, 16)]
+    inputs += [_with_condition_number(rng, 20, 4, kappa) for kappa in (1e4, 1e8, 1e10)]
+    inputs += [_with_condition_number(rng, 64, 16, 1e8), np.eye(4), np.eye(6)[:, :3] * 2.0]
+    inputs.append(np.asfortranarray(crandn(rng, 8, 3)))
+    inputs.append(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-9], [0.0, 1e-9]]))  # near-tied norms
+    for a in inputs:
+        sq = sorted_qr(a)
+        q, r, perm = _sorted_qr_loop(a)
+        assert np.array_equal(sq.perm, perm)
+        assert np.array_equal(sq.q, q) and np.array_equal(sq.r, r)
 
 
 # --- cholesky / whitening / solves ------------------------------------------
