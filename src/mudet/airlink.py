@@ -69,7 +69,7 @@ class Constellation:
         """Slice complex values to nearest-point indices (ties: lowest index)."""
         values = np.asarray(values, dtype=complex)
         d = np.abs(values[..., None] - self.points)
-        return np.argmin(d, axis=-1)
+        return d.argmin(axis=-1)
 
 
 def _gray_pam(n_bits: int) -> np.ndarray:

@@ -43,7 +43,8 @@ the first 288 detector LLRs; errors are counted on the 144 message bits.
 
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -193,6 +194,11 @@ class ScenarioConfig:
             raise ConfigValidationError(
                 "detectors", "ml is infeasible at this scale; drop it or shrink n_users"
             )
+
+    @cached_property
+    def channel(self) -> ChannelConfig:
+        """The channel model every trial of this scenario draws from."""
+        return ChannelConfig(**{f.name: getattr(self, f.name) for f in fields(ChannelConfig)})
 
     def max_interferer_power(self) -> float:
         """Largest ``interferer_power_ratio`` this scenario accepts: the one
@@ -380,7 +386,7 @@ def _acquire_knowledge(cfg, cons_pilot, cons_interf, channel, rng) -> _TrialKnow
     else:
         h_hat = _ls_pilot_estimate(cfg, cons_pilot, cons_interf, channel, rng)
         r_uu = _pilot_covariance(cfg, cons_pilot, cons_interf, channel, h_hat, rng)
-    sigma_i2 = max(float(np.real(np.trace(r_uu))) / n_rx - sigma_det, 0.0)
+    sigma_i2 = max(float(r_uu.trace().real) / n_rx - sigma_det, 0.0)
     return _TrialKnowledge(h_hat=h_hat, r_uu=r_uu, sigma_det=sigma_det, sigma_i2=sigma_i2)
 
 
@@ -417,7 +423,8 @@ def _detect_uses(cfg, name: str, cons, know: _TrialKnowledge, y_block, coded: bo
     Returns hard decisions ``(n_uses, n_users)`` when uncoded and LLRs
     ``(n_uses, n_users * bits_per_symbol)`` when coded. Every use shares
     the trial's channel knowledge, so each detector factorizes once and
-    searches all uses together. The robust detector's LLRs come from its
+    searches all uses together. Uncoded, only the best candidate of a list
+    is mapped back to user order. The robust detector's LLRs come from its
     own soft-output list, not from its hard search.
     """
     h_hat, r_uu, sigma_det = know.h_hat, know.r_uu, know.sigma_det
@@ -425,13 +432,12 @@ def _detect_uses(cfg, name: str, cons, know: _TrialKnowledge, y_block, coded: bo
     if name in ("mrc", "mmse-irc"):
         if name == "mrc":
             w = linear_weights(h_hat, h_hat, sigma_det)
-            r_model = sigma_det * np.eye(cfg.n_rx)
         else:
             w = mmse_irc_weights(h_hat, r_uu, sigma_det)
-            r_model = r_uu
         x_eq = y_block @ w.T
         if not coded:
             return cons.nearest(x_eq)
+        r_model = sigma_det * np.eye(cfg.n_rx) if name == "mrc" else r_uu
         gain = w @ h_hat
         bias = np.diag(gain)
         inter = np.sum(np.abs(gain) ** 2, axis=1) - np.abs(bias) ** 2
@@ -448,8 +454,9 @@ def _detect_uses(cfg, name: str, cons, know: _TrialKnowledge, y_block, coded: bo
             cands = kbest_detect(sq.r, y_tilde, cfg.kbest_k, cons, cfg.kbest_expand)
         else:
             cands = sr_kbest_detect(sq.r, y_tilde, cfg.sr_params, cons)
-        cands = cands.permuted(sq.perm)
-        return compute_llrs(cands, cons, cfg.n_users) if coded else cands.symbols[:, 0]
+        if coded:
+            return compute_llrs(cands.permuted(sq.perm), cons, cfg.n_users)
+        return cands.symbols[:, 0, sq.perm.argsort()]
 
     if name == "robust-sr-kbest":
         plan = robust_plan(h_hat, r_uu)
@@ -457,7 +464,7 @@ def _detect_uses(cfg, name: str, cons, know: _TrialKnowledge, y_block, coded: bo
             return robust_soft_llrs(plan, y_block, cons)
         state = robust_apply(plan, y_block)
         cands = sr_kbest_detect(state.r2, state.y3, cfg.sr_params, cons)
-        return cands.permuted(state.perm).symbols[:, 0]
+        return cands.symbols[:, 0, state.perm.argsort()]
 
     if name == "ml":
         out = ml_bruteforce(h_hat, y_block, cons, soft=coded)
@@ -471,14 +478,7 @@ def _run_trial(
 ) -> tuple[int, int]:
     """One independent trial; returns (bits counted, bit errors)."""
     sigma_n2 = 0.0 if cfg.noiseless else snr_to_noise_power(snr_db, cfg.n_users)
-    chan_cfg = ChannelConfig(
-        n_rx=cfg.n_rx,
-        n_users=cfg.n_users,
-        n_interferers=cfg.n_interferers,
-        rx_correlation=cfg.rx_correlation,
-        interferer_power_ratio=cfg.interferer_power_ratio,
-    )
-    channel = generate_channel(chan_cfg, rng, sigma_n2)
+    channel = generate_channel(cfg.channel, rng, sigma_n2)
     know = _acquire_knowledge(cfg, cons_pilot, cons_interf, channel, rng)
 
     bits_per_use = cfg.n_users * cons.bits_per_symbol
@@ -502,7 +502,7 @@ def _run_trial(
 
     if not cfg.coded:
         rx_bits = cons.indices_to_bits(out).reshape(n_uses, bits_per_use)
-        return tx_bits.size, int(np.sum(rx_bits != tx_bits))
+        return tx_bits.size, int(np.count_nonzero(rx_bits != tx_bits))
     llr_stream = np.clip(out.reshape(-1)[: code.n], -cfg.llr_clip, cfg.llr_clip)
     decoded, _, _ = fec.decode_min_sum(code, llr_stream)
     return code.k, int(np.sum(decoded != message))

@@ -50,7 +50,7 @@ All functions are pure: they read their arguments and return fresh
 arrays, so concurrent calls on distinct subcarrier instances are safe.
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -205,7 +205,7 @@ class SrKBestParams:
         direct = [i * max_rank + j for i, p in enumerate(self.p) for j in range(p)]
         ranks = enumerate(zip(self.p, self.v))
         pool = [i * max_rank + p + j for i, (p, v) in ranks for j in range(v)]
-        direct_slots = np.setdiff1d(np.arange(self.k), self.q - 1)
+        direct_slots = np.delete(np.arange(self.k), self.q - 1)  # setdiff1d imports numpy.ma
         return np.array(direct + pool, dtype=np.int64), direct_slots, max_rank
 
     @classmethod
@@ -225,10 +225,20 @@ class RobustPlan:
     h1: np.ndarray
     q1: np.ndarray
     r1: np.ndarray
-    h2: np.ndarray
-    q2: np.ndarray
-    r2: np.ndarray
-    perm: np.ndarray
+
+    @cached_property
+    def h2(self) -> np.ndarray:
+        """Second-stage matrix ``inv(r1') + r1`` of the hard search, built on first use."""
+        return np.linalg.inv(self.r1.conj().T) + self.r1
+
+    @cached_property
+    def hard_qr(self) -> SortedQR:
+        """Sorted QR of ``h2``: ``q2 @ r2 == h2[:, perm]``."""
+        return sorted_qr(self.h2)
+
+    q2 = property(lambda self: self.hard_qr.q)
+    r2 = property(lambda self: self.hard_qr.r)
+    perm = property(lambda self: self.hard_qr.perm)
 
     @cached_property
     def soft_qr(self) -> SortedQR:
@@ -243,25 +253,27 @@ class RobustPlan:
 
 
 @dataclass(frozen=True)
-class RobustState(RobustPlan):
-    """A robust plan applied to received vectors.
+class RobustState:
+    """A robust plan applied to received vectors; every factor of ``plan``
+    reads through, so none is copied or built twice.
 
     ``y2 = q1' y1`` exactly by construction; the final search runs over
     ``(r2, y3)`` and reads results back through ``perm``. ``y1``, ``y2``
     and ``y3`` carry a leading batch axis when the input did.
     """
 
+    plan: RobustPlan
     y1: np.ndarray
     y2: np.ndarray
     y3: np.ndarray
 
+    def __getattr__(self, name):  # vars() keeps an unset plan (as in a copy) from recursing
+        return getattr(vars(self).get("plan"), name)
+
     @cached_property
     def x_mid(self) -> np.ndarray:
-        """MMSE mid-stage estimate ``(I + r1' r1)^-1 r1' y2``.
-
-        Not on the detection path: computed on first read, so only callers
-        that inspect it pay for its Cholesky solve.
-        """
+        """MMSE mid-stage estimate ``(I + r1' r1)^-1 r1' y2``; not on the
+        detection path, so computed only when read."""
         m = self.r1.shape[0]
         gram = np.eye(m) + self.r1.conj().T @ self.r1
         gram = 0.5 * (gram + gram.conj().T)
@@ -318,7 +330,7 @@ def _rows(y, width: int, name: str):
         raise ValueError(f"{name} must be 1-D or 2-D, got ndim={arr.ndim}")
     if arr.shape[-1] != width:
         raise DimensionMismatchError(f"{name} rows must have length {width}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr.reshape(-1, width), arr.ndim == 1
 
@@ -352,8 +364,8 @@ def build_extended(h_hat, y, sigma_n2: float, sigma_i2: float) -> ExtendedModel:
     if total <= 0.0:
         raise ValueError("sigma_n2 + sigma_i2 must be > 0")
     n_users = h_hat.shape[1]
-    h_ext = np.vstack([h_hat, np.sqrt(total) * np.eye(n_users)])
-    y_ext = np.hstack([rows, np.zeros((rows.shape[0], n_users), dtype=complex)])
+    h_ext = np.concatenate([h_hat, np.sqrt(total) * np.eye(n_users)])
+    y_ext = np.concatenate([rows, np.zeros((rows.shape[0], n_users), dtype=complex)], axis=1)
     return ExtendedModel(h_ext=h_ext, y_ext=y_ext[0] if single else y_ext)
 
 
@@ -474,15 +486,16 @@ def _sr_step(r, y_tilde, layer, symbols, metrics, points, params):
     """
     child, direct_slots, max_rank = params.fill_indices
     n_vec = symbols.shape[0]
+    rows = np.arange(n_vec)[:, None]
     inc = _layer_increments(r, y_tilde, layer, symbols, points)
     order = _smallest(inc, max_rank)
-    ranked = (metrics[:, :, None] + np.take_along_axis(inc, order, axis=-1)).reshape(n_vec, -1)
+    parents = np.arange(params.k)[:, None]
+    ranked = (metrics[:, :, None] + inc[rows[..., None], parents, order]).reshape(n_vec, -1)
     src = np.empty((n_vec, params.k), dtype=np.int64)
     src[:, direct_slots] = child[: direct_slots.size]
     if params.s:
         pool = child[direct_slots.size :]
         src[:, params.q - 1] = pool[_smallest(ranked[:, pool], params.s)]
-    rows = np.arange(n_vec)[:, None]
     out_symbols = symbols[rows, src // max_rank]
     out_symbols[:, :, layer] = order.reshape(n_vec, -1)[rows, src]
     return out_symbols, ranked[rows, src]
@@ -503,7 +516,7 @@ def sr_kbest_detect(
     r, y_tilde, single = _triangular_system(r, y_tilde)
     m = r.shape[0]
     points = cons.points
-    if int(np.max(params.p + params.v)) > cons.size:
+    if params.fill_indices[2] > cons.size:
         raise InvalidSearchParamsError("schedule needs more children than the constellation has")
     n_vec = y_tilde.shape[0]
     symbols = np.zeros((n_vec, 1, m), dtype=np.int64)
@@ -536,7 +549,7 @@ def osic_detect(r, y_tilde, cons: Constellation) -> CandidateList:
     for layer in range(m - 1, -1, -1):
         resid = y_tilde[:, layer] - points[hard[:, layer + 1 :]] @ r[layer, layer + 1 :]
         hard[:, layer] = cons.nearest(resid / r[layer, layer])
-    metric = np.sum(np.abs(y_tilde - points[hard] @ r.T) ** 2, axis=-1)
+    metric = (np.abs(y_tilde - points[hard] @ r.T) ** 2).sum(axis=-1)
     return _candidate_list(hard[:, None, :], metric[:, None], single)
 
 
@@ -599,9 +612,9 @@ def ml_bruteforce(h, y, cons: Constellation, soft: bool = True) -> DetectorOutpu
 def robust_plan(h_hat, r_uu) -> RobustPlan:
     """Pre-compute the received-vector-independent part of the robust chain.
 
-    Whitens the channel, factorizes it, builds the second-stage matrix
-    ``h2 = inv(r1') + r1`` and its sorted QR. One plan serves every
-    received vector of a resource block.
+    Whitens the channel and factorizes it; the second-stage matrix ``h2 =
+    inv(r1') + r1`` and its sorted QR follow when the hard search first
+    reads them. One plan serves every received vector of a resource block.
     """
     h_hat = as_complex_matrix(h_hat, "h_hat")
     w = inv_sqrt(r_uu)
@@ -609,11 +622,7 @@ def robust_plan(h_hat, r_uu) -> RobustPlan:
         raise DimensionMismatchError("r_uu dimension must equal n_rx")
     h1 = w @ h_hat
     q1, r1 = qr_decompose(h1)
-    m = r1.shape[0]
-    r1_hinv = np.linalg.solve(r1.conj().T, np.eye(m, dtype=complex))
-    h2 = r1_hinv + r1
-    sq2 = sorted_qr(h2)
-    return RobustPlan(w=w, h1=h1, q1=q1, r1=r1, h2=h2, q2=sq2.q, r2=sq2.r, perm=sq2.perm)
+    return RobustPlan(w=w, h1=h1, q1=q1, r1=r1)
 
 
 def robust_apply(plan: RobustPlan, y) -> RobustState:
@@ -626,8 +635,7 @@ def robust_apply(plan: RobustPlan, y) -> RobustState:
     y3 = y2 @ plan.q2.conj()
     if single:
         y1, y2, y3 = y1[0], y2[0], y3[0]
-    factors = {f.name: getattr(plan, f.name) for f in fields(RobustPlan)}
-    return RobustState(**factors, y1=y1, y2=y2, y3=y3)
+    return RobustState(plan, y1, y2, y3)
 
 
 def robust_soft_llrs(plan: RobustPlan, y_block, cons: Constellation) -> np.ndarray:

@@ -52,7 +52,7 @@ def as_complex_matrix(a, name: str = "a") -> np.ndarray:
         raise ValueError(f"{name} must be 2-D, got ndim={arr.ndim}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ValueError(f"{name} must have at least one row and column")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
 
@@ -62,9 +62,15 @@ def as_complex_vector(v, name: str = "v") -> np.ndarray:
     arr = np.asarray(v, dtype=complex)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be 1-D, got ndim={arr.ndim}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
+
+
+def _frobenius(a) -> float:
+    """``np.linalg.norm(a)`` of a complex array, by the formula it runs."""
+    x = a.ravel(order="K")
+    return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
 
 
 def _tall_input(a):
@@ -73,7 +79,7 @@ def _tall_input(a):
     n, m = a.shape
     if n < m:
         raise ValueError(f"need rows >= cols, got {n} x {m}")
-    return a, RANK_TOL * np.linalg.norm(a)
+    return a, RANK_TOL * _frobenius(a)
 
 
 def _check_pivot(k: int, magnitude: float, threshold: float) -> None:
@@ -102,13 +108,13 @@ def qr_decompose(a) -> tuple[np.ndarray, np.ndarray]:
     """
     a, threshold = _tall_input(a)
     q, r = np.linalg.qr(a)
-    diag = np.abs(np.diagonal(r))
-    for k, magnitude in enumerate(diag):
-        _check_pivot(k, magnitude, threshold)
-    phases = np.diagonal(r) / diag
+    diag = np.abs(r.diagonal())
+    for k in np.flatnonzero(diag <= threshold)[:1]:  # the first pivot too small, if any
+        _check_pivot(k, diag[k], threshold)
+    phases = r.diagonal() / diag
     q = q * phases
     r = r * phases.conj()[:, None]
-    np.fill_diagonal(r, diag)
+    r.flat[:: r.shape[0] + 1] = diag
     return q, r
 
 
@@ -132,11 +138,13 @@ def sorted_qr(a) -> SortedQR:
     perm = np.empty(m, dtype=int)
     left = np.arange(m)
     for k in range(m):
-        block = resid[:, left]
-        # the column norms np.linalg.norm(block, axis=0) computes
-        norms = np.sqrt(np.add.reduce((block.conj() * block).real, axis=0))
-        # left stays ascending, so a tie goes to the lowest original index
-        i = int(np.argmax(norms <= norms.min() * (1.0 + SORT_TIE_REL)))
+        i = 0
+        if k < m - 1:  # the last column is picked and never updated
+            block = resid[:, left]
+            # the column norms np.linalg.norm(block, axis=0) computes
+            norms = np.sqrt(np.add.reduce((block.conj() * block).real, axis=0))
+            # left stays ascending, so a tie goes to the lowest original index
+            i = int((norms <= norms.min() * (1.0 + SORT_TIE_REL)).argmax())
         j = perm[k] = left[i]
         col = resid[:, j]
         if k:
@@ -150,10 +158,11 @@ def sorted_qr(a) -> SortedQR:
         _check_pivot(k, rkk, threshold)
         coef[k, j] = rkk
         q[:, k] = unit = col / rkk
-        keep = np.arange(left.size) != i
-        left, block = left[keep], block[:, keep]
-        coef[k, left] = row = unit.conj() @ block
-        resid[:, left] = block - unit[:, None] * row
+        if k < m - 1:
+            keep = np.arange(left.size) != i
+            left, block = left[keep], block[:, keep]
+            coef[k, left] = row = unit.conj() @ block
+            resid[:, left] = block - unit[:, None] * row
     return SortedQR(q=q, r=coef[:, perm], perm=perm)
 
 
@@ -173,8 +182,7 @@ def cholesky(a) -> np.ndarray:
     n, m = a.shape
     if n != m:
         raise ValueError(f"matrix must be square, got {n} x {m}")
-    scale = np.linalg.norm(a)
-    if np.linalg.norm(a - a.conj().T) > HERMITIAN_TOL * max(scale, 1e-300):
+    if _frobenius(a - a.conj().T) > HERMITIAN_TOL * max(_frobenius(a), 1e-300):
         raise ValueError("matrix is not Hermitian")
     try:
         return np.linalg.cholesky(a)
@@ -188,8 +196,7 @@ def inv_sqrt(r_uu) -> np.ndarray:
     ``w`` is the inverse of the lower Cholesky factor of ``r_uu``; any
     matrix satisfying the identity whitens, and this one is the cheapest.
     """
-    low = cholesky(r_uu)
-    return np.linalg.solve(low, np.eye(low.shape[0], dtype=complex))
+    return np.linalg.inv(cholesky(r_uu))
 
 
 def solve_hermitian(a, b) -> np.ndarray:

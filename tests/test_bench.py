@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 from mudet import bench
+from mudet import detectors as det
 from mudet.cli import main as cli_main
 from mudet.errors import ConfigParseError, ConfigValidationError
+from mudet.numkit import sorted_qr
 
 
 # --- config parsing -------------------------------------------------------------
@@ -321,6 +323,51 @@ master_seed = 7
 def test_golden_records(text, digest):
     records = bench.run_scenario(bench.parse_config(text))
     assert hashlib.sha256(bench.csv_bytes(records)).hexdigest() == digest
+
+
+def test_hard_only_uses_permute_the_best_candidate_like_the_whole_list(qam16):
+    # each tree search's uncoded output is the best candidate of the list in
+    # user order; ties, repeated sorted-QR norms and strided rows included
+    rng = np.random.default_rng(61)
+    cfg = bench.ScenarioConfig(n_rx=8, n_users=4)
+    for trial in range(30):
+        h = (rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))) / np.sqrt(2)
+        if trial % 3 == 0:
+            h = np.kron([[1.0], [1.0]], np.eye(4))  # every column norm tied
+        g = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
+        r_uu = g @ g.conj().T + 0.2 * np.eye(8)
+        know = bench._TrialKnowledge(h_hat=h, r_uu=r_uu, sigma_det=0.2, sigma_i2=0.3)
+        y = qam16.points[rng.integers(0, 16, (7, 4))] @ h.T + 0.3 * (
+            rng.standard_normal((7, 8)) + 1j * rng.standard_normal((7, 8))
+        )
+        y[2] = 0.0
+        y = np.asfortranarray(y) if trial % 2 else y
+        ext = det.build_extended(h, y, know.sigma_det, know.sigma_i2)
+        sq = sorted_qr(ext.h_ext)
+        y_tilde = ext.y_ext @ sq.q.conj()
+        plan = det.robust_plan(h, r_uu)
+        state = det.robust_apply(plan, y)
+        lists = {
+            "osic": (det.osic_detect(sq.r, y_tilde, qam16), sq.perm),
+            "kbest": (det.kbest_detect(sq.r, y_tilde, cfg.kbest_k, qam16), sq.perm),
+            "sr-kbest": (det.sr_kbest_detect(sq.r, y_tilde, cfg.sr_params, qam16), sq.perm),
+            "robust-sr-kbest": (
+                det.sr_kbest_detect(state.r2, state.y3, cfg.sr_params, qam16),
+                state.perm,
+            ),
+        }
+        for name, (cands, perm) in lists.items():
+            hard = bench._detect_uses(cfg, name, qam16, know, y, coded=False)
+            assert np.array_equal(hard, cands.permuted(perm).symbols[:, 0]), name
+
+
+def test_scenario_channel_config_is_built_once():
+    cfg = bench.parse_config("n_rx = 8\nn_users = 3\nn_interferers = 2\nrx_correlation = 0.5\n")
+    chan = cfg.channel
+    assert chan is cfg.channel
+    assert (chan.n_rx, chan.n_users, chan.n_interferers, chan.rx_correlation) == (8, 3, 2, 0.5)
+    assert chan.interferer_power_ratio == cfg.interferer_power_ratio
+    assert cfg == bench.parse_config("n_rx = 8\nn_users = 3\nn_interferers = 2\nrx_correlation = 0.5\n")
 
 
 def test_run_scenario_adds_trial_context_to_errors(monkeypatch):

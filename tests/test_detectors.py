@@ -1,9 +1,13 @@
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mudet import detectors as det
+from mudet.airlink import estimate_covariance
 from mudet.errors import (
     InvalidSearchParamsError,
     SearchSpaceTooLargeError,
@@ -388,6 +392,25 @@ def test_sr_params_invalid(kwargs):
         det.SrKBestParams(**kwargs)
 
 
+def test_sr_params_direct_slots_are_the_slots_outside_q():
+    for params in SR_SCHEDULES.values():
+        _, direct_slots, _ = params.fill_indices
+        assert direct_slots.dtype.kind == "i"
+        assert np.array_equal(direct_slots, np.setdiff1d(np.arange(params.k), params.q - 1))
+
+
+def test_first_sr_search_imports_no_masked_arrays():
+    code = (
+        "import sys\n"
+        "from mudet import airlink, detectors as det\n"
+        "cons = airlink.build_constellation('qam16')\n"
+        "det.sr_kbest_detect(4 * __import__('numpy').eye(4), [1, 2, 3, 4],\n"
+        "                    det.SrKBestParams.default_16_4(), cons)\n"
+        "sys.exit('numpy.ma' in sys.modules)\n"
+    )
+    assert subprocess.run([sys.executable, "-c", code], timeout=60).returncode == 0
+
+
 def test_sr_degenerate_reduces_to_kbest(qam16, qpsk):
     rng = np.random.default_rng(12)
     for cons, k in ((qam16, 16), (qpsk, 4)):
@@ -690,6 +713,77 @@ def test_robust_apply_follows_chain_steps():
     assert np.allclose(st_.h2, np.linalg.inv(st_.r1.conj().T) + st_.r1)
     assert np.allclose(st_.q2 @ st_.r2, st_.h2[:, st_.perm])
     assert np.allclose(st_.y3, st_.q2.conj().T @ st_.y2)
+
+
+def _robust_plan_before(h_hat, r_uu):
+    """The factors of ``robust_plan`` as it built them before its explicit
+    inverses were ``np.linalg.inv`` and its hard-search factors were lazy."""
+    low = np.linalg.cholesky(np.asarray(r_uu, dtype=complex))
+    w = np.linalg.solve(low, np.eye(low.shape[0], dtype=complex))
+    h1 = w @ np.asarray(h_hat, dtype=complex)
+    q1, r1 = qr_decompose(h1)
+    h2 = np.linalg.solve(r1.conj().T, np.eye(r1.shape[0], dtype=complex)) + r1
+    sq2 = sorted_qr(h2)
+    return dict(w=w, h1=h1, q1=q1, r1=r1, h2=h2, q2=sq2.q, r2=sq2.r, perm=sq2.perm)
+
+
+def _covariance_inputs(rng):
+    """(h, r_uu) pairs: C- and Fortran-ordered, ill-conditioned, and sample
+    covariances from fewer samples than antennas at the default loading."""
+    pairs = []
+    for n, m in ((16, 4), (8, 4), (6, 2), (64, 16)):
+        g = crandn(rng, n, 2)
+        pairs.append((crandn(rng, n, m), g @ g.conj().T + 0.3 * np.eye(n)))
+        pairs.append((np.asfortranarray(crandn(rng, n, m)), np.asfortranarray(random_pd(rng, n))))
+        pairs.append((crandn(rng, n, m), 1e-6 * (g @ g.conj().T) + 1e-9 * np.eye(n)))
+        for samples in (1, n // 4, n - 1):
+            res = crandn(rng, samples, n) @ np.diag(np.linspace(1.0, 3.0, n))
+            pairs.append((crandn(rng, n, m), estimate_covariance(res).r_uu))
+    pairs.append((np.eye(4), np.eye(4)))  # h2 = 2 I: tied column norms in its sorted QR
+    pairs.append((np.kron([[1.0], [1.0]], np.eye(4)), 2.0 * np.eye(8)))
+    return pairs
+
+
+def test_robust_plan_factors_bit_identical_to_eager_solves():
+    rng = np.random.default_rng(47)
+    for h, r_uu in _covariance_inputs(rng):
+        plan = det.robust_plan(h, r_uu)
+        ref = _robust_plan_before(h, r_uu)
+        for name, value in ref.items():
+            assert np.array_equal(getattr(plan, name), value), name
+
+
+def test_robust_hard_factors_built_once_and_only_for_the_hard_search(qam16):
+    rng = np.random.default_rng(53)
+    h, r_uu = crandn(rng, 16, 4), random_pd(rng, 16)
+    plan = det.robust_plan(h, r_uu)
+    det.robust_soft_llrs(plan, crandn(rng, 3, 16), qam16)
+    assert "h2" not in vars(plan) and "hard_qr" not in vars(plan)
+    state = det.robust_apply(plan, crandn(rng, 2, 16))
+    assert state.plan is plan and state.r2 is plan.r2 and state.perm is plan.perm
+    assert det.robust_apply(plan, crandn(rng, 16)).q2 is state.q2
+
+
+def test_whitening_few_samples_at_default_loading(qam16):
+    # the paper's regime: a covariance estimated from fewer residual samples
+    # than antennas, made positive definite only by the 1e-6 relative loading
+    rng = np.random.default_rng(59)
+    for n, samples in ((16, 4), (16, 15), (64, 16), (64, 63)):
+        g = crandn(rng, n, 2)
+        res = crandn(rng, samples, 2) @ g.T + 0.1 * crandn(rng, samples, n)
+        r_uu = estimate_covariance(res).r_uu
+        w = inv_sqrt(r_uu)
+        assert np.linalg.norm(w @ r_uu @ w.conj().T - np.eye(n)) <= 1e-6
+        h = crandn(rng, n, 4)
+        plan = det.robust_plan(h, r_uu)
+        assert np.allclose(plan.q1 @ plan.r1, plan.h1, rtol=0, atol=1e-8 * np.linalg.norm(plan.h1))
+        idx = rng.integers(0, 16, (3, 4))
+        state = det.robust_apply(plan, qam16.points[idx] @ h.T)
+        params = det.SrKBestParams.default_16_4()
+        cands = det.sr_kbest_detect(state.r2, state.y3, params, qam16)
+        assert np.all(np.isfinite(cands.metrics))
+        llr = det.robust_soft_llrs(plan, qam16.points[idx] @ h.T, qam16)
+        assert np.all(np.isfinite(llr))
 
 
 def test_robust_whiteness_monte_carlo(qam16):

@@ -3,7 +3,10 @@ import pytest
 
 from mudet.errors import NotPositiveDefiniteError, RankDeficientError
 from mudet.numkit import (
+    HERMITIAN_TOL,
+    RANK_TOL,
     SORT_TIE_REL,
+    _frobenius,
     cholesky,
     inv_sqrt,
     qr_decompose,
@@ -192,6 +195,105 @@ def test_sorted_qr_bit_identical_to_norm_loop():
         q, r, perm = _sorted_qr_loop(a)
         assert np.array_equal(sq.perm, perm)
         assert np.array_equal(sq.q, q) and np.array_equal(sq.r, r)
+
+
+def _bit_inputs(rng):
+    """C-ordered, Fortran-ordered, strided, ill-conditioned and tie-heavy
+    complex inputs with at least as many rows as columns."""
+    inputs = []
+    for _ in range(40):
+        h = crandn(rng, 16, 4)
+        inputs.append(np.vstack([h, np.sqrt(rng.uniform(1e-3, 1.0)) * np.eye(4)]))
+        inputs += [h, crandn(rng, 4, 4), crandn(rng, 8, 3)]
+    inputs += [np.asfortranarray(crandn(rng, 16, 4)), np.asfortranarray(crandn(rng, 4, 4))]
+    inputs += [crandn(rng, 32, 8)[::2, 1::2], crandn(rng, 8, 8).T]
+    inputs += [_with_condition_number(rng, 20, 4, kappa) for kappa in (1e4, 1e8, 1e10)]
+    inputs += [_with_condition_number(rng, 64, 16, 1e8), np.eye(4), np.eye(6)[:, :3] * 2.0]
+    inputs += [np.ones((5, 3)) + np.eye(5, 3), np.kron(np.eye(2), [[1.0, 1.0], [1.0, -1.0], [0.0, 0.0]])]
+    return inputs
+
+
+def _cholesky_before(a):
+    """``cholesky`` as it was before it spelled out the Frobenius norms."""
+    a = np.asarray(a, dtype=complex)
+    scale = np.linalg.norm(a)
+    if np.linalg.norm(a - a.conj().T) > HERMITIAN_TOL * max(scale, 1e-300):
+        raise ValueError("matrix is not Hermitian")
+    return np.linalg.cholesky(a)
+
+
+def _qr_decompose_before(a):
+    """``qr_decompose`` as it was before its pivots were checked in one
+    comparison: ``np.linalg.norm`` threshold, one check per pivot."""
+    a = np.asarray(a, dtype=complex)
+    threshold = RANK_TOL * np.linalg.norm(a)
+    q, r = np.linalg.qr(a)
+    diag = np.abs(np.diagonal(r))
+    for k, magnitude in enumerate(diag):
+        if magnitude <= threshold:
+            raise RankDeficientError(f"pivot {k} has magnitude {magnitude:.3e} <= {threshold:.3e}")
+    phases = np.diagonal(r) / diag
+    q = q * phases
+    r = r * phases.conj()[:, None]
+    np.fill_diagonal(r, diag)
+    return q, r
+
+
+def test_frobenius_is_numpy_norm_bit_for_bit():
+    rng = np.random.default_rng(29)
+    for a in _bit_inputs(rng):
+        assert _frobenius(a) == np.linalg.norm(a)
+        d = a[: a.shape[1]] - a[: a.shape[1]].conj().T
+        assert _frobenius(d) == np.linalg.norm(d)
+
+
+def test_qr_decompose_bit_identical_to_pivot_loop():
+    rng = np.random.default_rng(31)
+    for a in _bit_inputs(rng):
+        q, r = qr_decompose(a)
+        q_ref, r_ref = _qr_decompose_before(a)
+        assert np.array_equal(q, q_ref) and np.array_equal(r, r_ref)
+    # the first pivot at or under the threshold is named, as before
+    for a in (np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([[1.0, 0, 0], [0, 0, 0], [0, 0, 0]])):
+        with pytest.raises(RankDeficientError) as err:
+            qr_decompose(a)
+        with pytest.raises(RankDeficientError) as ref:
+            _qr_decompose_before(a)
+        assert str(err.value) == str(ref.value)
+
+
+def test_inv_sqrt_and_solves_bit_identical_to_eye_solves():
+    rng = np.random.default_rng(37)
+    mats = [random_pd(rng, n) for n in (1, 2, 4, 16, 16, 64)]
+    mats.append(np.asfortranarray(random_pd(rng, 16)))
+    # fewer samples than antennas, loaded by 1e-6 of the mean power
+    res = crandn(rng, 6, 16)
+    cov = res.T @ res.conj() / 6
+    cov = 0.5 * (cov + cov.conj().T)
+    mats.append(cov + 1e-6 * np.trace(cov).real / 16 * np.eye(16))
+    for a in mats:
+        n = a.shape[0]
+        low = _cholesky_before(a)
+        assert np.array_equal(cholesky(a), low)
+        assert np.array_equal(inv_sqrt(a), np.linalg.solve(low, np.eye(n, dtype=complex)))
+        for b in (crandn(rng, n), crandn(rng, n, 4), np.asfortranarray(crandn(rng, n, 3))):
+            ref = np.linalg.solve(low.conj().T, np.linalg.solve(low, b))
+            assert np.array_equal(solve_hermitian(a, b), ref)
+        # the inverse of an upper-triangular factor, as the robust plan takes it
+        _, r = np.linalg.qr(crandn(rng, n + 2, n))
+        rh = r.conj().T
+        assert np.array_equal(np.linalg.inv(rh), np.linalg.solve(rh, np.eye(n, dtype=complex)))
+
+
+def test_cholesky_hermitian_check_keeps_its_tolerance():
+    a = np.eye(3, dtype=complex)
+    a[0, 1] = 0.9e-10 * np.sqrt(1.5)  # ||a - a'|| just under 1e-10 ||a||
+    _cholesky_before(a)
+    cholesky(a)
+    a[0, 1] = 1.1e-10 * np.sqrt(1.5)
+    for chol in (cholesky, _cholesky_before):
+        with pytest.raises(ValueError, match="matrix is not Hermitian"):
+            chol(a)
 
 
 # --- cholesky / whitening / solves ------------------------------------------
