@@ -462,9 +462,10 @@ def _detect_uses(cfg, name: str, cons, know: _TrialKnowledge, y_block, coded: bo
         plan = robust_plan(h_hat, r_uu)
         if coded:
             return robust_soft_llrs(plan, y_block, cons)
-        state = robust_apply(plan, y_block)
-        cands = sr_kbest_detect(state.r2, state.y3, cfg.sr_params, cons)
-        return cands.symbols[:, 0, state.perm.argsort()]
+        # robust_apply first: it builds the sorted QR of h2 that plan.r2 reads
+        y3 = robust_apply(plan, y_block)
+        cands = sr_kbest_detect(plan.r2, y3, cfg.sr_params, cons)
+        return cands.symbols[:, 0, plan.perm.argsort()]
 
     if name == "ml":
         out = ml_bruteforce(h_hat, y_block, cons, soft=coded)

@@ -25,12 +25,13 @@ LLR convention: positive favours bit 0. Magnitudes are clamped to
 ``LLR_MAX`` so a missing bit hypothesis in a candidate list stays finite
 for the decoder.
 
-Batching: the tree searches (:func:`osic_detect`, :func:`kbest_detect`,
-:func:`sr_kbest_detect`), :func:`ml_bruteforce`, :func:`robust_apply`,
-:func:`robust_soft_llrs`, :func:`compute_llrs` and :func:`equalizer_llrs`
-take either one received vector or a ``(B, ...)`` stack of vectors that
-share one channel factorization; a 1-D input is a batch of one and returns
-unbatched output. Given its rotated input ``y_tilde``, every row is
+Batching: :func:`build_extended`, the tree searches (:func:`osic_detect`,
+:func:`kbest_detect`, :func:`sr_kbest_detect`), :func:`ml_bruteforce`,
+:func:`robust_apply`, :meth:`RobustPlan.x_mid`, :func:`robust_soft_llrs`
+and :func:`equalizer_llrs` take a ``(B, ...)`` block of received vectors
+that share one channel factorization, and nothing else: a 1-D input raises
+``ValueError`` (one vector is the block ``y[None]``). Every output carries
+the leading ``B`` axis. Given its rotated input ``y_tilde``, every row is
 searched exactly as it would be alone: each selection along the last axis
 returns what a stable sort of that row would, so ties resolve the same way
 at any batch size. Every selection of a search (the per-parent ranking of
@@ -90,22 +91,21 @@ _ML_CHUNK = 1 << 15
 
 @dataclass(frozen=True)
 class DetectorOutput:
-    """Output of :func:`ml_bruteforce`: hard decisions (constellation indices
-    per user), per-bit LLRs (None from a hard-only call), best metric; each
-    with a leading batch axis when the input had one."""
+    """Output of :func:`ml_bruteforce`, one row per received vector: hard
+    decisions (constellation indices per user), per-bit LLRs (None from a
+    hard-only call) and best metrics."""
 
     hard: np.ndarray
     llr: np.ndarray | None
-    metric: float | np.ndarray
+    metric: np.ndarray
 
 
 @dataclass(frozen=True)
 class CandidateList:
     """Survivors of a tree search, ascending by accumulated squared distance.
 
-    ``symbols[..., c, m]`` is the constellation index of candidate ``c``
-    for the symbol solved at triangular row ``m``; a batched search puts
-    one list per received vector along the leading axis.
+    ``symbols[b, c, m]`` is the constellation index of candidate ``c`` of
+    received vector ``b`` for the symbol solved at triangular row ``m``.
     """
 
     symbols: np.ndarray
@@ -251,33 +251,14 @@ class RobustPlan:
         """
         return sorted_qr(self.r1)
 
-
-@dataclass(frozen=True)
-class RobustState:
-    """A robust plan applied to received vectors; every factor of ``plan``
-    reads through, so none is copied or built twice.
-
-    ``y2 = q1' y1`` exactly by construction; the final search runs over
-    ``(r2, y3)`` and reads results back through ``perm``. ``y1``, ``y2``
-    and ``y3`` carry a leading batch axis when the input did.
-    """
-
-    plan: RobustPlan
-    y1: np.ndarray
-    y2: np.ndarray
-    y3: np.ndarray
-
-    def __getattr__(self, name):  # vars() keeps an unset plan (as in a copy) from recursing
-        return getattr(vars(self).get("plan"), name)
-
-    @cached_property
-    def x_mid(self) -> np.ndarray:
-        """MMSE mid-stage estimate ``(I + r1' r1)^-1 r1' y2``; not on the
-        detection path, so computed only when read."""
+    def x_mid(self, y) -> np.ndarray:
+        """MMSE mid-stage estimates ``(I + r1' r1)^-1 r1' y2`` of received
+        rows ``y (B, n_rx)``, with ``y2 = q1' w y``; not on the detection path."""
+        y2 = (_rows(y, self.w.shape[0], "y") @ self.w.T) @ self.q1.conj()
         m = self.r1.shape[0]
         gram = np.eye(m) + self.r1.conj().T @ self.r1
         gram = 0.5 * (gram + gram.conj().T)
-        return solve_hermitian(gram, (self.y2 @ self.r1.conj()).T).T
+        return solve_hermitian(gram, (y2 @ self.r1.conj()).T).T
 
 
 # ---------------------------------------------------------------------------
@@ -320,53 +301,43 @@ def mmse_irc_weights(h_hat, r_uu, sigma_n2: float) -> np.ndarray:
 # tree-search detectors
 
 
-def _rows(y, width: int, name: str):
-    """``y`` as ``(B, width)`` complex rows, and whether it was one vector.
-
-    A 1-D ``y`` is a batch of one; callers return its result unbatched.
-    """
+def _rows(y, width: int, name: str) -> np.ndarray:
+    """``y`` as a validated ``(B, width)`` complex block; one vector is ``y[None]``."""
     arr = np.asarray(y, dtype=complex)
-    if arr.ndim not in (1, 2):
-        raise ValueError(f"{name} must be 1-D or 2-D, got ndim={arr.ndim}")
-    if arr.shape[-1] != width:
+    if arr.ndim != 2:
+        raise ValueError(f"{name} must be a (B, {width}) block, got ndim={arr.ndim}")
+    if arr.shape[1] != width:
         raise DimensionMismatchError(f"{name} rows must have length {width}")
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
-    return arr.reshape(-1, width), arr.ndim == 1
+    return arr
 
 
 def _triangular_system(r, y_tilde):
-    """Validated ``(r, y_tilde rows, single)`` of an upper-triangular search."""
+    """Validated ``(r, y_tilde rows)`` of an upper-triangular search."""
     r = as_complex_matrix(r, "r")
     m = r.shape[0]
     if r.shape[1] != m:
         raise DimensionMismatchError("r must be m x m and y_tilde length m")
-    y_tilde, single = _rows(y_tilde, m, "y_tilde")
-    return r, y_tilde, single
-
-
-def _candidate_list(symbols, metrics, single: bool) -> CandidateList:
-    if single:
-        return CandidateList(symbols=symbols[0], metrics=metrics[0])
-    return CandidateList(symbols=symbols, metrics=metrics)
+    return r, _rows(y_tilde, m, "y_tilde")
 
 
 def build_extended(h_hat, y, sigma_n2: float, sigma_i2: float) -> ExtendedModel:
     """Stack ``sqrt(sigma_n2 + sigma_i2) * I`` under the channel.
 
     QR-based detection on the extended model implicitly applies MMSE-style
-    regularization without explicit matrix inversion. ``y`` is one received
-    vector or a ``(B, n_rx)`` batch; ``y_ext`` has the same leading shape.
+    regularization without explicit matrix inversion. ``y`` is a ``(B,
+    n_rx)`` block; ``y_ext`` is ``(B, n_rx + n_users)``.
     """
     h_hat = as_complex_matrix(h_hat, "h_hat")
-    rows, single = _rows(y, h_hat.shape[0], "y")
+    rows = _rows(y, h_hat.shape[0], "y")
     total = sigma_n2 + sigma_i2
     if total <= 0.0:
         raise ValueError("sigma_n2 + sigma_i2 must be > 0")
     n_users = h_hat.shape[1]
     h_ext = np.concatenate([h_hat, np.sqrt(total) * np.eye(n_users)])
     y_ext = np.concatenate([rows, np.zeros((rows.shape[0], n_users), dtype=complex)], axis=1)
-    return ExtendedModel(h_ext=h_ext, y_ext=y_ext[0] if single else y_ext)
+    return ExtendedModel(h_ext=h_ext, y_ext=y_ext)
 
 
 def _layer_increments(r, y_tilde, layer, symbols, points):
@@ -403,14 +374,14 @@ def _smallest(values, count):
     """
     n = values.shape[-1]
     if values.size < _KEY_SORT_MIN:
-        return np.argsort(values, axis=-1, kind="stable")[..., :count]
+        return values.argsort(axis=-1, kind="stable")[..., :count]
     low = np.uint64((1 << (n - 1).bit_length()) - 1)
     keys = values.view(np.uint64) & (_MAGNITUDE & ~low)
     keys |= np.arange(n, dtype=np.uint64)
     keys.sort(axis=-1)
     head = keys[..., : count + 1]
     if np.any((head[..., 1:] ^ head[..., :-1]) <= low):
-        return np.argsort(values, axis=-1, kind="stable")[..., :count]
+        return values.argsort(axis=-1, kind="stable")[..., :count]
     return (head[..., :count] & low).view(np.int64)
 
 
@@ -452,10 +423,10 @@ def kbest_detect(
     rank; with full expansion no child is ranked before the cut, so two
     children of one survivor whose accumulated metrics round to the same
     value go to the lower constellation index even when their per-layer
-    distances differ. ``y_tilde`` of shape ``(B, m)`` searches each row
-    against the shared ``r`` and returns lists with a leading batch axis.
+    distances differ. Each row of ``y_tilde (B, m)`` is searched against
+    the shared ``r``; the lists come back with the leading ``B`` axis.
     """
-    r, y_tilde, single = _triangular_system(r, y_tilde)
+    r, y_tilde = _triangular_system(r, y_tilde)
     m = r.shape[0]
     points = cons.points
     if expand is None:
@@ -472,7 +443,7 @@ def kbest_detect(
         symbols, metrics = _kbest_step(
             r, y_tilde, layer, symbols, metrics, points, eff, k
         )
-    return _candidate_list(symbols, metrics, single)
+    return CandidateList(symbols=symbols, metrics=metrics)
 
 
 def _sr_step(r, y_tilde, layer, symbols, metrics, points, params):
@@ -510,10 +481,10 @@ def sr_kbest_detect(
     ``params.k`` candidates exist the search warms up by keeping every
     child (sorted); once the survivor list is full each layer applies the
     ``(p, v, q)`` schedule, whose positional placement replaces the full
-    per-layer sort. The output is sorted ascending by metric. Batches over
-    the rows of a ``(B, m)`` ``y_tilde`` as :func:`kbest_detect` does.
+    per-layer sort. The output is sorted ascending by metric. Searches the
+    rows of ``y_tilde (B, m)`` as :func:`kbest_detect` does.
     """
-    r, y_tilde, single = _triangular_system(r, y_tilde)
+    r, y_tilde = _triangular_system(r, y_tilde)
     m = r.shape[0]
     points = cons.points
     if params.fill_indices[2] > cons.size:
@@ -530,7 +501,7 @@ def sr_kbest_detect(
             )
     final = _smallest(metrics, params.k)
     rows = np.arange(n_vec)[:, None]
-    return _candidate_list(symbols[rows, final], metrics[rows, final], single)
+    return CandidateList(symbols=symbols[rows, final], metrics=metrics[rows, final])
 
 
 def osic_detect(r, y_tilde, cons: Constellation) -> CandidateList:
@@ -539,10 +510,10 @@ def osic_detect(r, y_tilde, cons: Constellation) -> CandidateList:
     Starts at the last (strongest) layer of the sorted triangular system,
     slices each residual to the nearest constellation point and cancels
     it: the list of :func:`kbest_detect` with ``k = 1`` and ``expand = 1``,
-    one candidate in layer order with its squared distance. Batches over
-    the rows of a ``(B, m)`` ``y_tilde`` as :func:`kbest_detect` does.
+    one candidate in layer order with its squared distance. Searches the
+    rows of ``y_tilde (B, m)`` as :func:`kbest_detect` does.
     """
-    r, y_tilde, single = _triangular_system(r, y_tilde)
+    r, y_tilde = _triangular_system(r, y_tilde)
     m = r.shape[0]
     hard = np.empty((y_tilde.shape[0], m), dtype=np.int64)
     points = cons.points
@@ -550,14 +521,13 @@ def osic_detect(r, y_tilde, cons: Constellation) -> CandidateList:
         resid = y_tilde[:, layer] - points[hard[:, layer + 1 :]] @ r[layer, layer + 1 :]
         hard[:, layer] = cons.nearest(resid / r[layer, layer])
     metric = (np.abs(y_tilde - points[hard] @ r.T) ** 2).sum(axis=-1)
-    return _candidate_list(hard[:, None, :], metric[:, None], single)
+    return CandidateList(symbols=hard[:, None, :], metrics=metric[:, None])
 
 
 def ml_bruteforce(h, y, cons: Constellation, soft: bool = True) -> DetectorOutput:
     """Exhaustive minimum-distance search over every symbol vector.
 
-    Guarded to one million candidates. ``y`` is one received vector or a
-    ``(B, n)`` batch; each chunk of ``_ML_CHUNK`` candidate images is
+    Guarded to one million candidates. ``y`` is a ``(B, n)`` block; each chunk of ``_ML_CHUNK`` candidate images is
     computed once for the whole batch and scored in steps of at most
     ``max(_ML_CHUNK, B)`` (candidate, vector) pairs, so memory stays
     bounded. LLRs are exact max-log values over the full search space;
@@ -566,7 +536,7 @@ def ml_bruteforce(h, y, cons: Constellation, soft: bool = True) -> DetectorOutpu
     """
     h = as_complex_matrix(h, "h")
     n, m = h.shape
-    y, single = _rows(y, n, "y")
+    y = _rows(y, n, "y")
     size = cons.size
     total = size**m
     if total > ML_GUARD:
@@ -599,9 +569,6 @@ def ml_bruteforce(h, y, cons: Constellation, soft: bool = True) -> DetectorOutpu
                     np.minimum(min_by_bit[hyp], masked.min(axis=1), out=min_by_bit[hyp])
     hard = (best_idx[:, None] // weights) % size
     llr = np.clip(min_by_bit[1] - min_by_bit[0], -LLR_MAX, LLR_MAX) if soft else None
-    if single:
-        llr = None if llr is None else llr[0]
-        return DetectorOutput(hard=hard[0], llr=llr, metric=float(best_metric[0]))
     return DetectorOutput(hard=hard, llr=llr, metric=best_metric)
 
 
@@ -625,24 +592,18 @@ def robust_plan(h_hat, r_uu) -> RobustPlan:
     return RobustPlan(w=w, h1=h1, q1=q1, r1=r1)
 
 
-def robust_apply(plan: RobustPlan, y) -> RobustState:
-    """Run received vectors, ``(n_rx,)`` or ``(B, n_rx)``, through a
-    pre-computed robust plan: ``y1 = w y``, ``y2 = q1' y1``, ``y3 = q2' y2``.
-    The hard search runs over ``(r2, y3)`` and reads back through ``perm``."""
-    y, single = _rows(y, plan.w.shape[0], "y")
-    y1 = y @ plan.w.T
-    y2 = y1 @ plan.q1.conj()
-    y3 = y2 @ plan.q2.conj()
-    if single:
-        y1, y2, y3 = y1[0], y2[0], y3[0]
-    return RobustState(plan, y1, y2, y3)
+def robust_apply(plan: RobustPlan, y) -> np.ndarray:
+    """Rotate received rows ``y (B, n_rx)`` onto the hard-search model:
+    ``y3 = q2' q1' w y``, one row per vector. The hard search runs over
+    ``(plan.r2, y3)`` and reads back through ``plan.perm``."""
+    y = _rows(y, plan.w.shape[0], "y")
+    return ((y @ plan.w.T) @ plan.q1.conj()) @ plan.q2.conj()
 
 
 def robust_soft_llrs(plan: RobustPlan, y_block, cons: Constellation) -> np.ndarray:
     """Exact log-MAP LLRs of the whitened model, one row per received vector.
 
-    ``y_block`` is ``(n_vectors, n_rx)``, or one ``(n_rx,)`` vector whose
-    LLRs come back unbatched. Each vector is whitened and rotated onto
+    ``y_block`` is ``(n_vectors, n_rx)``. Each vector is whitened and rotated onto
     ``plan.soft_qr``; :func:`kbest_detect` of width ``SOFT_LIST_WIDTH``
     with full expansion then lists candidates whose accumulated metric is
     ``||y2 - r1 x||^2``, ties going to the lower survivor index, then the
@@ -650,12 +611,11 @@ def robust_soft_llrs(plan: RobustPlan, y_block, cons: Constellation) -> np.ndarr
     into LLRs at unit noise variance. Returns
     ``(n_vectors, n_users * bits_per_symbol)``, user-major.
     """
-    y_block, single = _rows(y_block, plan.w.shape[0], "y_block")
+    y_block = _rows(y_block, plan.w.shape[0], "y_block")
     sq = plan.soft_qr
     rotate = sq.q.conj().T @ plan.q1.conj().T @ plan.w
     cands = kbest_detect(sq.r, y_block @ rotate.T, SOFT_LIST_WIDTH, cons).permuted(sq.perm)
-    llr = logmap_llrs(cands.symbols, cands.metrics, cons)
-    return llr[0] if single else llr
+    return logmap_llrs(cands.symbols, cands.metrics, cons)
 
 
 # ---------------------------------------------------------------------------
@@ -716,11 +676,11 @@ def equalizer_llrs(x_eq, bias, noise_var, cons: Constellation) -> np.ndarray:
     ``x_eq[m]`` is modelled as ``bias[m] * x[m]`` plus residual noise of
     power ``noise_var[m]``; the per-symbol distances are scaled by the
     residual power so the LLRs are decoder-calibrated. Same sign
-    convention and clamp as :func:`compute_llrs`. ``x_eq`` of shape
-    ``(B, n_users)`` gives one row of LLRs per equalized vector.
+    convention and clamp as :func:`compute_llrs`. ``x_eq (B, n_users)``
+    gives one row of LLRs per equalized vector.
     """
     bias = np.asarray(bias, dtype=complex)
-    x_eq, single = _rows(x_eq, bias.size, "x_eq")
+    x_eq = _rows(x_eq, bias.size, "x_eq")
     noise_var = np.maximum(np.asarray(noise_var, dtype=float), 1e-30)
     d = np.abs(x_eq[:, :, None] - bias[:, None] * cons.points) ** 2
     d = d / noise_var[:, None]
@@ -728,5 +688,4 @@ def equalizer_llrs(x_eq, bias, noise_var, cons: Constellation) -> np.ndarray:
     for b in range(cons.bits_per_symbol):
         mask1 = cons.bit_patterns[:, b] == 1
         llr[..., b] = d[..., mask1].min(axis=-1) - d[..., ~mask1].min(axis=-1)
-    llr = np.clip(llr.reshape(x_eq.shape[0], -1), -LLR_MAX, LLR_MAX)
-    return llr[0] if single else llr
+    return np.clip(llr.reshape(x_eq.shape[0], -1), -LLR_MAX, LLR_MAX)

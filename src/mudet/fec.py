@@ -90,9 +90,13 @@ def _sample_regular_parity(rng: np.random.Generator) -> np.ndarray | None:
     return h
 
 
-def _gf2_pivot_columns(h: np.ndarray) -> np.ndarray | None:
-    """Find 144 independent columns, preferring the tail so the code is
-    systematic without reordering; returns them or None if rank deficient."""
+def _gf2_pivot_columns(h: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """Find 144 independent columns by Gauss-Jordan elimination over GF(2),
+    preferring the tail so the code is systematic without reordering.
+
+    Returns ``(pivots, reduced)``, or None if rank deficient: row ``i`` of
+    the reduced matrix has its only pivot-column one at ``pivots[i]``.
+    """
     m, n = h.shape
     work = h.copy()
     priority = np.arange(n - 1, -1, -1)
@@ -114,24 +118,7 @@ def _gf2_pivot_columns(h: np.ndarray) -> np.ndarray | None:
         row += 1
     if row < m:
         return None
-    return np.array(sorted(pivots))
-
-
-def _gf2_inverse(a: np.ndarray) -> np.ndarray:
-    """Invert a square GF(2) matrix by Gauss-Jordan elimination."""
-    m = a.shape[0]
-    work = np.hstack([a.copy(), np.eye(m, dtype=np.uint8)])
-    for col in range(m):
-        hot = np.flatnonzero(work[col:, col])
-        if hot.size == 0:
-            raise CodeConstructionError("parity block not invertible")
-        pr = col + hot[0]
-        if pr != col:
-            work[[col, pr]] = work[[pr, col]]
-        others = np.flatnonzero(work[:, col])
-        others = others[others != col]
-        work[others] ^= work[col]
-    return work[:, m:]
+    return np.array(pivots), work
 
 
 def build_code(seed: int = 0) -> LdpcCode:
@@ -146,23 +133,24 @@ def build_code(seed: int = 0) -> LdpcCode:
         h = _sample_regular_parity(rng)
         if h is None:
             continue
-        pivots = _gf2_pivot_columns(h)
-        if pivots is None:
+        found = _gf2_pivot_columns(h)
+        if found is None:
             continue
+        pivots, reduced = found
+        # the reduced matrix is E h with E invertible and E h[:, pivots] = I,
+        # so its rows in ascending pivot order give parity = solver @ message
+        by_column = np.argsort(pivots)
         message_cols = np.setdiff1d(np.arange(N_BITS), pivots)
-        column_order = np.concatenate([message_cols, pivots])
+        column_order = np.concatenate([message_cols, pivots[by_column]])
         parity = h[:, column_order]
-        a_block = parity[:, :K_BITS]
-        b_block = parity[:, K_BITS:]
-        b_inv = _gf2_inverse(b_block)
-        parity_solver = (b_inv @ a_block) % 2
+        parity_solver = reduced[np.ix_(by_column, message_cols)]
         # np.nonzero walks check by check, variables ascending within each
         edge_check, edge_var = np.nonzero(parity)
         slot_major = (np.arange(edge_var.size) % ROW_WEIGHT) * K_BITS + edge_check
         by_var = np.argsort(edge_var, kind="stable")
         return LdpcCode(
             parity=parity,
-            parity_solver=parity_solver.astype(np.uint8),
+            parity_solver=parity_solver,
             column_order=column_order,
             check_vars=edge_var.reshape(K_BITS, ROW_WEIGHT).T.copy(),
             var_edges=slot_major[by_var].reshape(N_BITS, COL_WEIGHT).T.copy(),

@@ -126,9 +126,9 @@ def test_c01_kbest_matches_ml_exactly():
         h = complex_randn(rng, 8, 2)
         y = h @ QAM16.points[rng.integers(0, 16, 2)] + 0.35 * complex_randn(rng, 8)
         q, r = qr_decompose(h)
-        cl = det.kbest_detect(r, q.conj().T @ y, 256, QAM16, expand=16)
-        mlo = det.ml_bruteforce(h, y, QAM16)
-        if not np.array_equal(cl.symbols[0], mlo.hard):
+        cl = det.kbest_detect(r, (q.conj().T @ y)[None], 256, QAM16, expand=16)
+        mlo = det.ml_bruteforce(h, y[None], QAM16)
+        if not np.array_equal(cl.symbols[0, 0], mlo.hard[0]):
             mismatches += 1
     elapsed = time.perf_counter() - start
     _report(
@@ -180,13 +180,14 @@ def test_c03_whitening_identity_and_whiteness():
 def test_c04_robust_pipeline_hand_check():
     rng = np.random.default_rng(404)
     y = complex_randn(rng, 4)
-    state = det.robust_apply(det.robust_plan(np.eye(4), np.eye(4)), y)
+    plan = det.robust_plan(np.eye(4), np.eye(4))
+    y3 = det.robust_apply(plan, y[None])[0]
     checks = [
-        np.allclose(state.r1, np.eye(4), atol=1e-12),
-        np.allclose(state.x_mid, y / 2, atol=1e-12),
-        np.allclose(state.h2, 2 * np.eye(4), atol=1e-12),
-        np.allclose(state.r2, 2 * np.eye(4), atol=1e-12),
-        np.allclose(state.y3, y, atol=1e-12),
+        np.allclose(plan.r1, np.eye(4), atol=1e-12),
+        np.allclose(plan.x_mid(y[None])[0], y / 2, atol=1e-12),
+        np.allclose(plan.h2, 2 * np.eye(4), atol=1e-12),
+        np.allclose(plan.r2, 2 * np.eye(4), atol=1e-12),
+        np.allclose(y3, y, atol=1e-12),
     ]
     _report("C4 robust hand-check", all(checks), "r1=I, x=y/2, h2=r2=2I, y3=y at 1e-12")
 
@@ -257,9 +258,9 @@ def test_c07_osic_equals_kbest_k1():
     for _ in range(1000):
         h = complex_randn(rng, 8, 4)
         y = h @ QAM16.points[rng.integers(0, 16, 4)] + 0.3 * complex_randn(rng, 8)
-        ext = det.build_extended(h, y, 0.09, 0.0)
+        ext = det.build_extended(h, y[None], 0.09, 0.0)
         sq = sorted_qr(ext.h_ext)
-        y_tilde = sq.q.conj().T @ ext.y_ext
+        y_tilde = ext.y_ext @ sq.q.conj()
         osic = det.osic_detect(sq.r, y_tilde, QAM16)
         kb = det.kbest_detect(sq.r, y_tilde, 1, QAM16, expand=1)
         if not np.array_equal(osic.symbols, kb.symbols):

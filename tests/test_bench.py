@@ -346,14 +346,14 @@ def test_hard_only_uses_permute_the_best_candidate_like_the_whole_list(qam16):
         sq = sorted_qr(ext.h_ext)
         y_tilde = ext.y_ext @ sq.q.conj()
         plan = det.robust_plan(h, r_uu)
-        state = det.robust_apply(plan, y)
+        y3 = det.robust_apply(plan, y)
         lists = {
             "osic": (det.osic_detect(sq.r, y_tilde, qam16), sq.perm),
             "kbest": (det.kbest_detect(sq.r, y_tilde, cfg.kbest_k, qam16), sq.perm),
             "sr-kbest": (det.sr_kbest_detect(sq.r, y_tilde, cfg.sr_params, qam16), sq.perm),
             "robust-sr-kbest": (
-                det.sr_kbest_detect(state.r2, state.y3, cfg.sr_params, qam16),
-                state.perm,
+                det.sr_kbest_detect(plan.r2, y3, cfg.sr_params, qam16),
+                plan.perm,
             ),
         }
         for name, (cands, perm) in lists.items():

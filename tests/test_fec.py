@@ -110,6 +110,14 @@ def test_generator_matrix(code):
     assert np.array_equal(((m @ g) % 2).astype(np.uint8), fec.encode(code, m))
 
 
+@pytest.mark.parametrize("seed", sorted(CODE_DIGESTS))
+def test_every_generator_row_is_a_codeword(seed):
+    # G H^T = 0 over the whole generator, so every message encodes to a codeword
+    c = fec.build_code(seed=seed)
+    syndromes = (c.parity.astype(np.int64) @ c.generator.T.astype(np.int64)) % 2
+    assert syndromes.shape == (144, 144) and not syndromes.any()
+
+
 def test_encode_length_mismatch(code):
     with pytest.raises(ValueError):
         fec.encode(code, np.zeros(100, dtype=int))
