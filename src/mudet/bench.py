@@ -423,8 +423,9 @@ def _detect_uses(cfg, name: str, cons, know: _TrialKnowledge, y_block, coded: bo
     Returns hard decisions ``(n_uses, n_users)`` when uncoded and LLRs
     ``(n_uses, n_users * bits_per_symbol)`` when coded. Every use shares
     the trial's channel knowledge, so each detector factorizes once and
-    searches all uses together. Uncoded, only the best candidate of a list
-    is mapped back to user order. The robust detector's LLRs come from its
+    searches all uses together. Uncoded, the K-best and sorting-reduced
+    searches return only their best candidate (``best_only``), which is
+    mapped back to user order. The robust detector's LLRs come from its
     own soft-output list, not from its hard search.
     """
     h_hat, r_uu, sigma_det = know.h_hat, know.r_uu, know.sigma_det
@@ -451,9 +452,11 @@ def _detect_uses(cfg, name: str, cons, know: _TrialKnowledge, y_block, coded: bo
         if name == "osic":
             cands = osic_detect(sq.r, y_tilde, cons)
         elif name == "kbest":
-            cands = kbest_detect(sq.r, y_tilde, cfg.kbest_k, cons, cfg.kbest_expand)
+            cands = kbest_detect(
+                sq.r, y_tilde, cfg.kbest_k, cons, cfg.kbest_expand, best_only=not coded
+            )
         else:
-            cands = sr_kbest_detect(sq.r, y_tilde, cfg.sr_params, cons)
+            cands = sr_kbest_detect(sq.r, y_tilde, cfg.sr_params, cons, best_only=not coded)
         if coded:
             return compute_llrs(cands.permuted(sq.perm), cons, cfg.n_users)
         return cands.symbols[:, 0, sq.perm.argsort()]
@@ -464,7 +467,7 @@ def _detect_uses(cfg, name: str, cons, know: _TrialKnowledge, y_block, coded: bo
             return robust_soft_llrs(plan, y_block, cons)
         # robust_apply first: it builds the sorted QR of h2 that plan.r2 reads
         y3 = robust_apply(plan, y_block)
-        cands = sr_kbest_detect(plan.r2, y3, cfg.sr_params, cons)
+        cands = sr_kbest_detect(plan.r2, y3, cfg.sr_params, cons, best_only=True)
         return cands.symbols[:, 0, plan.perm.argsort()]
 
     if name == "ml":

@@ -40,7 +40,13 @@ the final order) goes through :func:`_smallest`: a large input is ranked
 by one value sort of packed (metric, index) keys, and the stable argsort
 decides when two of the kept metrics lie within a few ulps of each other.
 A full-expansion K-best layer cuts its unsorted children, so its ties go
-to the lower survivor index, then to the lower constellation index. The
+to the lower survivor index, then to the lower constellation index. A
+scheduled sorting-reduced layer gathers only the children its schedule
+reads. With ``best_only=True`` the K-best and sorting-reduced searches
+return ``full[:, :1]`` of their list, bit for bit, without building the
+last layer's list: one ``argmin`` over the children that can reach it
+finds the best leaf, and a tied minimum sends the block through the full
+last layer. The uncoded path reads nothing else. The
 rotations in front of a search (``y @ plan.w.T``, ``y_ext @ q.conj()``)
 are matrix products and round a row differently alone than inside a
 block, so a row's ``y_tilde``, and the LLRs computed from it, match its
@@ -207,6 +213,13 @@ class SrKBestParams:
         pool = [i * max_rank + p + j for i, (p, v) in ranks for j in range(v)]
         direct_slots = np.delete(np.arange(self.k), self.q - 1)  # setdiff1d imports numpy.ma
         return np.array(direct + pool, dtype=np.int64), direct_slots, max_rank
+
+    @cached_property
+    def leaf_parents(self) -> np.ndarray:
+        """Parents whose children can reach the search's final list: those
+        with a direct child (``p[i] >= 1``) and, when the pool is cut
+        (``s >= 1``), those with a pool member (``v[i] >= 1``)."""
+        return np.flatnonzero((self.p > 0) | ((self.v > 0) & (self.s > 0)))
 
     @classmethod
     def default_16_4(cls) -> "SrKBestParams":
@@ -385,6 +398,27 @@ def _smallest(values, count):
     return (head[..., :count] & low).view(np.int64)
 
 
+def _best_leaf(r, y_tilde, symbols, metrics, points):
+    """Best child of the last layer (layer 0) as a one-candidate list.
+
+    One ``argmin`` over the accumulated metrics of every child of the given
+    parents. Returns ``None`` when any row's minimum is attained twice: a
+    search ranks tied children by its own rule, which the caller then runs
+    in full.
+    """
+    n_vec = symbols.shape[0]
+    rows = np.arange(n_vec)
+    inc = _layer_increments(r, y_tilde, 0, symbols, points)
+    flat = (metrics[:, :, None] + inc).reshape(n_vec, -1)
+    best = flat.argmin(axis=-1)
+    low = flat[rows, best]
+    if np.count_nonzero(flat == low[:, None]) > n_vec:
+        return None
+    out = symbols[rows, best // points.size]
+    out[:, 0] = best % points.size
+    return CandidateList(symbols=out[:, None], metrics=low[:, None])
+
+
 def _kbest_step(r, y_tilde, layer, symbols, metrics, points, expand, keep):
     """One breadth-first layer: expand each parent, keep the best sorted.
 
@@ -407,7 +441,8 @@ def _kbest_step(r, y_tilde, layer, symbols, metrics, points, expand, keep):
 
 
 def kbest_detect(
-    r, y_tilde, k: int, cons: Constellation, expand: int | None = None
+    r, y_tilde, k: int, cons: Constellation, expand: int | None = None,
+    best_only: bool = False,
 ) -> CandidateList:
     """Breadth-first K-best search on an upper-triangular system.
 
@@ -425,6 +460,13 @@ def kbest_detect(
     value go to the lower constellation index even when their per-layer
     distances differ. Each row of ``y_tilde (B, m)`` is searched against
     the shared ``r``; the lists come back with the leading ``B`` axis.
+
+    ``best_only=True`` returns only the first candidate, ``full[:, :1]``
+    of the list above, symbols and metric bits alike. Its last layer ranks
+    nothing: every child can reach the list, and the best of a parent's
+    children is its first in Schnorr-Euchner order, so one ``argmin`` over
+    all children finds the best leaf. When a row's minimum is tied, the
+    last layer runs in full instead and keeps its first entry.
     """
     r, y_tilde = _triangular_system(r, y_tilde)
     m = r.shape[0]
@@ -440,8 +482,14 @@ def kbest_detect(
     metrics = np.zeros((n_vec, 1))
     for layer in range(m - 1, -1, -1):
         eff = cons.size if layer == m - 1 else expand
+        keep = k
+        if best_only and layer == 0:
+            best = _best_leaf(r, y_tilde, symbols, metrics, points)
+            if best is not None:
+                return best
+            keep = 1
         symbols, metrics = _kbest_step(
-            r, y_tilde, layer, symbols, metrics, points, eff, k
+            r, y_tilde, layer, symbols, metrics, points, eff, keep
         )
     return CandidateList(symbols=symbols, metrics=metrics)
 
@@ -452,28 +500,31 @@ def _sr_step(r, y_tilde, layer, symbols, metrics, points, params):
     Each parent's children are ranked by per-layer distance; direct
     children land at the non-``q`` slots in parent order without any
     comparison, and only the small pool is cut: its best ``s`` members
-    occupy the ``q`` slots in ascending metric order. Every survivor field
-    is read through one ``(B, k)`` index into the ranked children.
+    occupy the ``q`` slots in ascending metric order. Only the children the
+    schedule reads are gathered, the ``k - s`` direct ones and the ``sum(v)``
+    pool members, each through its parent and rank (``child // max_rank``,
+    ``child % max_rank``); every survivor field is then read through one
+    ``(B, k)`` index into them.
     """
     child, direct_slots, max_rank = params.fill_indices
+    n_direct = direct_slots.size
     n_vec = symbols.shape[0]
     rows = np.arange(n_vec)[:, None]
     inc = _layer_increments(r, y_tilde, layer, symbols, points)
-    order = _smallest(inc, max_rank)
-    parents = np.arange(params.k)[:, None]
-    ranked = (metrics[:, :, None] + inc[rows[..., None], parents, order]).reshape(n_vec, -1)
+    parent, rank = np.divmod(child, max_rank)
+    point = _smallest(inc, max_rank)[:, parent, rank]
+    read = metrics[:, parent] + inc[rows, parent, point]
     src = np.empty((n_vec, params.k), dtype=np.int64)
-    src[:, direct_slots] = child[: direct_slots.size]
+    src[:, direct_slots] = np.arange(n_direct)
     if params.s:
-        pool = child[direct_slots.size :]
-        src[:, params.q - 1] = pool[_smallest(ranked[:, pool], params.s)]
-    out_symbols = symbols[rows, src // max_rank]
-    out_symbols[:, :, layer] = order.reshape(n_vec, -1)[rows, src]
-    return out_symbols, ranked[rows, src]
+        src[:, params.q - 1] = n_direct + _smallest(read[:, n_direct:], params.s)
+    out_symbols = symbols[rows, parent[src]]
+    out_symbols[:, :, layer] = point[rows, src]
+    return out_symbols, read[rows, src]
 
 
 def sr_kbest_detect(
-    r, y_tilde, params: SrKBestParams, cons: Constellation
+    r, y_tilde, params: SrKBestParams, cons: Constellation, best_only: bool = False
 ) -> CandidateList:
     """Sorting-reduced K-best search.
 
@@ -483,6 +534,15 @@ def sr_kbest_detect(
     ``(p, v, q)`` schedule, whose positional placement replaces the full
     per-layer sort. The output is sorted ascending by metric. Searches the
     rows of ``y_tilde (B, m)`` as :func:`kbest_detect` does.
+
+    ``best_only=True`` returns only the first candidate, ``full[:, :1]``
+    of the list above, symbols and metric bits alike. Its last layer takes
+    one ``argmin`` over the children that can reach the final list: every
+    child in a warm-up layer, and in a scheduled one the children of
+    ``params.leaf_parents``. A unique minimum there is its parent's first
+    child, so it is a direct survivor or the pool's best, and it beats
+    every other survivor. When a row's minimum is tied, the last layer runs
+    in full instead and its best entry is kept.
     """
     r, y_tilde = _triangular_system(r, y_tilde)
     m = r.shape[0]
@@ -493,13 +553,19 @@ def sr_kbest_detect(
     symbols = np.zeros((n_vec, 1, m), dtype=np.int64)
     metrics = np.zeros((n_vec, 1))
     for layer in range(m - 1, -1, -1):
-        if symbols.shape[1] == params.k:
+        scheduled = symbols.shape[1] == params.k
+        if best_only and layer == 0:
+            reach = params.leaf_parents if scheduled else slice(None)
+            best = _best_leaf(r, y_tilde, symbols[:, reach], metrics[:, reach], points)
+            if best is not None:
+                return best
+        if scheduled:
             symbols, metrics = _sr_step(r, y_tilde, layer, symbols, metrics, points, params)
         else:
             symbols, metrics = _kbest_step(
                 r, y_tilde, layer, symbols, metrics, points, cons.size, params.k
             )
-    final = _smallest(metrics, params.k)
+    final = _smallest(metrics, 1 if best_only else params.k)
     rows = np.arange(n_vec)[:, None]
     return CandidateList(symbols=symbols[rows, final], metrics=metrics[rows, final])
 

@@ -140,7 +140,7 @@ def build_code(seed: int = 0) -> LdpcCode:
         # the reduced matrix is E h with E invertible and E h[:, pivots] = I,
         # so its rows in ascending pivot order give parity = solver @ message
         by_column = np.argsort(pivots)
-        message_cols = np.setdiff1d(np.arange(N_BITS), pivots)
+        message_cols = np.delete(np.arange(N_BITS), pivots)  # setdiff1d imports numpy.ma
         column_order = np.concatenate([message_cols, pivots[by_column]])
         parity = h[:, column_order]
         parity_solver = reduced[np.ix_(by_column, message_cols)]

@@ -414,6 +414,16 @@ def test_first_sr_search_imports_no_masked_arrays():
     assert subprocess.run([sys.executable, "-c", code], timeout=60).returncode == 0
 
 
+def test_build_code_imports_no_masked_arrays():
+    code = (
+        "import sys\n"
+        "from mudet import fec\n"
+        "fec.build_code(0)\n"
+        "sys.exit('numpy.ma' in sys.modules)\n"
+    )
+    assert subprocess.run([sys.executable, "-c", code], timeout=60).returncode == 0
+
+
 def test_sr_degenerate_reduces_to_kbest(qam16, qpsk):
     rng = np.random.default_rng(12)
     for cons, k in ((qam16, 16), (qpsk, 4)):
@@ -537,6 +547,63 @@ def test_sr_matches_reference(qpsk, qam16, schedule, zero_rows):
             symbols, metrics = _sr_reference(r, y_tilde, params, cons.points)
             assert np.array_equal(cl.symbols, symbols)
             assert np.array_equal(cl.metrics, metrics)
+
+
+def _leaf_models(rng, cons, m, n_vec, case):
+    """``(r, y_tilde)`` of the extended model and of the robust ``(plan.r2,
+    y3)`` model. ``zero-rows`` zeroes every fifth row and ``tied-norms``
+    gives the channel equal column norms (``r`` has a constant diagonal),
+    both of which tie the last layer's minimum. The noise is strong enough
+    that a parent outside ``leaf_parents`` often holds the best child of a
+    scheduled last layer."""
+    h = np.kron([[1.0], [1.0]], np.eye(m)) if case == "tied-norms" else crandn(rng, 2 * m, m)
+    y = cons.points[rng.integers(0, cons.size, (n_vec, m))] @ h.T + 2.0 * crandn(rng, n_vec, 2 * m)
+    if case == "zero-rows":
+        y[::5] = 0.0
+    ext = det.build_extended(h, y, 0.2, 0.1)
+    sq = sorted_qr(ext.h_ext)
+    plan = det.robust_plan(h, random_pd(rng, 2 * m))
+    y3 = det.robust_apply(plan, y)
+    return (sq.r, ext.y_ext @ sq.q.conj()), (plan.r2, y3)
+
+
+LEAF_SEARCHES = {
+    "kbest-full": lambda r, y, cons, best_only: det.kbest_detect(
+        r, y, 16, cons, best_only=best_only
+    ),
+    "kbest-partial": lambda r, y, cons, best_only: det.kbest_detect(
+        r, y, 16, cons, expand=2, best_only=best_only
+    ),
+    **{
+        f"sr-{name}": (
+            lambda r, y, cons, best_only, params=params: det.sr_kbest_detect(
+                r, y, params, cons, best_only=best_only
+            )
+        )
+        for name, params in SR_SCHEDULES.items()
+    },
+}
+
+
+@pytest.mark.parametrize("search", sorted(LEAF_SEARCHES))
+@pytest.mark.parametrize("cons_name", ["qam16", "qpsk"])
+def test_best_only_is_the_first_candidate_of_the_full_list(request, search, cons_name):
+    # symbols and metric bits of full[:, :1]; zero rows and tied column
+    # norms put exact ties into the last layer's minimum
+    cons = request.getfixturevalue(cons_name)
+    run = LEAF_SEARCHES[search]
+    rng = np.random.default_rng(73)
+    for n_vec in (1, 2, 50):
+        for m in (1, 2, 4):
+            for case in ("plain", "zero-rows", "tied-norms"):
+                for r, y_tilde in _leaf_models(rng, cons, m, n_vec, case):
+                    full = run(r, y_tilde, cons, False)
+                    best = run(r, y_tilde, cons, True)
+                    assert best.symbols.shape == (n_vec, 1, m)
+                    assert np.array_equal(best.symbols, full.symbols[:, :1])
+                    assert np.array_equal(
+                        best.metrics.view(np.uint64), full.metrics[:, :1].view(np.uint64)
+                    )
 
 
 # --- batching over received vectors -----------------------------------------------
