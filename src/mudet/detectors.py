@@ -44,9 +44,11 @@ to the lower survivor index, then to the lower constellation index. A
 scheduled sorting-reduced layer gathers only the children its schedule
 reads. With ``best_only=True`` the K-best and sorting-reduced searches
 return ``full[:, :1]`` of their list, bit for bit, without building the
-last layer's list: one ``argmin`` over the children that can reach it
-finds the best leaf, and a tied minimum sends the block through the full
-last layer. The uncoded path reads nothing else. The
+last layer's list: its best leaf is one ``argmin`` (the first of tied
+minima, as in the stable sort). A scheduled sorting-reduced last layer
+takes that ``argmin`` over the children that can reach the list, and a
+tied minimum there sends the block through the full layer. The uncoded
+path reads nothing else. The
 rotations in front of a search (``y @ plan.w.T``, ``y_ext @ q.conj()``)
 are matrix products and round a row differently alone than inside a
 block, so a row's ``y_tilde``, and the LLRs computed from it, match its
@@ -213,6 +215,12 @@ class SrKBestParams:
         pool = [i * max_rank + p + j for i, (p, v) in ranks for j in range(v)]
         direct_slots = np.delete(np.arange(self.k), self.q - 1)  # setdiff1d imports numpy.ma
         return np.array(direct + pool, dtype=np.int64), direct_slots, max_rank
+
+    @cached_property
+    def child_sources(self):
+        """``(parent, rank)`` of each child in ``fill_indices``."""
+        child, _, max_rank = self.fill_indices
+        return np.divmod(child, max_rank)
 
     @cached_property
     def leaf_parents(self) -> np.ndarray:
@@ -385,6 +393,8 @@ def _smallest(values, count):
     the index bits the stable argsort decides instead, and otherwise every
     kept entry is strictly smaller than every entry after it.
     """
+    if count == 1:  # argmin returns the first index of the minimum
+        return values.argmin(axis=-1)[..., None]
     n = values.shape[-1]
     if values.size < _KEY_SORT_MIN:
         return values.argsort(axis=-1, kind="stable")[..., :count]
@@ -462,11 +472,9 @@ def kbest_detect(
     the shared ``r``; the lists come back with the leading ``B`` axis.
 
     ``best_only=True`` returns only the first candidate, ``full[:, :1]``
-    of the list above, symbols and metric bits alike. Its last layer ranks
-    nothing: every child can reach the list, and the best of a parent's
-    children is its first in Schnorr-Euchner order, so one ``argmin`` over
-    all children finds the best leaf. When a row's minimum is tied, the
-    last layer runs in full instead and keeps its first entry.
+    of the list above, symbols and metric bits alike: the last layer keeps
+    one child, and :func:`_smallest` picks it with one ``argmin``, which
+    returns the first of tied minima as the stable sort does.
     """
     r, y_tilde = _triangular_system(r, y_tilde)
     m = r.shape[0]
@@ -482,12 +490,7 @@ def kbest_detect(
     metrics = np.zeros((n_vec, 1))
     for layer in range(m - 1, -1, -1):
         eff = cons.size if layer == m - 1 else expand
-        keep = k
-        if best_only and layer == 0:
-            best = _best_leaf(r, y_tilde, symbols, metrics, points)
-            if best is not None:
-                return best
-            keep = 1
+        keep = 1 if best_only and layer == 0 else k
         symbols, metrics = _kbest_step(
             r, y_tilde, layer, symbols, metrics, points, eff, keep
         )
@@ -502,16 +505,16 @@ def _sr_step(r, y_tilde, layer, symbols, metrics, points, params):
     comparison, and only the small pool is cut: its best ``s`` members
     occupy the ``q`` slots in ascending metric order. Only the children the
     schedule reads are gathered, the ``k - s`` direct ones and the ``sum(v)``
-    pool members, each through its parent and rank (``child // max_rank``,
-    ``child % max_rank``); every survivor field is then read through one
-    ``(B, k)`` index into them.
+    pool members, each through its parent and rank
+    (``params.child_sources``); every survivor field is then read through
+    one ``(B, k)`` index into them.
     """
-    child, direct_slots, max_rank = params.fill_indices
+    _, direct_slots, max_rank = params.fill_indices
+    parent, rank = params.child_sources
     n_direct = direct_slots.size
     n_vec = symbols.shape[0]
     rows = np.arange(n_vec)[:, None]
     inc = _layer_increments(r, y_tilde, layer, symbols, points)
-    parent, rank = np.divmod(child, max_rank)
     point = _smallest(inc, max_rank)[:, parent, rank]
     read = metrics[:, parent] + inc[rows, parent, point]
     src = np.empty((n_vec, params.k), dtype=np.int64)
@@ -536,13 +539,13 @@ def sr_kbest_detect(
     rows of ``y_tilde (B, m)`` as :func:`kbest_detect` does.
 
     ``best_only=True`` returns only the first candidate, ``full[:, :1]``
-    of the list above, symbols and metric bits alike. Its last layer takes
-    one ``argmin`` over the children that can reach the final list: every
-    child in a warm-up layer, and in a scheduled one the children of
-    ``params.leaf_parents``. A unique minimum there is its parent's first
-    child, so it is a direct survivor or the pool's best, and it beats
-    every other survivor. When a row's minimum is tied, the last layer runs
-    in full instead and its best entry is kept.
+    of the list above, symbols and metric bits alike. A warm-up last layer
+    keeps one child, picked by one ``argmin``. A scheduled last layer ranks
+    nothing: one ``argmin`` runs over the children that can reach the final
+    list, those of ``params.leaf_parents``. A unique minimum there is its
+    parent's first child, so it is a direct survivor or the pool's best,
+    and it beats every other survivor. When a row's minimum is tied, the
+    scheduled layer runs in full instead and its best entry is kept.
     """
     r, y_tilde = _triangular_system(r, y_tilde)
     m = r.shape[0]
@@ -553,18 +556,18 @@ def sr_kbest_detect(
     symbols = np.zeros((n_vec, 1, m), dtype=np.int64)
     metrics = np.zeros((n_vec, 1))
     for layer in range(m - 1, -1, -1):
-        scheduled = symbols.shape[1] == params.k
-        if best_only and layer == 0:
-            reach = params.leaf_parents if scheduled else slice(None)
+        last = best_only and layer == 0
+        if symbols.shape[1] < params.k:
+            symbols, metrics = _kbest_step(
+                r, y_tilde, layer, symbols, metrics, points, cons.size, 1 if last else params.k
+            )
+            continue
+        if last:
+            reach = params.leaf_parents
             best = _best_leaf(r, y_tilde, symbols[:, reach], metrics[:, reach], points)
             if best is not None:
                 return best
-        if scheduled:
-            symbols, metrics = _sr_step(r, y_tilde, layer, symbols, metrics, points, params)
-        else:
-            symbols, metrics = _kbest_step(
-                r, y_tilde, layer, symbols, metrics, points, cons.size, params.k
-            )
+        symbols, metrics = _sr_step(r, y_tilde, layer, symbols, metrics, points, params)
     final = _smallest(metrics, 1 if best_only else params.k)
     rows = np.arange(n_vec)[:, None]
     return CandidateList(symbols=symbols[rows, final], metrics=metrics[rows, final])
