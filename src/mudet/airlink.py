@@ -130,8 +130,8 @@ class ChannelConfig:
             raise ValueError("n_interferers must be >= 0")
         if not 0.0 <= self.rx_correlation < 1.0:
             raise ValueError("rx_correlation must be in [0, 1)")
-        if self.interferer_power_ratio <= 0.0:
-            raise ValueError("interferer_power_ratio must be > 0")
+        if not 0.0 < self.interferer_power_ratio < np.inf:
+            raise ValueError("interferer_power_ratio must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -148,8 +148,9 @@ class ChannelRealization:
 
 @dataclass(frozen=True)
 class ChannelEstimate:
+    """Least-squares user channel estimate with its mean residual power."""
+
     h_hat: np.ndarray
-    mode: str
     error_var: float
 
 
@@ -191,8 +192,8 @@ def generate_channel(
     The user matrix is drawn first, then the interferer matrix, so a given
     generator state maps to exactly one realization.
     """
-    if sigma_n2 < 0.0:
-        raise ValueError("sigma_n2 must be >= 0")
+    if not 0.0 <= sigma_n2 < np.inf:
+        raise ValueError("sigma_n2 must be finite and >= 0")
     root = rx_correlation_root(cfg.n_rx, cfg.rx_correlation)
     h = root @ complex_randn(rng, cfg.n_rx, cfg.n_users)
     g = np.zeros((cfg.n_rx, cfg.n_interferers), dtype=complex)
@@ -234,32 +235,21 @@ def apply_channel(
     return y + np.sqrt(real.sigma_n2) * noise
 
 
-def estimate_channel(
-    real: ChannelRealization,
-    pilot_users: np.ndarray | None,
-    pilot_symbols: np.ndarray | None,
-    y_pilots: np.ndarray | None,
-    mode: str = "ls_pilot",
-) -> ChannelEstimate:
-    """Channel estimate from per-user orthogonal (time-division) pilots.
+def estimate_channel(pilot_users, pilot_symbols, y_pilots, n_users: int) -> ChannelEstimate:
+    """Least-squares channel estimate from per-user orthogonal (time-division) pilots.
 
-    ``pilot_users[t]`` names the single user transmitting the known symbol
-    ``pilot_symbols[t]`` in slot ``t``; ``y_pilots[:, t]`` is the received
-    vector. In ``ls_pilot`` mode each user's column is the least-squares
-    fit over its own slots; ``error_var`` is the mean per-antenna residual
-    power over all pilot slots. ``ideal`` mode returns the true channel.
+    ``pilot_users[t]`` names the single user of ``range(n_users)`` that
+    transmits the known symbol ``pilot_symbols[t]`` in slot ``t``, and
+    ``y_pilots[:, t]`` is the received vector. Each user's column is the
+    least-squares fit over its own slots; ``error_var`` is the mean
+    per-antenna residual power over all pilot slots.
     """
-    if mode == "ideal":
-        return ChannelEstimate(h_hat=real.h.copy(), mode="ideal", error_var=0.0)
-    if mode != "ls_pilot":
-        raise ValueError(f"unknown channel-estimation mode: {mode!r}")
     pilot_users = np.asarray(pilot_users)
     pilot_symbols = np.asarray(pilot_symbols, dtype=complex)
     y_pilots = as_complex_matrix(y_pilots, "y_pilots")
-    n_rx, n_users = real.h.shape
-    if y_pilots.shape[0] != n_rx or y_pilots.shape[1] != pilot_users.size:
-        raise DimensionMismatchError("y_pilots must be n_rx x n_slots")
-    h_hat = np.zeros((n_rx, n_users), dtype=complex)
+    if y_pilots.shape[1] != pilot_users.size or pilot_symbols.shape != pilot_users.shape:
+        raise DimensionMismatchError("need one pilot user, symbol and y_pilots column per slot")
+    h_hat = np.zeros((y_pilots.shape[0], n_users), dtype=complex)
     for u in range(n_users):
         slots = np.flatnonzero(pilot_users == u)
         if slots.size == 0:
@@ -268,7 +258,7 @@ def estimate_channel(
         h_hat[:, u] = (y_pilots[:, slots] @ s.conj()) / np.sum(np.abs(s) ** 2)
     resid = y_pilots - h_hat[:, pilot_users] * pilot_symbols
     error_var = float(np.mean(np.abs(resid) ** 2))
-    return ChannelEstimate(h_hat=h_hat, mode="ls_pilot", error_var=error_var)
+    return ChannelEstimate(h_hat=h_hat, error_var=error_var)
 
 
 def estimate_covariance(residuals, loading: float | None = None) -> CovarianceEstimate:

@@ -50,6 +50,7 @@ import numpy as np
 
 from . import fec
 from .airlink import (
+    CONSTELLATION_KINDS,
     ChannelConfig,
     apply_channel,
     build_constellation,
@@ -103,6 +104,12 @@ CSV_HEADER = "detector,snr_db,trials,bits,bit_errors,ber,coded,ce_mode,seed"
 
 _LDPC_CODE_SEED = 0
 
+# Every constellation a scenario may name. Whatever the users send, pilot
+# and covariance slots carry QPSK and interferers send QAM16.
+_CONSTELLATIONS = {kind: build_constellation(kind) for kind in CONSTELLATION_KINDS}
+_PILOT = _CONSTELLATIONS["qpsk"]
+_INTERFERER = _CONSTELLATIONS["qam16"]
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -141,7 +148,7 @@ class ScenarioConfig:
             raise ConfigValidationError("n_users", "need n_rx >= n_users >= 1")
         if self.n_interferers < 0:
             raise ConfigValidationError("n_interferers", "must be >= 0")
-        if self.constellation not in ("qpsk", "qam16"):
+        if self.constellation not in _CONSTELLATIONS:
             raise ConfigValidationError("constellation", f"unknown kind {self.constellation!r}")
         if len(self.snr_grid_db) == 0:
             raise ConfigValidationError("snr_db", "SNR grid must be non-empty")
@@ -185,7 +192,7 @@ class ScenarioConfig:
             )
         if self.kbest_k < 1:
             raise ConfigValidationError("kbest.k", "must be >= 1")
-        cons_size = 4 if self.constellation == "qpsk" else 16
+        cons_size = _CONSTELLATIONS[self.constellation].size
         if self.kbest_expand is not None and not 1 <= self.kbest_expand <= cons_size:
             raise ConfigValidationError("kbest.expand", "must be in [1, constellation size]")
         if not self.llr_clip > 0:
@@ -377,44 +384,35 @@ class _TrialKnowledge:
     sigma_i2: float
 
 
-def _acquire_knowledge(cfg, cons_pilot, cons_interf, channel, rng) -> _TrialKnowledge:
+def _acquire_knowledge(cfg, channel, rng) -> _TrialKnowledge:
+    """The receiver's view of the channel: the truth under ``ideal``; under
+    ``ls_pilot``, a least-squares ``h_hat`` from ``pilot_count`` slots per
+    user, then the covariance of ``covariance_samples`` more slots' residuals."""
     sigma_det = max(channel.sigma_n2, NOISELESS_FLOOR)
     n_rx = cfg.n_rx
     if cfg.ce_mode == "ideal":
         h_hat = channel.h
         r_uu = channel.g @ channel.g.conj().T + sigma_det * np.eye(n_rx)
     else:
-        h_hat = _ls_pilot_estimate(cfg, cons_pilot, cons_interf, channel, rng)
-        r_uu = _pilot_covariance(cfg, cons_pilot, cons_interf, channel, h_hat, rng)
+        users, symbols, y = _reference_slots(cfg, channel, rng, cfg.pilot_count * cfg.n_users)
+        h_hat = estimate_channel(users, symbols, y, cfg.n_users).h_hat
+        users, symbols, y = _reference_slots(cfg, channel, rng, cfg.covariance_samples)
+        r_uu = estimate_covariance((y - h_hat[:, users] * symbols).T).r_uu
     sigma_i2 = max(float(r_uu.trace().real) / n_rx - sigma_det, 0.0)
     return _TrialKnowledge(h_hat=h_hat, r_uu=r_uu, sigma_det=sigma_det, sigma_i2=sigma_i2)
 
 
-def _reference_slots(cfg, cons_pilot, cons_interf, channel, rng, n_slots):
-    """Round-robin known-symbol slots: one user transmits per slot."""
+def _reference_slots(cfg, channel, rng, n_slots):
+    """``(users, symbols, y (n_rx, n_slots))`` of round-robin slots: one user
+    sends a QPSK symbol per slot, under QAM16 interferers and noise."""
     users = np.arange(n_slots) % cfg.n_users
-    symbols = cons_pilot.points[rng.integers(0, cons_pilot.size, n_slots)]
+    symbols = _PILOT.points[rng.integers(0, _PILOT.size, n_slots)]
     y = channel.h[:, users] * symbols
     if cfg.n_interferers:
-        s_i = cons_interf.points[rng.integers(0, cons_interf.size, (n_slots, cfg.n_interferers))]
-        y = y + channel.g @ s_i.T
+        draw = rng.integers(0, _INTERFERER.size, (n_slots, cfg.n_interferers))
+        y = y + channel.g @ _INTERFERER.points[draw].T
     y = y + np.sqrt(channel.sigma_n2) * complex_randn(rng, cfg.n_rx, n_slots)
     return users, symbols, y
-
-
-def _ls_pilot_estimate(cfg, cons_pilot, cons_interf, channel, rng):
-    users, symbols, y = _reference_slots(
-        cfg, cons_pilot, cons_interf, channel, rng, cfg.pilot_count * cfg.n_users
-    )
-    return estimate_channel(channel, users, symbols, y, mode="ls_pilot").h_hat
-
-
-def _pilot_covariance(cfg, cons_pilot, cons_interf, channel, h_hat, rng):
-    users, symbols, y = _reference_slots(
-        cfg, cons_pilot, cons_interf, channel, rng, cfg.covariance_samples
-    )
-    residuals = (y - h_hat[:, users] * symbols).T
-    return estimate_covariance(residuals).r_uu
 
 
 def _detect_uses(cfg, name: str, cons, know: _TrialKnowledge, y_block, coded: bool):
@@ -423,10 +421,10 @@ def _detect_uses(cfg, name: str, cons, know: _TrialKnowledge, y_block, coded: bo
     Returns hard decisions ``(n_uses, n_users)`` when uncoded and LLRs
     ``(n_uses, n_users * bits_per_symbol)`` when coded. Every use shares
     the trial's channel knowledge, so each detector factorizes once and
-    searches all uses together. Uncoded, the K-best and sorting-reduced
-    searches return only their best candidate (``best_only``), which is
-    mapped back to user order. The robust detector's LLRs come from its
-    own soft-output list, not from its hard search.
+    searches all uses together; every tree-search list is mapped back to
+    user order. Uncoded, the K-best and sorting-reduced searches return only
+    their best candidate (``best_only``). The robust detector's LLRs come
+    from its own soft-output list, not from its hard search.
     """
     h_hat, r_uu, sigma_det = know.h_hat, know.r_uu, know.sigma_det
 
@@ -457,9 +455,8 @@ def _detect_uses(cfg, name: str, cons, know: _TrialKnowledge, y_block, coded: bo
             )
         else:
             cands = sr_kbest_detect(sq.r, y_tilde, cfg.sr_params, cons, best_only=not coded)
-        if coded:
-            return compute_llrs(cands.permuted(sq.perm), cons, cfg.n_users)
-        return cands.symbols[:, 0, sq.perm.argsort()]
+        cands = cands.permuted(sq.perm)
+        return compute_llrs(cands, cons, cfg.n_users) if coded else cands.symbols[:, 0]
 
     if name == "robust-sr-kbest":
         plan = robust_plan(h_hat, r_uu)
@@ -468,7 +465,7 @@ def _detect_uses(cfg, name: str, cons, know: _TrialKnowledge, y_block, coded: bo
         # robust_apply first: it builds the sorted QR of h2 that plan.r2 reads
         y3 = robust_apply(plan, y_block)
         cands = sr_kbest_detect(plan.r2, y3, cfg.sr_params, cons, best_only=True)
-        return cands.symbols[:, 0, plan.perm.argsort()]
+        return cands.permuted(plan.perm).symbols[:, 0]
 
     if name == "ml":
         out = ml_bruteforce(h_hat, y_block, cons, soft=coded)
@@ -477,13 +474,12 @@ def _detect_uses(cfg, name: str, cons, know: _TrialKnowledge, y_block, coded: bo
     raise ValueError(f"unknown detector {name!r}")
 
 
-def _run_trial(
-    cfg, det_name: str, cons, cons_interf, cons_pilot, code, snr_db: float, rng
-) -> tuple[int, int]:
+def _run_trial(cfg, det_name: str, code, snr_db: float, rng) -> tuple[int, int]:
     """One independent trial; returns (bits counted, bit errors)."""
+    cons = _CONSTELLATIONS[cfg.constellation]
     sigma_n2 = 0.0 if cfg.noiseless else snr_to_noise_power(snr_db, cfg.n_users)
     channel = generate_channel(cfg.channel, rng, sigma_n2)
-    know = _acquire_knowledge(cfg, cons_pilot, cons_interf, channel, rng)
+    know = _acquire_knowledge(cfg, channel, rng)
 
     bits_per_use = cfg.n_users * cons.bits_per_symbol
     if cfg.coded:
@@ -499,7 +495,7 @@ def _run_trial(
 
     tx_idx = cons.bits_to_indices(tx_bits.reshape(n_uses, cfg.n_users, cons.bits_per_symbol))
     # with no interferers the draw is empty and takes nothing from the stream
-    s_i = cons_interf.points[rng.integers(0, cons_interf.size, (n_uses, cfg.n_interferers))]
+    s_i = _INTERFERER.points[rng.integers(0, _INTERFERER.size, (n_uses, cfg.n_interferers))]
     y_block = apply_channel(channel, cons.points[tx_idx], s_i, rng)
 
     out = _detect_uses(cfg, det_name, cons, know, y_block, cfg.coded)
@@ -519,9 +515,6 @@ def run_scenario(cfg: ScenarioConfig) -> list[BerRecord]:
     any execution order produces identical records.
     """
     cfg.validate()
-    cons = build_constellation(cfg.constellation)
-    cons_interf = build_constellation("qam16")
-    cons_pilot = build_constellation("qpsk")
     code = fec.build_code(seed=_LDPC_CODE_SEED) if cfg.coded else None
     snr_grid = tuple(sorted(cfg.snr_grid_db))
     records = []
@@ -532,9 +525,7 @@ def run_scenario(cfg: ScenarioConfig) -> list[BerRecord]:
             for trial in range(cfg.trials_per_point):
                 rng = trial_stream(cfg.master_seed, det_index, snr_index, trial)
                 try:
-                    b, e = _run_trial(
-                        cfg, det_name, cons, cons_interf, cons_pilot, code, snr_db, rng
-                    )
+                    b, e = _run_trial(cfg, det_name, code, snr_db, rng)
                 except Exception as exc:
                     raise RuntimeError(
                         f"trial aborted (detector={det_name}, snr_db={snr_db:g}, "

@@ -203,24 +203,19 @@ class SrKBestParams:
     def fill_indices(self):
         """Static gather table of one scheduled layer.
 
-        ``(child, direct_slots, max_rank)``: ``child`` indexes the ranked
-        children of a layer flattened as ``parent * max_rank + rank``, the
-        ``k - s`` direct children first (parent order) and the pool after
-        them; ``direct_slots`` are the survivor slots outside ``q``, and
-        ``max_rank`` is the number of children the schedule reads per parent.
+        ``((parent, rank), direct_slots, max_rank)``: ``parent`` and ``rank``
+        name each child the schedule reads, the ``k - s`` direct children
+        first (parent order) and the pool after them; ``direct_slots`` are
+        the survivor slots outside ``q``, and ``max_rank`` is the number of
+        children the schedule reads per parent.
         """
         max_rank = int(np.max(self.p + self.v))
-        direct = [i * max_rank + j for i, p in enumerate(self.p) for j in range(p)]
+        direct = [(i, j) for i, p in enumerate(self.p) for j in range(p)]
         ranks = enumerate(zip(self.p, self.v))
-        pool = [i * max_rank + p + j for i, (p, v) in ranks for j in range(v)]
+        pool = [(i, p + j) for i, (p, v) in ranks for j in range(v)]
+        parent, rank = np.ascontiguousarray(np.array(direct + pool, dtype=np.int64).T)
         direct_slots = np.delete(np.arange(self.k), self.q - 1)  # setdiff1d imports numpy.ma
-        return np.array(direct + pool, dtype=np.int64), direct_slots, max_rank
-
-    @cached_property
-    def child_sources(self):
-        """``(parent, rank)`` of each child in ``fill_indices``."""
-        child, _, max_rank = self.fill_indices
-        return np.divmod(child, max_rank)
+        return (parent, rank), direct_slots, max_rank
 
     @cached_property
     def leaf_parents(self) -> np.ndarray:
@@ -506,11 +501,10 @@ def _sr_step(r, y_tilde, layer, symbols, metrics, points, params):
     occupy the ``q`` slots in ascending metric order. Only the children the
     schedule reads are gathered, the ``k - s`` direct ones and the ``sum(v)``
     pool members, each through its parent and rank
-    (``params.child_sources``); every survivor field is then read through
+    (``params.fill_indices``); every survivor field is then read through
     one ``(B, k)`` index into them.
     """
-    _, direct_slots, max_rank = params.fill_indices
-    parent, rank = params.child_sources
+    (parent, rank), direct_slots, max_rank = params.fill_indices
     n_direct = direct_slots.size
     n_vec = symbols.shape[0]
     rows = np.arange(n_vec)[:, None]

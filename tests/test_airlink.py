@@ -117,6 +117,19 @@ def test_channel_config_validation():
         ChannelConfig(n_rx=4, n_users=2, rx_correlation=1.0)
 
 
+@pytest.mark.parametrize("ratio", [0.0, -1.0, np.nan, np.inf])
+def test_channel_config_rejects_interferer_power_outside_zero_inf(ratio):
+    with pytest.raises(ValueError, match="interferer_power_ratio"):
+        ChannelConfig(n_rx=4, n_users=2, n_interferers=1, interferer_power_ratio=ratio)
+
+
+@pytest.mark.parametrize("sigma_n2", [-0.1, np.nan, np.inf])
+def test_generate_channel_rejects_noise_power_outside_zero_inf(sigma_n2):
+    cfg = ChannelConfig(n_rx=4, n_users=2, n_interferers=1)
+    with pytest.raises(ValueError, match="sigma_n2"):
+        generate_channel(cfg, np.random.default_rng(0), sigma_n2)
+
+
 # --- transmission --------------------------------------------------------------
 
 
@@ -186,18 +199,11 @@ def _pilot_block(real, pilots_per_user, rng):
     return users, symbols, y
 
 
-def test_estimate_channel_ideal():
-    cfg = ChannelConfig(n_rx=6, n_users=3)
-    real = generate_channel(cfg, np.random.default_rng(0), 0.2)
-    est = estimate_channel(real, None, None, None, mode="ideal")
-    assert np.array_equal(est.h_hat, real.h) and est.error_var == 0.0
-
-
 def test_estimate_channel_noiseless_ls_exact():
     cfg = ChannelConfig(n_rx=6, n_users=3)
     real = generate_channel(cfg, np.random.default_rng(1), 0.0)
     users, symbols, y = _pilot_block(real, 3, np.random.default_rng(2))
-    est = estimate_channel(real, users, symbols, y, mode="ls_pilot")
+    est = estimate_channel(users, symbols, y, 3)
     assert np.linalg.norm(est.h_hat - real.h) < 1e-10
 
 
@@ -211,7 +217,7 @@ def test_estimate_channel_error_variance_scaling():
         for _ in range(4000):
             real = generate_channel(cfg, rng, sigma_n2)
             users, symbols, y = _pilot_block(real, pilots, rng)
-            est = estimate_channel(real, users, symbols, y, mode="ls_pilot")
+            est = estimate_channel(users, symbols, y, 2)
             errs.append(np.mean(np.abs(est.h_hat - real.h) ** 2))
         measured = float(np.mean(errs))
         assert abs(measured - sigma_n2 / pilots) <= 0.1 * sigma_n2 / pilots
@@ -224,7 +230,16 @@ def test_estimate_channel_insufficient_pilots():
     symbols = np.ones(4, dtype=complex)
     y = real.h[:, users] * symbols
     with pytest.raises(InsufficientPilotsError):
-        estimate_channel(real, users, symbols, y, mode="ls_pilot")
+        estimate_channel(users, symbols, y, 3)
+
+
+def test_estimate_channel_dimension_mismatch():
+    users = np.array([0, 1, 0, 1])
+    y = np.zeros((4, 4), dtype=complex)
+    with pytest.raises(DimensionMismatchError):
+        estimate_channel(users, np.ones(3), y, 2)
+    with pytest.raises(DimensionMismatchError):
+        estimate_channel(users, np.ones(4), y[:, :3], 2)
 
 
 # --- covariance estimation -------------------------------------------------------

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from mudet import bench
+from mudet import airlink, bench
 from mudet import detectors as det
 from mudet.cli import main as cli_main
 from mudet.errors import ConfigParseError, ConfigValidationError
@@ -129,6 +129,19 @@ def test_largest_accepted_interferer_power_runs_every_detector(extra):
     records = bench.run_scenario(cfg)
     assert [r.detector for r in records] == list(bench.DETECTOR_NAMES)
     assert all(0 <= r.bit_errors <= r.bits for r in records)
+
+
+@pytest.mark.parametrize("kind", airlink.CONSTELLATION_KINDS)
+def test_kbest_expand_is_bounded_by_the_constellation_size(kind):
+    size = airlink.build_constellation(kind).size
+    for expand in (1, 5, size, size + 1):
+        text = f"constellation = {kind}\nkbest.expand = {expand}\n"
+        if expand <= size:
+            assert bench.parse_config(text).kbest_expand == expand
+        else:
+            with pytest.raises(ConfigValidationError) as err:
+                bench.parse_config(text)
+            assert err.value.key == "kbest.expand"
 
 
 def test_large_array_config_accepted():
