@@ -29,9 +29,9 @@ from the numerator. SNRs whose noise power exceeds
 summed over the array exceeds :data:`MAX_ARRAY_INR` times the lowest
 noise power the detectors see.
 
-Noiseless runs (``noiseless=true``) transmit with zero noise while the
-detectors are fed ``sigma_n2 = NOISELESS_FLOOR`` and a matching covariance
-floor so every matrix stays positive definite.
+``snr_db = inf`` transmits with zero noise while the detectors are fed
+``sigma_n2 = NOISELESS_FLOOR`` and a matching covariance floor so every
+matrix stays positive definite.
 
 Coded path
 ----------
@@ -63,10 +63,10 @@ from .detectors import (
     ML_GUARD,
     SrKBestParams,
     build_extended,
-    compute_llrs,
     equalizer_llrs,
     kbest_detect,
     linear_weights,
+    logmap_llrs,
     ml_bruteforce,
     mmse_irc_weights,
     osic_detect,
@@ -129,7 +129,6 @@ class ScenarioConfig:
     covariance_samples: int = 168
     detectors: tuple = ("mrc", "mmse-irc", "osic", "kbest", "sr-kbest", "robust-sr-kbest")
     coded: bool = False
-    noiseless: bool = False
     rx_correlation: float = 0.0
     interferer_power_ratio: float = 1.0
     sr_params: SrKBestParams = field(default_factory=SrKBestParams.default_16_4)
@@ -138,9 +137,8 @@ class ScenarioConfig:
     kbest_expand: int | None = None
     # decoder-input clip on every detector's LLR stream (coded path). A bit
     # with no hypothesis in a candidate list reads +/-30 (LLR_MAX), which is
-    # over-confident for min-sum; the max-log list detectors (osic, kbest,
-    # sr-kbest) also score their lists on the regularized extended model,
-    # not on a likelihood, so their magnitudes are not calibrated either
+    # over-confident for min-sum; every LLR of osic's one-candidate list is
+    # such a bit
     llr_clip: float = 8.0
 
     def validate(self) -> None:
@@ -176,11 +174,13 @@ class ScenarioConfig:
             raise ConfigValidationError("covariance_samples", "must be >= 1")
         if not self.detectors:
             raise ConfigValidationError("detectors", "detector list must be non-empty")
-        for name in self.detectors:
+        for i, name in enumerate(self.detectors):
             if name not in DETECTOR_NAMES:
                 raise ConfigValidationError(
                     "detectors", f"unknown detector {name!r}; choose from {DETECTOR_NAMES}"
                 )
+            if name in self.detectors[:i]:
+                raise ConfigValidationError("detectors", f"{name!r} is named twice")
         if not 0.0 <= self.rx_correlation < 1.0:
             raise ConfigValidationError("rx_correlation", "must be in [0, 1)")
         if not 0.0 < self.interferer_power_ratio < math.inf:
@@ -211,7 +211,7 @@ class ScenarioConfig:
         """Largest ``interferer_power_ratio`` this scenario accepts: the one
         that reaches ``MAX_ARRAY_INR`` at the lowest noise power the
         detectors see."""
-        noise = 0.0 if self.noiseless else snr_to_noise_power(max(self.snr_grid_db), self.n_users)
+        noise = snr_to_noise_power(max(self.snr_grid_db), self.n_users)
         return MAX_ARRAY_INR * max(noise, NOISELESS_FLOOR) / self.n_rx
 
 
@@ -293,7 +293,6 @@ _KEYS = {
     "covariance_samples": ("covariance_samples", int),
     "detectors": ("detectors", _str_list),
     "coded": ("coded", _parse_bool),
-    "noiseless": ("noiseless", _parse_bool),
     "rx_correlation": ("rx_correlation", float),
     "interferer_power_ratio": ("interferer_power_ratio", float),
     "sr.k": ("k", int),
@@ -423,8 +422,9 @@ def _detect_uses(cfg, name: str, cons, know: _TrialKnowledge, y_block, coded: bo
     the trial's channel knowledge, so each detector factorizes once and
     searches all uses together; every tree-search list is mapped back to
     user order. Uncoded, the K-best and sorting-reduced searches return only
-    their best candidate (``best_only``). The robust detector's LLRs come
-    from its own soft-output list, not from its hard search.
+    their best candidate (``best_only``). Coded, every list becomes LLRs by
+    list log-MAP (:func:`logmap_llrs`) on its likelihood; the robust
+    detector's list is its own soft-output search, not its hard search.
     """
     h_hat, r_uu, sigma_det = know.h_hat, know.r_uu, know.sigma_det
 
@@ -456,7 +456,13 @@ def _detect_uses(cfg, name: str, cons, know: _TrialKnowledge, y_block, coded: bo
         else:
             cands = sr_kbest_detect(sq.r, y_tilde, cfg.sr_params, cons, best_only=not coded)
         cands = cands.permuted(sq.perm)
-        return compute_llrs(cands, cons, cfg.n_users) if coded else cands.symbols[:, 0]
+        if not coded:
+            return cands.symbols[:, 0]
+        # the extended metric is ||y - H x||^2 + sigma2 ||x||^2 up to a
+        # per-vector constant; dropping the prior term leaves the likelihood
+        sigma2 = sigma_det + know.sigma_i2
+        energy = (np.abs(cons.points[cands.symbols]) ** 2).sum(axis=-1)
+        return logmap_llrs(cands.symbols, cands.metrics / sigma2 - energy, cons)
 
     if name == "robust-sr-kbest":
         plan = robust_plan(h_hat, r_uu)
@@ -477,8 +483,7 @@ def _detect_uses(cfg, name: str, cons, know: _TrialKnowledge, y_block, coded: bo
 def _run_trial(cfg, det_name: str, code, snr_db: float, rng) -> tuple[int, int]:
     """One independent trial; returns (bits counted, bit errors)."""
     cons = _CONSTELLATIONS[cfg.constellation]
-    sigma_n2 = 0.0 if cfg.noiseless else snr_to_noise_power(snr_db, cfg.n_users)
-    channel = generate_channel(cfg.channel, rng, sigma_n2)
+    channel = generate_channel(cfg.channel, rng, snr_to_noise_power(snr_db, cfg.n_users))
     know = _acquire_knowledge(cfg, channel, rng)
 
     bits_per_use = cfg.n_users * cons.bits_per_symbol

@@ -19,7 +19,9 @@ QR of the whitened channel, where the noise is white with unit variance.
 The search metric there is the whitened log-likelihood ``||y2 - r1 x||^2``
 itself, which the ``h2`` metric of the hard search is not. Every K-best
 list, hard or soft, comes from that one search and its one tie rule. The
-other list detectors give max-log LLRs over their own search metric.
+other list detectors use the same rule: ``mudet.bench`` turns their
+extended-model metrics into negative log-likelihoods for
+:func:`logmap_llrs`.
 
 LLR convention: positive favours bit 0. Magnitudes are clamped to
 ``LLR_MAX`` so a missing bit hypothesis in a candidate list stays finite
@@ -685,37 +687,17 @@ def robust_soft_llrs(plan: RobustPlan, y_block, cons: Constellation) -> np.ndarr
 # soft output
 
 
-def compute_llrs(cands: CandidateList, cons: Constellation, n_users: int) -> np.ndarray:
-    """Max-log LLRs from a candidate list, positive favouring bit 0.
-
-    For each coded bit (user-major order), the LLR is the minimum metric
-    among candidates carrying bit 1 minus the minimum among those carrying
-    bit 0; a missing hypothesis clamps the value to ``+/- LLR_MAX``. A
-    batched list (leading axis ``B``) gives ``(B, n_bits)``.
-    """
-    if len(cands) == 0:
-        raise ValueError("empty candidate list")
-    if cands.symbols.shape[-1] != n_users:
-        raise DimensionMismatchError("candidate width must equal n_users")
-    n_bits = n_users * cons.bits_per_symbol
-    bits = cons.bit_patterns[cands.symbols].reshape(*cands.metrics.shape, n_bits)
-    metrics = cands.metrics[..., None]
-    min0 = np.where(bits == 0, metrics, np.inf).min(axis=-2)
-    min1 = np.where(bits == 1, metrics, np.inf).min(axis=-2)
-    llr = np.where(np.isinf(min1), LLR_MAX, np.where(np.isinf(min0), -LLR_MAX, min1 - min0))
-    return np.clip(llr, -LLR_MAX, LLR_MAX)
-
-
 def logmap_llrs(symbols, metrics, cons: Constellation) -> np.ndarray:
     """Exact log-MAP LLRs over candidate lists, positive favouring bit 0.
 
     ``symbols[..., c, u]`` is the constellation index of user ``u`` in
-    candidate ``c`` and ``metrics[..., c]`` its squared distance at unit
-    noise variance, so the candidate's likelihood is ``exp(-metric)``. Each
+    candidate ``c`` and ``metrics[..., c]`` its negative log-likelihood up
+    to a constant per list (a squared distance at unit noise variance), so
+    the candidate's likelihood is proportional to ``exp(-metric)``. Each
     LLR is ``log`` of the summed likelihood of the candidates carrying bit
     0 minus that of those carrying bit 1; a bit with no hypothesis in the
-    list gets ``+/- LLR_MAX``, as in :func:`compute_llrs`. Returns
-    ``(..., n_users * bits_per_symbol)``, user-major.
+    list gets ``+/- LLR_MAX``. Returns ``(..., n_users * bits_per_symbol)``,
+    user-major.
     """
     symbols = np.asarray(symbols)
     metrics = np.asarray(metrics, dtype=float)
@@ -739,7 +721,7 @@ def equalizer_llrs(x_eq, bias, noise_var, cons: Constellation) -> np.ndarray:
     ``x_eq[m]`` is modelled as ``bias[m] * x[m]`` plus residual noise of
     power ``noise_var[m]``; the per-symbol distances are scaled by the
     residual power so the LLRs are decoder-calibrated. Same sign
-    convention and clamp as :func:`compute_llrs`. ``x_eq (B, n_users)``
+    convention and clamp as :func:`logmap_llrs`. ``x_eq (B, n_users)``
     gives one row of LLRs per equalized vector.
     """
     bias = np.asarray(bias, dtype=complex)

@@ -185,31 +185,28 @@ def parity_ok(code: LdpcCode, codeword) -> np.ndarray | bool:
 
 
 def decode_min_sum(code: LdpcCode, llrs) -> tuple[np.ndarray, bool, int]:
-    """Normalized min-sum decoding of one codeword.
-
-    Returns ``(message_bits, converged, iterations)``. The hard decision of
-    the input LLRs is checked first, so a clean codeword converges in zero
-    message-passing iterations. Non-convergence is reported via the flag,
-    never an exception.
-    """
-    llrs = np.asarray(llrs, dtype=float)
-    if llrs.shape != (code.n,):
-        raise ValueError(f"need {code.n} LLRs, got shape {llrs.shape}")
-    if not np.all(np.isfinite(llrs)):
-        raise ValueError("LLRs must be finite")
-    bits, conv, iters = decode_min_sum_batch(code, llrs[None, :])
+    """One codeword's ``(message_bits, converged, iterations)``: the one-row
+    case of :func:`decode_min_sum_batch`, with its checks."""
+    bits, conv, iters = decode_min_sum_batch(code, np.asarray(llrs, dtype=float)[None])
     return bits[0], bool(conv[0]), int(iters[0])
 
 
 def decode_min_sum_batch(code: LdpcCode, llrs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized min-sum over a ``(batch, n)`` block of LLR vectors.
+    """Vectorized min-sum over a ``(batch, n)`` block of finite LLR vectors.
 
-    Semantics per row are identical to :func:`decode_min_sum`; rows that
-    converge early freeze while the rest keep iterating. Messages live on
-    the slot-major edges, ``(rows, ROW_WEIGHT, n_checks)``, so each check
+    Returns ``(message_bits, converged, iterations)``, one entry per row.
+    The hard decision of each row's LLRs is checked first, so a clean
+    codeword converges in zero message-passing iterations; rows that
+    converge freeze while the rest keep iterating. Non-convergence is
+    reported via the flag, never an exception. Messages live on the
+    slot-major edges, ``(rows, ROW_WEIGHT, n_checks)``, so each check
     reduces over contiguous rows of its slots.
     """
     llrs = np.asarray(llrs, dtype=float)
+    if llrs.ndim != 2 or llrs.shape[1] != code.n:
+        raise ValueError(f"need rows of {code.n} LLRs, got shape {llrs.shape}")
+    if not np.isfinite(llrs).all():
+        raise ValueError("LLRs must be finite")
     hard = llrs < 0
     converged = _checks_satisfied(code, hard)
     iters = np.zeros(llrs.shape[0], dtype=int)

@@ -85,6 +85,25 @@ detectors = mmse-irc,robust-sr-kbest
 master_seed = {MASTER_SEED}
 """
 
+# C12: the coded sorting-reduced search stays near full-sort K-best, both
+# scoring their lists by list log-MAP on the extended model's likelihood.
+# The 1.25 bound was fixed before the first run on this seed.
+CODED_SR_SCENARIO = f"""
+n_rx = 16
+n_users = 4
+n_interferers = 0
+rx_correlation = 0.5
+constellation = qam16
+ce_mode = ls_pilot
+pilot_count = 8
+covariance_samples = 168
+coded = true
+snr_db = 2:4:1
+trials_per_point = 200
+detectors = kbest,sr-kbest
+master_seed = {MASTER_SEED}
+"""
+
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
     print(f"[acceptance] {criterion}: {'PASS' if ok else 'FAIL'} - {detail}")
@@ -352,3 +371,19 @@ def test_c11_determinism_byte_identical(interference_run):
     again = bench.run_scenario(cfg)
     same = bench.csv_bytes(records) == bench.csv_bytes(again)
     _report("C11 determinism", same, "two full runs produced byte-identical CSV")
+
+
+def test_c12_coded_sr_kbest_near_kbest():
+    cfg = bench.parse_config(CODED_SR_SCENARIO)
+    start = time.perf_counter()
+    table = _by_detector(bench.run_scenario(cfg))
+    elapsed = time.perf_counter() - start
+    kb = sum(rec.bit_errors for rec in table["kbest"].values())
+    sr = sum(rec.bit_errors for rec in table["sr-kbest"].values())
+    bits = sum(rec.bits for rec in table["kbest"].values())
+    _report(
+        "C12 coded sr-kbest near kbest",
+        sr <= 1.25 * kb,
+        f"pooled bit errors sr-kbest {sr}, kbest {kb} of {bits} "
+        f"(ratio {sr / max(kb, 1):.2f}), {elapsed:.1f} s",
+    )

@@ -47,8 +47,10 @@ def test_parse_error_carries_line_number():
         assert err.value.line_no == 2
 
 
-# one-key configs that would otherwise pass validation and abort the first trial
+# configs that would otherwise pass validation and abort the first trial (or,
+# naming a detector twice, run each of its cells twice)
 OUT_OF_RANGE_CONFIGS = [
+    ("detectors = mrc,mmse-irc,mrc\n", "detectors"),
     ("n_interferers = 1\ninterferer_power_ratio = nan\n", "interferer_power_ratio"),
     ("n_interferers = 1\ninterferer_power_ratio = inf\n", "interferer_power_ratio"),
     ("n_interferers = 1\ninterferer_power_ratio = 1e20\nsnr_db = 10\n", "interferer_power_ratio"),
@@ -111,7 +113,7 @@ def test_lowest_accepted_snr_runs_every_detector(extra):
 
 @pytest.mark.parametrize(
     "extra",
-    ["", "noiseless = true\n", "coded = true\nce_mode = ls_pilot\n"],
+    ["", "snr_db = inf\n", "coded = true\nce_mode = ls_pilot\n"],
     ids=["uncoded", "noiseless", "coded"],
 )
 def test_largest_accepted_interferer_power_runs_every_detector(extra):
@@ -193,6 +195,14 @@ def test_sr_schedule_without_pool_from_config():
         bench.parse_config("n_rx =\n")
 
 
+def test_noiseless_is_an_unknown_key():
+    # snr_db = inf is the noise-free scenario
+    with pytest.raises(ConfigValidationError) as err:
+        bench.parse_config("noiseless = true\n")
+    assert err.value.key == "noiseless"
+    assert bench.parse_config("snr_db = inf\n").snr_grid_db == (math.inf,)
+
+
 def test_bool_values():
     assert bench.parse_config("coded = true").coded
     assert not bench.parse_config("coded = off").coded
@@ -218,10 +228,9 @@ def test_trial_stream_reproducible_and_distinct():
 NOISELESS_ALL = """
 n_rx = 8
 n_users = 2
-snr_db = 10
+snr_db = inf
 trials_per_point = 2
 symbols_per_trial = 5
-noiseless = true
 detectors = mrc,mmse-irc,osic,kbest,sr-kbest,robust-sr-kbest,ml
 """
 
@@ -271,10 +280,12 @@ def test_detector_subset_invariance():
 
 
 # Frozen records of small scenarios that run every detector: SHA-256 of
-# csv_bytes. The uncoded and the coded LS-pilot digests were recorded with
-# a per-vector search loop. Batching a search over the uses
-# of a trial, or any other change to a detector's arithmetic or tie rule
-# that moves a decision or an LLR enough to flip a bit, shows here.
+# csv_bytes. The uncoded digest was recorded with a per-vector search loop;
+# the coded LS-pilot digest was re-recorded when kbest and sr-kbest began
+# to score their lists by list log-MAP on the likelihood (only their rows
+# moved). Batching a search over the uses of a trial, or any other change
+# to a detector's arithmetic or tie rule that moves a decision or an LLR
+# enough to flip a bit, shows here.
 GOLDEN_UNCODED = """
 n_rx = 8
 n_users = 3
@@ -328,7 +339,7 @@ master_seed = 7
     "text, digest",
     [
         (GOLDEN_UNCODED, "6e7ec7cb2926ff46bed9eadafa41097c20317af2ccfb27d58e5e3a9941f5adef"),
-        (GOLDEN_CODED, "375a9cc302947f3195756b224a0c7a0f7b7fe52082fb1d465da4000a050bf6e7"),
+        (GOLDEN_CODED, "9b9b4f8cc3fa7b9b07dc3899287426b07509e40904aceb984c839f08823818ba"),
         (GOLDEN_NO_INTERFERERS, "d9c260b621360580ce9d2ca436b8d31d270704510c75fce592bd59d68a871adb"),
     ],
     ids=["uncoded", "coded-ls-pilot", "uncoded-no-interferers"],
@@ -372,6 +383,52 @@ def test_hard_only_uses_permute_the_best_candidate_like_the_whole_list(qam16):
         for name, (cands, perm) in lists.items():
             hard = bench._detect_uses(cfg, name, qam16, know, y, coded=False)
             assert np.array_equal(hard, cands.permuted(perm).symbols[:, 0]), name
+
+
+def _exhaustive_logmap(h, y, sigma2, cons):
+    """Log-MAP LLRs of every row of ``y`` over all symbol vectors, from the
+    likelihood ``exp(-||y - H x||^2 / sigma2)``."""
+    m = h.shape[1]
+    every = np.stack(np.meshgrid(*[np.arange(cons.size)] * m, indexing="ij"), -1).reshape(-1, m)
+    bits = cons.bit_patterns[every].reshape(every.shape[0], -1)
+    nll = np.sum(np.abs(y[:, None, :] - cons.points[every] @ h.T) ** 2, axis=-1) / sigma2
+    weight = np.exp(nll.min(axis=1, keepdims=True) - nll)
+    with np.errstate(divide="ignore"):
+        llr = np.log(weight @ (1 - bits)) - np.log(weight @ bits)
+    return np.clip(llr, -det.LLR_MAX, det.LLR_MAX)
+
+
+@pytest.mark.parametrize("kind, k", [("qpsk", 16), ("qam16", 256)])
+def test_coded_kbest_llrs_are_exhaustive_logmap(kind, k):
+    # a list of every hypothesis gives exact log-MAP on the likelihood of
+    # y = H x + noise of power sigma_det + sigma_i2; QPSK vectors all carry
+    # the same energy, so only QAM16 shows the extended model's prior term
+    cons = airlink.build_constellation(kind)
+    rng = np.random.default_rng(63)
+    cfg = bench.ScenarioConfig(n_rx=6, n_users=2, constellation=kind, kbest_k=k)
+    for _ in range(5):
+        h = (rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))) / np.sqrt(2)
+        know = bench._TrialKnowledge(h_hat=h, r_uu=np.eye(6), sigma_det=0.5, sigma_i2=0.3)
+        y = cons.points[rng.integers(0, cons.size, (9, 2))] @ h.T + 0.6 * (
+            rng.standard_normal((9, 6)) + 1j * rng.standard_normal((9, 6))
+        )
+        llr = bench._detect_uses(cfg, "kbest", cons, know, y, coded=True)
+        ref = _exhaustive_logmap(h, y, 0.8, cons)
+        assert np.max(np.abs(llr - ref)) <= 1e-9
+        assert np.mean(np.abs(ref) < det.LLR_MAX) > 0.5  # most LLRs are soft
+
+
+def test_coded_osic_llrs_are_hard():
+    # osic lists one candidate, so every bit lacks one hypothesis
+    cfg = bench.ScenarioConfig(n_rx=8, n_users=3)
+    qam16 = airlink.build_constellation("qam16")
+    rng = np.random.default_rng(64)
+    h = (rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))) / np.sqrt(2)
+    know = bench._TrialKnowledge(h_hat=h, r_uu=np.eye(8), sigma_det=0.5, sigma_i2=0.0)
+    y = rng.standard_normal((7, 8)) + 1j * rng.standard_normal((7, 8))
+    llr = bench._detect_uses(cfg, "osic", qam16, know, y, coded=True)
+    assert llr.shape == (7, 12)
+    assert np.array_equal(np.abs(llr), np.full((7, 12), det.LLR_MAX))
 
 
 def test_scenario_channel_config_is_built_once():
@@ -563,6 +620,15 @@ def test_sr_expand_is_an_unknown_key(tmp_path):
     cfg = tmp_path / "expand.cfg"
     cfg.write_text("sr.expand = 4\ntrials_per_point = 1\nsymbols_per_trial = 2\n")
     assert cli_main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 1
+
+
+def test_cli_detector_flag_named_twice_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(CLI_CFG)
+    out = tmp_path / "o.csv"
+    assert cli_main(["simulate", "--config", str(cfg), "--out", str(out),
+                     "--detectors", "mrc,mrc"]) == 1
+    assert "named twice" in capsys.readouterr().err and not out.exists()
 
 
 def test_cli_runtime_error_exit_code(tmp_path):

@@ -695,7 +695,7 @@ def test_batched_apply_and_llrs_equal_row_by_row(qam16, monkeypatch):
     y3 = det.robust_apply(plan, y)
     x_mid = plan.x_mid(y)
     cands = det.sr_kbest_detect(plan.r2, y3, det.SrKBestParams.default_16_4(), qam16)
-    llr = det.compute_llrs(cands, qam16, 3)
+    llr = det.logmap_llrs(cands.symbols, cands.metrics, qam16)
     x_eq = 1.3 * crandn(rng, 5, 3)
     bias = np.array([0.9, 1.0, 1.1])
     noise = np.array([0.1, 0.2, 0.3])
@@ -703,8 +703,7 @@ def test_batched_apply_and_llrs_equal_row_by_row(qam16, monkeypatch):
     for t in range(5):
         assert np.allclose(y3[t], det.robust_apply(plan, y[t, None])[0], rtol=0, atol=1e-12)
         assert np.allclose(x_mid[t], plan.x_mid(y[t, None])[0], rtol=0, atol=1e-12)
-        row = det.CandidateList(symbols=cands.symbols[t], metrics=cands.metrics[t])
-        assert np.array_equal(llr[t], det.compute_llrs(row, qam16, 3))
+        assert np.array_equal(llr[t], det.logmap_llrs(cands.symbols[t], cands.metrics[t], qam16))
         assert np.array_equal(eq[t], det.equalizer_llrs(x_eq[t, None], bias, noise, qam16)[0])
     # 4096 candidates in chunks of 64, scored 12 at a time for 5 vectors, so
     # a row's minimum can fall in any chunk; at y = 0 the candidates x and
@@ -954,28 +953,28 @@ def test_robust_full_search_matches_whitened_ml(qam16):
 # --- soft output ----------------------------------------------------------------
 
 
+# list log-MAP (logmap_llrs) on hand-sized lists; each behaviour held under
+# the max-log rule these tests were first written for
+
+
 def test_compute_llrs_two_candidate_example(qpsk):
-    cl = det.CandidateList(symbols=np.array([[0], [1]]), metrics=np.array([1.0, 3.0]))
-    llr = det.compute_llrs(cl, qpsk, 1)
+    llr = det.logmap_llrs(np.array([[0], [1]]), np.array([1.0, 3.0]), qpsk)
     assert llr[0] == 30.0  # bit 0 never takes value 1 in the list
-    assert llr[1] == 2.0  # metrics 1.0 (bit=0) vs 3.0 (bit=1)
+    assert llr[1] == pytest.approx(2.0)  # likelihoods e^-1 (bit=0) vs e^-3 (bit=1)
 
 
 def test_compute_llrs_equal_metrics_zero(qpsk):
-    cl = det.CandidateList(symbols=np.array([[0], [1]]), metrics=np.array([2.0, 2.0]))
-    assert det.compute_llrs(cl, qpsk, 1)[1] == 0.0
+    assert det.logmap_llrs(np.array([[0], [1]]), np.array([2.0, 2.0]), qpsk)[1] == 0.0
 
 
 def test_compute_llrs_missing_hypothesis_clamps(qpsk):
-    cl = det.CandidateList(symbols=np.array([[1]]), metrics=np.array([0.5]))
-    llr = det.compute_llrs(cl, qpsk, 1)
+    llr = det.logmap_llrs(np.array([[1]]), np.array([0.5]), qpsk)
     assert llr[1] == -30.0
 
 
 def test_compute_llrs_empty_raises(qpsk):
-    cl = det.CandidateList(symbols=np.zeros((0, 1), dtype=int), metrics=np.zeros(0))
     with pytest.raises(ValueError):
-        det.compute_llrs(cl, qpsk, 1)
+        det.logmap_llrs(np.zeros((0, 1), dtype=int), np.zeros(0), qpsk)
 
 
 @settings(max_examples=60, deadline=None)
@@ -983,10 +982,8 @@ def test_compute_llrs_empty_raises(qpsk):
 def test_compute_llrs_sign_flips_under_complement(qam16, symbols, seed):
     symbols = np.asarray(symbols)[:, None]
     metrics = np.random.default_rng(seed).random(symbols.shape[0])
-    cl = det.CandidateList(symbols=symbols, metrics=metrics)
-    llr = det.compute_llrs(cl, qam16, 1)
-    flipped = det.CandidateList(symbols=15 - symbols, metrics=metrics)
-    llr_f = det.compute_llrs(flipped, qam16, 1)
+    llr = det.logmap_llrs(symbols, metrics, qam16)
+    llr_f = det.logmap_llrs(15 - symbols, metrics, qam16)
     assert np.allclose(llr_f, -llr)
 
 

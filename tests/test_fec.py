@@ -200,6 +200,20 @@ def test_decode_rejects_bad_input(code):
         fec.decode_min_sum(code, bad)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_decode_batch_rejects_non_finite_rows(code, value):
+    llrs = np.ones((3, code.n))
+    llrs[1, 7] = value
+    with pytest.raises(ValueError, match="finite"):
+        fec.decode_min_sum_batch(code, llrs)
+
+
+@pytest.mark.parametrize("shape", [(2, 300), (1, 287), (288,), (1, 1, 288)])
+def test_decode_batch_rejects_rows_of_the_wrong_shape(code, shape):
+    with pytest.raises(ValueError, match="288 LLRs"):
+        fec.decode_min_sum_batch(code, np.ones(shape))
+
+
 def test_bpsk_awgn_coded_ber_regression(code):
     # frozen Monte-Carlo baseline: Eb/N0 = 4 dB, rate 1/2 BPSK
     ebn0 = 10.0 ** 0.4
