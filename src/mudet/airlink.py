@@ -25,7 +25,7 @@ from .numkit import as_complex_matrix, cholesky
 
 CONSTELLATION_KINDS = ("qpsk", "qam16")
 
-# Default diagonal loading: 1e-6 of the average diagonal power.
+# Diagonal loading of a covariance estimate: 1e-6 of its average diagonal power.
 COV_LOADING_REL = 1e-6
 
 
@@ -42,7 +42,6 @@ class Constellation:
     ``bit_patterns`` (most significant bit first, so index == packed bits).
     """
 
-    name: str
     points: np.ndarray
     bits_per_symbol: int
     bit_patterns: np.ndarray
@@ -108,9 +107,7 @@ def build_constellation(kind: str) -> Constellation:
     bit_patterns = (
         (idx[:, None] >> np.arange(bps - 1, -1, -1)) & 1
     ).astype(np.uint8)
-    return Constellation(
-        name=kind, points=points, bits_per_symbol=bps, bit_patterns=bit_patterns
-    )
+    return Constellation(points=points, bits_per_symbol=bps, bit_patterns=bit_patterns)
 
 
 @dataclass(frozen=True)
@@ -152,15 +149,6 @@ class ChannelEstimate:
 
     h_hat: np.ndarray
     error_var: float
-
-
-@dataclass(frozen=True)
-class CovarianceEstimate:
-    """Hermitian PD interference+noise covariance with its sample count."""
-
-    r_uu: np.ndarray
-    samples: int
-    loading: float
 
 
 @lru_cache(maxsize=16)
@@ -261,17 +249,14 @@ def estimate_channel(pilot_users, pilot_symbols, y_pilots, n_users: int) -> Chan
     return ChannelEstimate(h_hat=h_hat, error_var=error_var)
 
 
-def estimate_covariance(residuals, loading: float | None = None) -> CovarianceEstimate:
+def estimate_covariance(residuals) -> np.ndarray:
     """Sample interference+noise covariance with diagonal loading.
 
-    Parameters
-    ----------
-    residuals : array_like, shape (n_samples, n_rx)
-        Reference-signal residuals ``y - h_hat * x`` (one per row).
-    loading : float or None
-        Diagonal loading added after averaging. ``None`` selects
-        ``COV_LOADING_REL * trace / n_rx``, which keeps the estimate
-        positive definite even with fewer samples than antennas.
+    ``residuals`` holds reference-signal residuals ``y - h_hat * x``, one
+    per row, ``(n_samples, n_rx)``. Returns the Hermitian ``(n_rx, n_rx)``
+    estimate with ``COV_LOADING_REL * trace / n_rx`` added to its diagonal
+    after averaging, which keeps it positive definite even with fewer
+    samples than antennas.
     """
     res = np.asarray(residuals, dtype=complex)
     if res.ndim == 1:
@@ -281,15 +266,12 @@ def estimate_covariance(residuals, loading: float | None = None) -> CovarianceEs
     t, n_rx = res.shape
     r_uu = (res.T @ res.conj()) / t
     r_uu = 0.5 * (r_uu + r_uu.conj().T)
-    if loading is None:
-        loading = COV_LOADING_REL * float(np.real(np.trace(r_uu))) / n_rx
-    if loading < 0.0:
-        raise ValueError("loading must be >= 0")
+    loading = COV_LOADING_REL * float(np.real(np.trace(r_uu))) / n_rx
     r_uu = r_uu + loading * np.eye(n_rx)
     try:
         cholesky(r_uu)
     except NotPositiveDefiniteError:
         raise NotPositiveDefiniteError(
-            "covariance not PD after loading; increase the loading or sample count"
+            "covariance not PD after loading; increase the sample count"
         ) from None
-    return CovarianceEstimate(r_uu=r_uu, samples=t, loading=float(loading))
+    return r_uu

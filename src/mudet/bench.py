@@ -396,7 +396,7 @@ def _acquire_knowledge(cfg, channel, rng) -> _TrialKnowledge:
         users, symbols, y = _reference_slots(cfg, channel, rng, cfg.pilot_count * cfg.n_users)
         h_hat = estimate_channel(users, symbols, y, cfg.n_users).h_hat
         users, symbols, y = _reference_slots(cfg, channel, rng, cfg.covariance_samples)
-        r_uu = estimate_covariance((y - h_hat[:, users] * symbols).T).r_uu
+        r_uu = estimate_covariance((y - h_hat[:, users] * symbols).T)
     sigma_i2 = max(float(r_uu.trace().real) / n_rx - sigma_det, 0.0)
     return _TrialKnowledge(h_hat=h_hat, r_uu=r_uu, sigma_det=sigma_det, sigma_i2=sigma_i2)
 
@@ -474,8 +474,8 @@ def _detect_uses(cfg, name: str, cons, know: _TrialKnowledge, y_block, coded: bo
         return cands.permuted(plan.perm).symbols[:, 0]
 
     if name == "ml":
-        out = ml_bruteforce(h_hat, y_block, cons, soft=coded)
-        return out.llr if coded else out.hard
+        hard, llr, _ = ml_bruteforce(h_hat, y_block, cons, soft=coded)
+        return llr if coded else hard
 
     raise ValueError(f"unknown detector {name!r}")
 

@@ -11,7 +11,14 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .bench import emit_plot_data, parse_config, parse_snr_spec, run_scenario, write_csv
+from .bench import (
+    _str_list,
+    emit_plot_data,
+    parse_config,
+    parse_snr_spec,
+    run_scenario,
+    write_csv,
+)
 from .errors import ConfigError, ConfigValidationError
 
 
@@ -39,8 +46,7 @@ def _load_config(args):
     if args.seed is not None:
         cfg = replace(cfg, master_seed=args.seed)
     if args.detectors is not None:
-        names = tuple(d.strip() for d in args.detectors.split(",") if d.strip())
-        cfg = replace(cfg, detectors=names)
+        cfg = replace(cfg, detectors=_str_list(args.detectors))
     if args.snr is not None:
         try:
             grid = parse_snr_spec(args.snr)

@@ -1,15 +1,14 @@
 """Multi-user uplink detectors.
 
-Linear detection (single-user Wiener filter in Sherman-Morrison form, and
-the weight matrices of multi-user MMSE with interference rejection and of
-white-noise MRC), three tree searches on an upper-triangular system
-(ordered successive interference cancellation, breadth-first K-best, and
-its sorting-reduced variant driven by a ``(k, s, p, v, q)`` schedule),
-exhaustive maximum likelihood, and the interference-whitening
-pre-processing chain that makes the tree search robust to spatially
-coloured interference. A detector is composed from these parts in
-``mudet.bench``: a plan per channel, a rotation of the received vectors,
-one search and, on the coded path, LLRs.
+Linear detection (the weight matrices of multi-user MMSE with
+interference rejection and of white-noise MRC), three tree searches on an
+upper-triangular system (ordered successive interference cancellation,
+breadth-first K-best, and its sorting-reduced variant driven by a
+``(k, s, p, v, q)`` schedule), exhaustive maximum likelihood, and the
+interference-whitening pre-processing chain that makes the tree search
+robust to spatially coloured interference. A detector is composed from
+these parts in ``mudet.bench``: a plan per channel, a rotation of the
+received vectors, one search and, on the coded path, LLRs.
 
 Soft output of the robust detector: its hard decisions come from the
 sorting-reduced search on the second-stage model ``(r2, y3)``, but its
@@ -29,8 +28,8 @@ for the decoder.
 
 Batching: :func:`build_extended`, the tree searches (:func:`osic_detect`,
 :func:`kbest_detect`, :func:`sr_kbest_detect`), :func:`ml_bruteforce`,
-:func:`robust_apply`, :meth:`RobustPlan.x_mid`, :func:`robust_soft_llrs`
-and :func:`equalizer_llrs` take a ``(B, ...)`` block of received vectors
+:func:`robust_apply`, :func:`robust_soft_llrs` and
+:func:`equalizer_llrs` take a ``(B, ...)`` block of received vectors
 that share one channel factorization, and nothing else: a 1-D input raises
 ``ValueError`` (one vector is the block ``y[None]``). Every output carries
 the leading ``B`` axis. Given its rotated input ``y_tilde``, every row is
@@ -75,7 +74,6 @@ from .errors import (
 from .numkit import (
     SortedQR,
     as_complex_matrix,
-    as_complex_vector,
     inv_sqrt,
     qr_decompose,
     solve_hermitian,
@@ -100,17 +98,6 @@ _ML_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
-class DetectorOutput:
-    """Output of :func:`ml_bruteforce`, one row per received vector: hard
-    decisions (constellation indices per user), per-bit LLRs (None from a
-    hard-only call) and best metrics."""
-
-    hard: np.ndarray
-    llr: np.ndarray | None
-    metric: np.ndarray
-
-
-@dataclass(frozen=True)
 class CandidateList:
     """Survivors of a tree search, ascending by accumulated squared distance.
 
@@ -120,9 +107,6 @@ class CandidateList:
 
     symbols: np.ndarray
     metrics: np.ndarray
-
-    def __len__(self) -> int:
-        return self.metrics.shape[-1]
 
     def permuted(self, perm: np.ndarray) -> "CandidateList":
         """Map layer-ordered symbols back to original user order.
@@ -240,7 +224,6 @@ class RobustPlan:
     across every received vector that shares ``h_hat`` and ``r_uu``."""
 
     w: np.ndarray
-    h1: np.ndarray
     q1: np.ndarray
     r1: np.ndarray
 
@@ -262,40 +245,16 @@ class RobustPlan:
     def soft_qr(self) -> SortedQR:
         """Sorted QR of the whitened channel, the soft-output search model.
 
-        ``h1 = q1 r1``, so factorizing the square ``r1`` gives the same
-        triangular factor as factorizing ``h1``; the full channel is then
-        ``h1[:, perm] = q1 q r``. Computed on first use, since only the
-        soft output needs it.
+        The whitened channel is ``w h_hat = q1 r1``, so factorizing the
+        square ``r1`` gives the same triangular factor as factorizing it,
+        and ``(w h_hat)[:, perm] = q1 q r``. Computed on first use, since
+        only the soft output needs it.
         """
         return sorted_qr(self.r1)
-
-    def x_mid(self, y) -> np.ndarray:
-        """MMSE mid-stage estimates ``(I + r1' r1)^-1 r1' y2`` of received
-        rows ``y (B, n_rx)``, with ``y2 = q1' w y``; not on the detection path."""
-        y2 = (_rows(y, self.w.shape[0], "y") @ self.w.T) @ self.q1.conj()
-        m = self.r1.shape[0]
-        gram = np.eye(m) + self.r1.conj().T @ self.r1
-        gram = 0.5 * (gram + gram.conj().T)
-        return solve_hermitian(gram, (y2 @ self.r1.conj()).T).T
 
 
 # ---------------------------------------------------------------------------
 # linear detectors
-
-
-def mmse_single(h, r_uu, y) -> complex:
-    """Single-user Wiener estimate via the Sherman-Morrison form.
-
-    Returns ``w @ y`` with ``w = h' R_uu^-1 / (1 + h' R_uu^-1 h)``, which
-    equals the direct ``R_yy^-1`` computation with ``R_yy = R_uu + h h'``.
-    """
-    h = as_complex_vector(h, "h")
-    y = as_complex_vector(y, "y")
-    if h.size != y.size:
-        raise DimensionMismatchError("h and y must have equal length")
-    z = solve_hermitian(r_uu, h)
-    denom = 1.0 + float(np.real(h.conj() @ z))
-    return complex(z.conj() @ y) / denom
 
 
 def linear_weights(h_hat, z, sigma_n2: float) -> np.ndarray:
@@ -589,15 +548,18 @@ def osic_detect(r, y_tilde, cons: Constellation) -> CandidateList:
     return CandidateList(symbols=hard[:, None, :], metrics=metric[:, None])
 
 
-def ml_bruteforce(h, y, cons: Constellation, soft: bool = True) -> DetectorOutput:
+def ml_bruteforce(h, y, cons: Constellation, soft: bool = True) -> tuple:
     """Exhaustive minimum-distance search over every symbol vector.
+
+    Returns ``(hard, llr, metric)``, one row per received vector: hard
+    decisions (constellation indices per user), per-bit LLRs (None when
+    ``soft=False``) and best metrics.
 
     Guarded to one million candidates. ``y`` is a ``(B, n)`` block; each chunk of ``_ML_CHUNK`` candidate images is
     computed once for the whole batch and scored in steps of at most
     ``max(_ML_CHUNK, B)`` (candidate, vector) pairs, so memory stays
-    bounded. LLRs are exact max-log values over the full search space;
-    ``soft=False`` skips them. Ties resolve to the lexicographically
-    smallest index sequence.
+    bounded. LLRs are exact max-log values over the full search space.
+    Ties resolve to the lexicographically smallest index sequence.
     """
     h = as_complex_matrix(h, "h")
     n, m = h.shape
@@ -634,7 +596,7 @@ def ml_bruteforce(h, y, cons: Constellation, soft: bool = True) -> DetectorOutpu
                     np.minimum(min_by_bit[hyp], masked.min(axis=1), out=min_by_bit[hyp])
     hard = (best_idx[:, None] // weights) % size
     llr = np.clip(min_by_bit[1] - min_by_bit[0], -LLR_MAX, LLR_MAX) if soft else None
-    return DetectorOutput(hard=hard, llr=llr, metric=best_metric)
+    return hard, llr, best_metric
 
 
 # ---------------------------------------------------------------------------
@@ -652,9 +614,8 @@ def robust_plan(h_hat, r_uu) -> RobustPlan:
     w = inv_sqrt(r_uu)
     if w.shape[0] != h_hat.shape[0]:
         raise DimensionMismatchError("r_uu dimension must equal n_rx")
-    h1 = w @ h_hat
-    q1, r1 = qr_decompose(h1)
-    return RobustPlan(w=w, h1=h1, q1=q1, r1=r1)
+    q1, r1 = qr_decompose(w @ h_hat)
+    return RobustPlan(w=w, q1=q1, r1=r1)
 
 
 def robust_apply(plan: RobustPlan, y) -> np.ndarray:

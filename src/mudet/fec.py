@@ -54,11 +54,6 @@ class LdpcCode:
     def k(self) -> int:
         return self.n - self.parity.shape[0]
 
-    @property
-    def generator(self) -> np.ndarray:
-        """Systematic generator ``[I_k | P^T]`` with ``G @ H^T = 0`` over GF(2)."""
-        return np.hstack([np.eye(self.k, dtype=np.uint8), self.parity_solver.T])
-
 
 def _sample_regular_parity(rng: np.random.Generator) -> np.ndarray | None:
     """Greedy progressive edge placement for a regular (3, 6) matrix.

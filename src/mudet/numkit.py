@@ -2,9 +2,9 @@
 
 Thin QR from LAPACK, a sorted Gram-Schmidt QR with a greedy
 weakest-column-first pivot order, Cholesky factorization, the
-inverse-square-root whitener, and Hermitian solves. Matrices and vectors
-are plain complex ``numpy`` arrays; the factorization results are small
-frozen dataclasses.
+inverse-square-root whitener, and Hermitian solves. Matrices are plain
+complex ``numpy`` arrays; the factorization results are small frozen
+dataclasses.
 
 Conventions
 -----------
@@ -52,16 +52,6 @@ def as_complex_matrix(a, name: str = "a") -> np.ndarray:
         raise ValueError(f"{name} must be 2-D, got ndim={arr.ndim}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise ValueError(f"{name} must have at least one row and column")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} contains non-finite entries")
-    return arr
-
-
-def as_complex_vector(v, name: str = "v") -> np.ndarray:
-    """Validate and convert ``v`` to a 1-D complex array with finite entries."""
-    arr = np.asarray(v, dtype=complex)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be 1-D, got ndim={arr.ndim}")
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr

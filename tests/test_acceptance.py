@@ -146,8 +146,8 @@ def test_c01_kbest_matches_ml_exactly():
         y = h @ QAM16.points[rng.integers(0, 16, 2)] + 0.35 * complex_randn(rng, 8)
         q, r = qr_decompose(h)
         cl = det.kbest_detect(r, (q.conj().T @ y)[None], 256, QAM16, expand=16)
-        mlo = det.ml_bruteforce(h, y[None], QAM16)
-        if not np.array_equal(cl.symbols[0, 0], mlo.hard[0]):
+        hard = det.ml_bruteforce(h, y[None], QAM16)[0]
+        if not np.array_equal(cl.symbols[0, 0], hard[0]):
             mismatches += 1
     elapsed = time.perf_counter() - start
     _report(
@@ -166,7 +166,7 @@ def test_c02_sherman_morrison_identity():
         r_uu = random_pd(rng, n)
         y = complex_randn(rng, n)
         direct = complex(np.linalg.solve(r_uu + np.outer(h, h.conj()), h).conj() @ y)
-        ours = det.mmse_single(h, r_uu, y)
+        ours = complex(det.mmse_irc_weights(h[:, None], r_uu, 1.0)[0] @ y)
         worst = max(worst, abs(ours - direct) / max(1.0, abs(direct)))
     _report("C2 Sherman-Morrison", worst <= 1e-10, f"worst relative error {worst:.2e}")
 
@@ -201,9 +201,10 @@ def test_c04_robust_pipeline_hand_check():
     y = complex_randn(rng, 4)
     plan = det.robust_plan(np.eye(4), np.eye(4))
     y3 = det.robust_apply(plan, y[None])[0]
+    y2 = (y @ plan.w.T) @ plan.q1.conj()
     checks = [
         np.allclose(plan.r1, np.eye(4), atol=1e-12),
-        np.allclose(plan.x_mid(y[None])[0], y / 2, atol=1e-12),
+        np.allclose(np.linalg.solve(plan.h2, y2), y / 2, atol=1e-12),
         np.allclose(plan.h2, 2 * np.eye(4), atol=1e-12),
         np.allclose(plan.r2, 2 * np.eye(4), atol=1e-12),
         np.allclose(y3, y, atol=1e-12),

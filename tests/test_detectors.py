@@ -25,13 +25,19 @@ def random_pd(rng, n, floor=0.1):
 # --- linear detectors ---------------------------------------------------------
 
 
-def test_mmse_single_hand_cases():
-    est = det.mmse_single([1.0, 0.0, 0.0], np.eye(3), [1.0, 0.0, 0.0])
+def one_user_wiener(h, r_uu, y):
+    """Wiener estimate of one unit-power user: the one row of the MMSE-IRC
+    weights, ``h' R_uu^-1 / (1 + h' R_uu^-1 h)`` by Sherman-Morrison."""
+    return complex(det.mmse_irc_weights(np.asarray(h, dtype=complex)[:, None], r_uu, 1.0)[0] @ y)
+
+
+def test_mmse_irc_single_user_hand_cases():
+    est = one_user_wiener([1.0, 0.0, 0.0], np.eye(3), [1.0, 0.0, 0.0])
     assert abs(est - 0.5) < 1e-12
-    assert det.mmse_single(np.zeros(3), np.eye(3), np.ones(3)) == 0.0
+    assert one_user_wiener(np.zeros(3), np.eye(3), np.ones(3)) == 0.0
 
 
-def test_mmse_single_sherman_morrison_equivalence():
+def test_mmse_irc_single_user_sherman_morrison_equivalence():
     rng = np.random.default_rng(0)
     for n in (3, 8, 64):
         for _ in range(40):
@@ -39,7 +45,7 @@ def test_mmse_single_sherman_morrison_equivalence():
             r_uu = random_pd(rng, n)
             y = crandn(rng, n)
             direct = complex(np.linalg.solve(r_uu + np.outer(h, h.conj()), h).conj() @ y)
-            ours = det.mmse_single(h, r_uu, y)
+            ours = one_user_wiener(h, r_uu, y)
             assert abs(ours - direct) <= 1e-10 * max(1.0, abs(direct))
 
 
@@ -122,7 +128,7 @@ def test_osic_single_user_noiseless(qam16):
     x = qam16.points[[7]]
     sq, y_tilde = extended_triangle(h, (h @ x)[None], 1e-12)
     out = det.osic_detect(sq.r, y_tilde, qam16)
-    assert len(out) == 1 and np.array_equal(out.symbols[0, 0], [7])
+    assert out.metrics.shape[-1] == 1 and np.array_equal(out.symbols[0, 0], [7])
 
 
 def test_osic_noiseless_multiuser_exact(qam16):
@@ -165,9 +171,9 @@ def test_kbest_exhaustive_equals_ml(qam16):
         q, r = qr_decompose(h)
         y_tilde = (q.conj().T @ y)[None]
         cl = det.kbest_detect(r, y_tilde, 256, qam16, expand=16)
-        mlo = det.ml_bruteforce(r, y_tilde, qam16)
-        assert np.array_equal(cl.symbols[0, 0], mlo.hard[0])
-        assert abs(cl.metrics[0, 0] - mlo.metric[0]) < 1e-9
+        hard, _, metric = det.ml_bruteforce(r, y_tilde, qam16)
+        assert np.array_equal(cl.symbols[0, 0], hard[0])
+        assert abs(cl.metrics[0, 0] - metric[0]) < 1e-9
 
 
 def test_kbest_exhaustive_equals_ml_qpsk_four_users(qpsk):
@@ -178,8 +184,8 @@ def test_kbest_exhaustive_equals_ml_qpsk_four_users(qpsk):
         q, r = qr_decompose(h)
         y_tilde = (q.conj().T @ y)[None]
         cl = det.kbest_detect(r, y_tilde, 256, qpsk, expand=4)
-        mlo = det.ml_bruteforce(r, y_tilde, qpsk)
-        assert np.array_equal(cl.symbols[0, 0], mlo.hard[0])
+        hard = det.ml_bruteforce(r, y_tilde, qpsk)[0]
+        assert np.array_equal(cl.symbols[0, 0], hard[0])
 
 
 def test_kbest_noiseless_keeps_transmitted(qam16):
@@ -448,8 +454,8 @@ def test_sr_never_beats_exhaustive_search(qpsk):
         q, r = qr_decompose(h)
         y_tilde = (q.conj().T @ y)[None]
         sr = det.sr_kbest_detect(r, y_tilde, params, qpsk)
-        mlo = det.ml_bruteforce(r, y_tilde, qpsk)
-        assert sr.metrics[0, 0] >= mlo.metric[0] - 1e-9
+        metric = det.ml_bruteforce(r, y_tilde, qpsk)[2]
+        assert sr.metrics[0, 0] >= metric[0] - 1e-9
 
 
 def test_sr_dominance_and_equality_rate_vs_kbest(qam16):
@@ -650,7 +656,7 @@ def test_batched_searches_equal_row_by_row(qpsk, qam16, n_vec, m, use_qpsk, k, z
 
 ENTRY_POINTS = (
     "build_extended", "osic_detect", "kbest_detect", "sr_kbest_detect", "ml_bruteforce",
-    "robust_apply", "robust_soft_llrs", "equalizer_llrs", "RobustPlan.x_mid",
+    "robust_apply", "robust_soft_llrs", "equalizer_llrs",
 )
 
 
@@ -672,13 +678,12 @@ def test_entry_points_take_blocks_only(qam16, name):
         "osic_detect": (lambda v: listed(det.osic_detect(r, v, qam16)), 3),
         "kbest_detect": (lambda v: listed(det.kbest_detect(r, v, 4, qam16)), 3),
         "sr_kbest_detect": (lambda v: listed(det.sr_kbest_detect(r, v, params, qam16)), 3),
-        "ml_bruteforce": (lambda v: vars(det.ml_bruteforce(h, v, qam16)).values(), 6),
+        "ml_bruteforce": (lambda v: det.ml_bruteforce(h, v, qam16), 6),
         "robust_apply": (lambda v: (det.robust_apply(plan, v),), 6),
         "robust_soft_llrs": (lambda v: (det.robust_soft_llrs(plan, v, qam16),), 6),
         "equalizer_llrs": (
             lambda v: (det.equalizer_llrs(v, np.ones(3), np.full(3, 0.1), qam16),), 3
         ),
-        "RobustPlan.x_mid": (lambda v: (plan.x_mid(v),), 6),
     }[name]
     with pytest.raises(ValueError, match=rf"\(B, {width}\) block, got ndim=1"):
         call(y[:width])
@@ -693,7 +698,8 @@ def test_batched_apply_and_llrs_equal_row_by_row(qam16, monkeypatch):
     y = crandn(rng, 5, 8)
     plan = det.robust_plan(h, r_uu)
     y3 = det.robust_apply(plan, y)
-    x_mid = plan.x_mid(y)
+    y2 = (y @ plan.w.T) @ plan.q1.conj()
+    x = np.linalg.solve(plan.h2, y2.T).T
     cands = det.sr_kbest_detect(plan.r2, y3, det.SrKBestParams.default_16_4(), qam16)
     llr = det.logmap_llrs(cands.symbols, cands.metrics, qam16)
     x_eq = 1.3 * crandn(rng, 5, 3)
@@ -702,7 +708,8 @@ def test_batched_apply_and_llrs_equal_row_by_row(qam16, monkeypatch):
     eq = det.equalizer_llrs(x_eq, bias, noise, qam16)
     for t in range(5):
         assert np.allclose(y3[t], det.robust_apply(plan, y[t, None])[0], rtol=0, atol=1e-12)
-        assert np.allclose(x_mid[t], plan.x_mid(y[t, None])[0], rtol=0, atol=1e-12)
+        y2_row = (y[t, None] @ plan.w.T) @ plan.q1.conj()
+        assert np.allclose(x[t], np.linalg.solve(plan.h2, y2_row[0]), rtol=0, atol=1e-12)
         assert np.array_equal(llr[t], det.logmap_llrs(cands.symbols[t], cands.metrics[t], qam16))
         assert np.array_equal(eq[t], det.equalizer_llrs(x_eq[t, None], bias, noise, qam16)[0])
     # 4096 candidates in chunks of 64, scored 12 at a time for 5 vectors, so
@@ -710,15 +717,15 @@ def test_batched_apply_and_llrs_equal_row_by_row(qam16, monkeypatch):
     # -x tie exactly, and they lie in different chunks
     monkeypatch.setattr(det, "_ML_CHUNK", 64)
     y[4] = 0.0
-    ml = det.ml_bruteforce(h, y, qam16)
+    hard, llr, metric = det.ml_bruteforce(h, y, qam16)
     for t in range(5):
-        one = det.ml_bruteforce(h, y[t, None], qam16)
-        assert np.array_equal(ml.hard[t], one.hard[0])
-        assert np.array_equal(ml.llr[t], one.llr[0])
-        assert np.isclose(ml.metric[t], one.metric[0], rtol=1e-12, atol=1e-12)
+        one_hard, one_llr, one_metric = det.ml_bruteforce(h, y[t, None], qam16)
+        assert np.array_equal(hard[t], one_hard[0])
+        assert np.array_equal(llr[t], one_llr[0])
+        assert np.isclose(metric[t], one_metric[0], rtol=1e-12, atol=1e-12)
     every = (np.arange(4096)[:, None] // np.array([256, 16, 1])) % 16
     dist = np.sum(np.abs(qam16.points[every] @ h.T) ** 2, axis=1)
-    assert np.array_equal(ml.hard[4], every[np.argmin(dist)])  # lowest index wins
+    assert np.array_equal(hard[4], every[np.argmin(dist)])  # lowest index wins
 
 
 def test_hard_only_paths_match_soft(qam16):
@@ -731,25 +738,25 @@ def test_hard_only_paths_match_soft(qam16):
         (det.ml_bruteforce(h, y[:1], qam16), det.ml_bruteforce(h, y[:1], qam16, soft=False)),
     )
     for soft, hard in pairs:
-        assert hard.llr is None and soft.llr is not None
-        assert np.array_equal(hard.hard, soft.hard)
-        assert np.array_equal(hard.metric, soft.metric)
+        assert hard[1] is None and soft[1] is not None
+        assert np.array_equal(hard[0], soft[0])
+        assert np.array_equal(hard[2], soft[2])
 
 
 # --- brute-force ML -------------------------------------------------------------
 
 
 def test_ml_single_user_nearest_point(qpsk):
-    out = det.ml_bruteforce(np.array([[1.0]]), np.array([[0.9 + 0.1j]]), qpsk)
-    assert np.isclose(qpsk.points[out.hard[0, 0]], (1 + 1j) / np.sqrt(2))
+    hard = det.ml_bruteforce(np.array([[1.0]]), np.array([[0.9 + 0.1j]]), qpsk)[0]
+    assert np.isclose(qpsk.points[hard[0, 0]], (1 + 1j) / np.sqrt(2))
 
 
 def test_ml_noiseless(qam16):
     rng = np.random.default_rng(15)
     h = crandn(rng, 5, 3)
     idx = rng.integers(0, 16, 3)
-    out = det.ml_bruteforce(h, (h @ qam16.points[idx])[None], qam16)
-    assert np.array_equal(out.hard[0], idx)
+    hard = det.ml_bruteforce(h, (h @ qam16.points[idx])[None], qam16)[0]
+    assert np.array_equal(hard[0], idx)
 
 
 def test_ml_double_loop_oracle(qam16):
@@ -763,9 +770,9 @@ def test_ml_double_loop_oracle(qam16):
             m = float(np.sum(np.abs(y - h @ x) ** 2))
             if best is None or m < best[0]:
                 best = (m, [i, j])
-    out = det.ml_bruteforce(h, y[None], qam16)
-    assert list(out.hard[0]) == best[1]
-    assert abs(out.metric[0] - best[0]) < 1e-12
+    hard, _, metric = det.ml_bruteforce(h, y[None], qam16)
+    assert list(hard[0]) == best[1]
+    assert abs(metric[0] - best[0]) < 1e-12
 
 
 def test_ml_guard(qam16):
@@ -790,7 +797,8 @@ def test_robust_identity_hand_check():
     plan = det.robust_plan(np.eye(4), np.eye(4))
     y3 = det.robust_apply(plan, y[None])
     assert np.allclose(plan.r1, np.eye(4), atol=1e-12)
-    assert np.allclose(plan.x_mid(y[None])[0], y / 2, atol=1e-12)
+    y2 = (y[None] @ plan.w.T) @ plan.q1.conj()
+    assert np.allclose(np.linalg.solve(plan.h2, y2[0]), y / 2, atol=1e-12)
     assert np.allclose(plan.h2, 2 * np.eye(4), atol=1e-12)
     assert np.allclose(plan.r2, 2 * np.eye(4), atol=1e-12)
     assert np.allclose(y3[0], y, atol=1e-12)
@@ -800,7 +808,7 @@ def test_robust_identity_hand_check():
 def test_robust_identity_whitening_passthrough():
     rng = np.random.default_rng(18)
     h = crandn(rng, 6, 3)
-    assert np.allclose(det.robust_plan(h, np.eye(6)).h1, h)
+    assert np.allclose(det.robust_plan(h, np.eye(6)).w @ h, h)
 
 
 def test_robust_apply_follows_chain_steps():
@@ -813,8 +821,7 @@ def test_robust_apply_follows_chain_steps():
     plan = det.robust_plan(h, r_uu)
     y3 = det.robust_apply(plan, y[None])
     assert np.allclose(plan.w @ r_uu @ plan.w.conj().T, np.eye(8))
-    assert np.allclose(plan.h1, plan.w @ h)
-    assert np.allclose(plan.q1 @ plan.r1, plan.h1)
+    assert np.allclose(plan.q1 @ plan.r1, plan.w @ h)
     assert np.allclose(plan.h2, np.linalg.inv(plan.r1.conj().T) + plan.r1)
     assert np.allclose(plan.q2 @ plan.r2, plan.h2[:, plan.perm])
     assert np.allclose(y3[0], plan.q2.conj().T @ plan.q1.conj().T @ plan.w @ y)
@@ -829,7 +836,7 @@ def _robust_plan_before(h_hat, r_uu):
     q1, r1 = qr_decompose(h1)
     h2 = np.linalg.solve(r1.conj().T, np.eye(r1.shape[0], dtype=complex)) + r1
     sq2 = sorted_qr(h2)
-    return dict(w=w, h1=h1, q1=q1, r1=r1, h2=h2, q2=sq2.q, r2=sq2.r, perm=sq2.perm)
+    return dict(w=w, q1=q1, r1=r1, h2=h2, q2=sq2.q, r2=sq2.r, perm=sq2.perm)
 
 
 def _covariance_inputs(rng):
@@ -843,7 +850,7 @@ def _covariance_inputs(rng):
         pairs.append((crandn(rng, n, m), 1e-6 * (g @ g.conj().T) + 1e-9 * np.eye(n)))
         for samples in (1, n // 4, n - 1):
             res = crandn(rng, samples, n) @ np.diag(np.linspace(1.0, 3.0, n))
-            pairs.append((crandn(rng, n, m), estimate_covariance(res).r_uu))
+            pairs.append((crandn(rng, n, m), estimate_covariance(res)))
     pairs.append((np.eye(4), np.eye(4)))  # h2 = 2 I: tied column norms in its sorted QR
     pairs.append((np.kron([[1.0], [1.0]], np.eye(4)), 2.0 * np.eye(8)))
     return pairs
@@ -884,12 +891,13 @@ def test_whitening_few_samples_at_default_loading(qam16):
     for n, samples in ((16, 4), (16, 15), (64, 16), (64, 63)):
         g = crandn(rng, n, 2)
         res = crandn(rng, samples, 2) @ g.T + 0.1 * crandn(rng, samples, n)
-        r_uu = estimate_covariance(res).r_uu
+        r_uu = estimate_covariance(res)
         w = inv_sqrt(r_uu)
         assert np.linalg.norm(w @ r_uu @ w.conj().T - np.eye(n)) <= 1e-6
         h = crandn(rng, n, 4)
         plan = det.robust_plan(h, r_uu)
-        assert np.allclose(plan.q1 @ plan.r1, plan.h1, rtol=0, atol=1e-8 * np.linalg.norm(plan.h1))
+        h1 = plan.w @ h
+        assert np.allclose(plan.q1 @ plan.r1, h1, rtol=0, atol=1e-8 * np.linalg.norm(h1))
         idx = rng.integers(0, 16, (3, 4))
         y3 = det.robust_apply(plan, qam16.points[idx] @ h.T)
         params = det.SrKBestParams.default_16_4()
@@ -929,9 +937,9 @@ def test_whitening_preserves_ml_argmin(qam16):
         h = crandn(rng, 5, 2)
         y = h @ qam16.points[rng.integers(0, 16, 2)] + 0.4 * crandn(rng, 5)
         w = inv_sqrt(0.16 * np.eye(5))
-        a = det.ml_bruteforce(h, y[None], qam16)
-        b = det.ml_bruteforce(w @ h, (w @ y)[None], qam16)
-        assert np.array_equal(a.hard, b.hard)
+        a = det.ml_bruteforce(h, y[None], qam16)[0]
+        b = det.ml_bruteforce(w @ h, (w @ y)[None], qam16)[0]
+        assert np.array_equal(a, b)
 
 
 def test_robust_full_search_matches_whitened_ml(qam16):
@@ -946,8 +954,8 @@ def test_robust_full_search_matches_whitened_ml(qam16):
         idx = rng.integers(0, 16, 2)
         y = h @ qam16.points[idx]
         plan = det.robust_plan(h, r_uu)
-        mlo = det.ml_bruteforce(plan.h1, (plan.w @ y)[None], qam16)
-        assert np.array_equal(robust_hard(h, y, r_uu, full, qam16), mlo.hard[0])
+        hard = det.ml_bruteforce(plan.w @ h, (plan.w @ y)[None], qam16)[0]
+        assert np.array_equal(robust_hard(h, y, r_uu, full, qam16), hard[0])
 
 
 # --- soft output ----------------------------------------------------------------
@@ -957,29 +965,29 @@ def test_robust_full_search_matches_whitened_ml(qam16):
 # the max-log rule these tests were first written for
 
 
-def test_compute_llrs_two_candidate_example(qpsk):
+def test_logmap_llrs_two_candidate_example(qpsk):
     llr = det.logmap_llrs(np.array([[0], [1]]), np.array([1.0, 3.0]), qpsk)
     assert llr[0] == 30.0  # bit 0 never takes value 1 in the list
     assert llr[1] == pytest.approx(2.0)  # likelihoods e^-1 (bit=0) vs e^-3 (bit=1)
 
 
-def test_compute_llrs_equal_metrics_zero(qpsk):
+def test_logmap_llrs_equal_metrics_zero(qpsk):
     assert det.logmap_llrs(np.array([[0], [1]]), np.array([2.0, 2.0]), qpsk)[1] == 0.0
 
 
-def test_compute_llrs_missing_hypothesis_clamps(qpsk):
+def test_logmap_llrs_lone_candidate_clamps(qpsk):
     llr = det.logmap_llrs(np.array([[1]]), np.array([0.5]), qpsk)
     assert llr[1] == -30.0
 
 
-def test_compute_llrs_empty_raises(qpsk):
+def test_logmap_llrs_empty_raises(qpsk):
     with pytest.raises(ValueError):
         det.logmap_llrs(np.zeros((0, 1), dtype=int), np.zeros(0), qpsk)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(0, 15), min_size=1, max_size=12), st.integers(0, 2**31 - 1))
-def test_compute_llrs_sign_flips_under_complement(qam16, symbols, seed):
+def test_logmap_llrs_sign_flips_under_complement(qam16, symbols, seed):
     symbols = np.asarray(symbols)[:, None]
     metrics = np.random.default_rng(seed).random(symbols.shape[0])
     llr = det.logmap_llrs(symbols, metrics, qam16)
@@ -1002,7 +1010,7 @@ def test_robust_llrs_match_bruteforce_logmap(qpsk):
         plan = det.robust_plan(h, r_uu)
         llr = det.robust_soft_llrs(plan, y[None], qpsk)[0]
         y1 = plan.w @ y
-        like = np.exp(-np.sum(np.abs(y1 - qpsk.points[every] @ plan.h1.T) ** 2, axis=1))
+        like = np.exp(-np.sum(np.abs(y1 - qpsk.points[every] @ (plan.w @ h).T) ** 2, axis=1))
         ref = np.log(like @ (bits == 0)) - np.log(like @ (bits == 1))
         assert np.max(np.abs(llr - np.clip(ref, -det.LLR_MAX, det.LLR_MAX))) <= 1e-9
 
