@@ -40,6 +40,10 @@ class Constellation:
 
     ``points[i]`` is the complex symbol whose bit pattern is row ``i`` of
     ``bit_patterns`` (most significant bit first, so index == packed bits).
+    Every kind is a square grid of ``side x side`` points: point ``i * side
+    + q`` has in-phase level ``points[i * side].real`` and quadrature level
+    ``points[q].imag``. The tree searches of :mod:`mudet.detectors` compute
+    their child distances per axis from this layout.
     """
 
     points: np.ndarray
@@ -169,7 +173,13 @@ def rx_correlation_root(n_rx: int, rho: float) -> np.ndarray:
 
 def complex_randn(rng: np.random.Generator, *shape: int) -> np.ndarray:
     """Unit-variance circularly-symmetric complex Gaussian draws."""
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    out = np.empty(shape, dtype=complex)
+    # the same two draws as ``(re + 1j * im) / sqrt(2)``, bit for bit (``1j * im``
+    # only adds signed zeros), without its complex temporaries
+    out.real = rng.standard_normal(shape)
+    out.imag = rng.standard_normal(shape)
+    out /= np.sqrt(2.0)
+    return out
 
 
 def generate_channel(

@@ -49,7 +49,10 @@ last layer's list: its best leaf is one ``argmin`` (the first of tied
 minima, as in the stable sort). A scheduled sorting-reduced last layer
 takes that ``argmin`` over the children that can reach the list, and a
 tied minimum there sends the block through the full layer. The uncoded
-path reads nothing else. The
+path reads nothing else. A child's distance in a layer is computed per
+axis of the square constellation grid (:func:`_layer_increments`), which
+needs the real diagonal of ``r`` that :mod:`mudet.numkit`'s factorizations
+return; a search given a complex diagonal raises ``ValueError``. The
 rotations in front of a search (``y @ plan.w.T``, ``y_ext @ q.conj()``)
 are matrix products and round a row differently alone than inside a
 block, so a row's ``y_tilde``, and the LLRs computed from it, match its
@@ -60,8 +63,9 @@ All functions are pure: they read their arguments and return fresh
 arrays, so concurrent calls on distinct subcarrier instances are safe.
 """
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -296,6 +300,8 @@ def _triangular_system(r, y_tilde):
     m = r.shape[0]
     if r.shape[1] != m:
         raise DimensionMismatchError("r must be m x m and y_tilde length m")
+    if r.diagonal().imag.any():  # the per-axis distances of _layer_increments need it
+        raise ValueError("r must have a real diagonal")
     return r, _rows(y_tilde, m, "y_tilde")
 
 
@@ -317,14 +323,47 @@ def build_extended(h_hat, y, sigma_n2: float, sigma_i2: float) -> ExtendedModel:
     return ExtendedModel(h_ext=h_ext, y_ext=y_ext)
 
 
+@lru_cache(maxsize=8)
+def _grid_axes(key: bytes) -> tuple:
+    """Per-axis levels and pair-sum matrix of the square grid whose points
+    have the bytes ``key`` (``points.tobytes()``).
+
+    Point ``i * side + q`` of a :class:`Constellation` is ``levels[0, i] +
+    1j * levels[1, q]``; ``levels`` is ``(2, side)``. Column ``i * side +
+    q`` of the ``(2 side, side**2)`` 0/1 matrix ``pairs`` adds in-phase
+    term ``i`` to quadrature term ``q``.
+    """
+    points = np.frombuffer(key, dtype=complex)
+    side = math.isqrt(points.size)
+    levels = np.stack((points.real[::side], points.imag[:side]))
+    idx = np.arange(side * side)
+    pairs = np.zeros((2 * side, side * side))
+    pairs[idx // side, idx] = 1.0
+    pairs[side + idx % side, idx] = 1.0
+    levels.flags.writeable = pairs.flags.writeable = False
+    return levels, pairs
+
+
 def _layer_increments(r, y_tilde, layer, symbols, points):
     """Squared per-layer distances of every child of every candidate.
 
     ``y_tilde (B, m)``, ``symbols (B, K, m)``; returns ``(B, K, size)``.
+    ``points`` is a square grid (:func:`_grid_axes`) and ``r[layer,
+    layer]`` is real, so a child's distance is the sum of two squared
+    per-axis offsets. One real matmul sums the ``2 side`` squares of each
+    parent pairwise; only two terms of each sum are nonzero, so every
+    distance is ``x.real * x.real + x.imag * x.imag`` of the complex
+    offset ``x`` bit for bit, at any batch size.
     """
     tail = points[symbols[:, :, layer + 1 :]] @ r[layer, layer + 1 :]
     b = y_tilde[:, layer, None] - tail
-    return np.abs(b[:, :, None] - r[layer, layer] * points) ** 2
+    levels, pairs = _grid_axes(points.tobytes())
+    # axes[c, j, n]: part c (real, imaginary) of parent n's offset from level
+    # j of that axis, laid out so each numpy loop runs over the B * K parents
+    parts = b.view(np.float64).reshape(b.size, 2).T
+    axes = parts[:, None, :] - (r[layer, layer].real * levels)[:, :, None]
+    axes *= axes
+    return (axes.reshape(pairs.shape[0], b.size).T @ pairs).reshape(*b.shape, -1)
 
 
 # Below this many entries one stable argsort is cheaper than building and
@@ -375,7 +414,8 @@ def _best_leaf(r, y_tilde, symbols, metrics, points):
     n_vec = symbols.shape[0]
     rows = np.arange(n_vec)
     inc = _layer_increments(r, y_tilde, 0, symbols, points)
-    flat = (metrics[:, :, None] + inc).reshape(n_vec, -1)
+    inc += metrics[:, :, None]
+    flat = inc.reshape(n_vec, -1)
     best = flat.argmin(axis=-1)
     low = flat[rows, best]
     if np.count_nonzero(flat == low[:, None]) > n_vec:
@@ -399,7 +439,8 @@ def _kbest_step(r, y_tilde, layer, symbols, metrics, points, expand, keep):
     if not full:
         order = _smallest(inc, expand)
         inc = np.take_along_axis(inc, order, axis=-1)
-    flat = (metrics[:, :, None] + inc).reshape(n_vec, -1)
+    inc += metrics[:, :, None]
+    flat = inc.reshape(n_vec, -1)
     sel = _smallest(flat, keep)
     out = symbols[rows, sel // expand]
     out[:, :, layer] = sel % expand if full else order.reshape(n_vec, -1)[rows, sel]

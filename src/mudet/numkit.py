@@ -1,8 +1,10 @@
 """Dense complex linear-algebra kernels shared by every detector.
 
-Thin QR from LAPACK, a sorted Gram-Schmidt QR with a greedy
-weakest-column-first pivot order, Cholesky factorization, the
-inverse-square-root whitener, and Hermitian solves. Matrices are plain
+Thin QR from LAPACK, a sorted QR with a greedy weakest-column-first
+pivot order (the order from the Gram matrix, the factors from LAPACK, and
+a modified Gram-Schmidt loop for inputs whose order the Gram matrix cannot
+settle), Cholesky factorization, the inverse-square-root whitener, and
+Hermitian solves. Matrices are plain
 complex ``numpy`` arrays; the factorization results are small frozen
 dataclasses.
 
@@ -32,6 +34,13 @@ RANK_TOL = 1e-12
 # Residual column norms within this relative distance are treated as tied;
 # ties resolve to the lowest original column index.
 SORT_TIE_REL = 1e-12
+
+# sorted_qr takes its order from the Gram matrix only when every pivot's
+# residual energy exceeds this fraction of the largest column energy, and
+# no other residual energy lies within GRAM_GAP_REL of the pivot's; the
+# modified Gram-Schmidt loop orders the rest.
+GRAM_PIVOT_REL = 1e-6
+GRAM_GAP_REL = 1e-6
 
 HERMITIAN_TOL = 1e-10
 
@@ -96,7 +105,10 @@ def qr_decompose(a) -> tuple[np.ndarray, np.ndarray]:
     RankDeficientError
         If a pivot magnitude falls below ``RANK_TOL * ||a||_F``.
     """
-    a, threshold = _tall_input(a)
+    return _lapack_qr(*_tall_input(a))
+
+
+def _lapack_qr(a, threshold):
     q, r = np.linalg.qr(a)
     diag = np.abs(r.diagonal())
     for k in np.flatnonzero(diag <= threshold)[:1]:  # the first pivot too small, if any
@@ -109,18 +121,72 @@ def qr_decompose(a) -> tuple[np.ndarray, np.ndarray]:
 
 
 def sorted_qr(a) -> SortedQR:
-    """QR with greedy weakest-column-first ordering (sorted Gram-Schmidt).
+    """QR with greedy weakest-column-first ordering (sorted QR).
 
     Each step selects the remaining column with minimum residual norm (its
     norm after projecting out every selected column), so the leading
     diagonal entries of ``r`` are the weakest layers and a back-substitution
     detector resolves the strongest layer first. Ties go to the lowest
-    original column index. This is the modified Gram-Schmidt sorted QR of
-    Wubben et al., "Efficient algorithm for decoding layered space-time
-    codes" (Electronics Letters, 2001). Raises ``RankDeficientError`` like
-    :func:`qr_decompose`.
+    original column index. This is the sorted QR of Wubben et al.,
+    "Efficient algorithm for decoding layered space-time codes"
+    (Electronics Letters, 2001).
+
+    The order comes from the Gram matrix (:func:`_gram_order`) and ``q, r``
+    from one Householder QR of ``a[:, perm]``, as :func:`qr_decompose`
+    returns it. When the Gram residuals cannot settle the order, a column
+    being weak or two residual norms being close, the modified Gram-Schmidt
+    loop :func:`_sorted_mgs` factorizes ``a`` instead, so the Gram order
+    is used only where its pivot is the clear minimum and the loop would
+    pick the same. Raises ``RankDeficientError`` like :func:`qr_decompose`.
     """
     a, threshold = _tall_input(a)
+    perm = _gram_order(a)
+    if perm is None:
+        return _sorted_mgs(a, threshold)
+    q, r = _lapack_qr(a[:, perm], threshold)
+    return SortedQR(q=q, r=r, perm=perm)
+
+
+def _gram_order(a):
+    """Weakest-first column order of ``a`` from a min-pivoted LDL' of ``a'a``.
+
+    The diagonal of each Schur complement of the Gram matrix holds the
+    squared residual norms of the columns not yet picked; the smallest is
+    the next pivot, and a rank-1 downdate removes it. A downdated residual
+    carries an error of a few ulps of the largest column energy, so the
+    order is returned only when every pivot exceeds ``GRAM_PIVOT_REL`` of
+    that energy and no other residual lies within ``GRAM_GAP_REL`` of the
+    chosen one; otherwise ``None``.
+    """
+    # a few scalar downdates of at most m x m entries: plain Python floats
+    # cost less here than a numpy call per step
+    gram = (a.conj().T @ a).tolist()
+    floor = GRAM_PIVOT_REL * max(gram[j][j].real for j in range(len(gram)))
+    left = list(range(len(gram)))
+    perm = []
+    while left:
+        resid = [gram[j][j].real for j in left]
+        low = min(resid)
+        if low <= floor or sum(e <= low * (1.0 + GRAM_GAP_REL) for e in resid) > 1:
+            return None
+        j = left.pop(resid.index(low))
+        perm.append(j)
+        pivot_row = gram[j]
+        for i in left:
+            row = gram[i]
+            scale = row[j] / low
+            for l in left:
+                row[l] -= scale * pivot_row[l]
+    return np.array(perm)
+
+
+def _sorted_mgs(a, threshold) -> SortedQR:
+    """Sorted modified Gram-Schmidt QR of a validated ``a``.
+
+    Each step picks the smallest residual norm, ties within
+    ``SORT_TIE_REL`` going to the lowest original index, projects the pivot
+    column once more on the chosen basis and normalizes it.
+    """
     n, m = a.shape
     resid = a.copy()
     q = np.zeros((n, m), dtype=complex)

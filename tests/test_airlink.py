@@ -177,6 +177,17 @@ def test_apply_channel_block_oracle():
     assert np.array_equal(block, x @ real.h.T + s @ real.g.T + np.sqrt(0.4) * noise)
 
 
+@pytest.mark.parametrize("shape", [(16, 4), (2, 16), (50, 16), (16, 168)])
+def test_complex_randn_is_the_two_draw_formula_bit_for_bit(shape):
+    rng, ref = np.random.default_rng(41), np.random.default_rng(41)
+    draw = complex_randn(rng, *shape)
+    expected = (ref.standard_normal(shape) + 1j * ref.standard_normal(shape)) / np.sqrt(2.0)
+    assert draw.shape == shape and draw.dtype == complex
+    assert np.array_equal(draw.view(np.uint64), expected.view(np.uint64))
+    # the stream is consumed the same way
+    assert rng.standard_normal() == ref.standard_normal()
+
+
 def test_apply_channel_dimension_mismatch():
     cfg = ChannelConfig(n_rx=4, n_users=2)
     real = generate_channel(cfg, np.random.default_rng(0), 0.1)

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from mudet import airlink, bench
+from mudet import airlink, bench, numkit
 from mudet import detectors as det
 from mudet.cli import main as cli_main
 from mudet.errors import ConfigParseError, ConfigValidationError
@@ -347,6 +347,61 @@ master_seed = 7
 def test_golden_records(text, digest):
     records = bench.run_scenario(bench.parse_config(text))
     assert hashlib.sha256(bench.csv_bytes(records)).hexdigest() == digest
+
+
+# The scenarios of the three benchmark workloads (perfbench/run.py), seed 1,
+# with the sorted QRs each one factorizes.
+_WORKLOAD_COMMON = """
+n_rx = 16
+n_users = 4
+n_interferers = 2
+rx_correlation = 0.5
+interferer_power_ratio = 1.0
+constellation = qam16
+master_seed = 1
+"""
+WORKLOAD_SCENARIOS = {
+    "uncoded-long": ("""
+snr_db = 4,8,12
+trials_per_point = 8
+symbols_per_trial = 50
+detectors = mmse-irc,osic,kbest,sr-kbest,robust-sr-kbest
+""", 96),
+    "uncoded-short": ("""
+snr_db = 4,8,12
+trials_per_point = 100
+symbols_per_trial = 2
+detectors = mrc,mmse-irc,osic,robust-sr-kbest
+""", 600),
+    "coded-lspilot": ("""
+snr_db = 5,6,7
+trials_per_point = 40
+coded = true
+ce_mode = ls_pilot
+pilot_count = 8
+covariance_samples = 168
+detectors = mmse-irc,robust-sr-kbest
+""", 120),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOAD_SCENARIOS))
+def test_workload_sorted_qrs_take_the_gram_order(monkeypatch, workload):
+    # the modified Gram-Schmidt fallback of numkit.sorted_qr is for
+    # ill-conditioned and tied inputs; no benchmark matrix may need it
+    calls = {"sorted_qr": 0, "fallback": 0}
+
+    def counting(name, func):
+        def wrapper(*args):
+            calls[name] += 1
+            return func(*args)
+        return wrapper
+
+    monkeypatch.setattr(numkit, "_gram_order", counting("sorted_qr", numkit._gram_order))
+    monkeypatch.setattr(numkit, "_sorted_mgs", counting("fallback", numkit._sorted_mgs))
+    text, expected_calls = WORKLOAD_SCENARIOS[workload]
+    bench.run_scenario(bench.parse_config(_WORKLOAD_COMMON + text))
+    assert calls == {"sorted_qr": expected_calls, "fallback": 0}
 
 
 def test_hard_only_uses_permute_the_best_candidate_like_the_whole_list(qam16):

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mudet import detectors as det
-from mudet.airlink import estimate_covariance
+from mudet.airlink import CONSTELLATION_KINDS, build_constellation, estimate_covariance
 from mudet.errors import (
     InvalidSearchParamsError,
     SearchSpaceTooLargeError,
@@ -373,6 +373,57 @@ def test_full_expansion_tie_rule(qpsk, qam16, k):
         symbols, metrics = _tie_rule_kbest(r, y_tilde, k, cons.points)
         assert np.array_equal(cl.symbols, symbols)
         assert np.array_equal(cl.metrics, metrics)
+
+
+@pytest.mark.parametrize("cons_name", ["qpsk", "qam16"])
+@pytest.mark.parametrize("n_vec", [1, 2, 50])
+@pytest.mark.parametrize("k", [1, 16, 64])
+def test_layer_increments_are_complex_offset_squares_bit_for_bit(request, cons_name, n_vec, k):
+    # every child's distance is x.real * x.real + x.imag * x.imag of its
+    # complex offset; rows on a lattice point give exact zeros and ties
+    cons = request.getfixturevalue(cons_name)
+    points = cons.points
+    rng = np.random.default_rng(97)
+    q, r = qr_decompose(crandn(rng, 6, 4))
+    y_tilde = crandn(rng, n_vec, 4)
+    y_tilde[::3] = points[rng.integers(0, cons.size, (y_tilde[::3].shape[0], 4))] @ r.T
+    y_tilde[1::4] = 0.0
+    symbols = rng.integers(0, cons.size, (n_vec, k, 4))
+    for layer in range(4):
+        inc = det._layer_increments(r, y_tilde, layer, symbols, points)
+        tail = points[symbols[:, :, layer + 1 :]] @ r[layer, layer + 1 :]
+        x = (y_tilde[:, layer, None] - tail)[:, :, None] - r[layer, layer] * points
+        assert inc.shape == (n_vec, k, cons.size)
+        assert np.array_equal(inc.view(np.uint64), (x.real * x.real + x.imag * x.imag).view(np.uint64))
+
+
+@pytest.mark.parametrize("kind", CONSTELLATION_KINDS)
+def test_grid_axes_rebuild_every_constellation(kind):
+    points = build_constellation(kind).points
+    levels, pairs = det._grid_axes(points.tobytes())
+    side = levels.shape[1]
+    idx = np.arange(points.size)
+    rebuilt = levels[0, idx // side] + 1j * levels[1, idx % side]
+    assert np.array_equal(rebuilt.view(np.uint64), points.view(np.uint64))
+    # column i * side + q adds in-phase term i to quadrature term q, and no other
+    expected = np.zeros((2 * side, points.size))
+    for i in range(side):
+        for q in range(side):
+            expected[[i, side + q], i * side + q] = 1.0
+    assert np.array_equal(pairs, expected)
+
+
+def test_tree_searches_reject_a_complex_diagonal(qam16):
+    r = np.triu(crandn(np.random.default_rng(5), 3, 3))
+    y_tilde = np.zeros((1, 3), dtype=complex)
+    params = det.SrKBestParams.default_16_4()
+    for search in (
+        lambda: det.kbest_detect(r, y_tilde, 4, qam16),
+        lambda: det.sr_kbest_detect(r, y_tilde, params, qam16),
+        lambda: det.osic_detect(r, y_tilde, qam16),
+    ):
+        with pytest.raises(ValueError, match="real diagonal"):
+            search()
 
 
 # --- SR-K-best ------------------------------------------------------------------

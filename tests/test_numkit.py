@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mudet import numkit
 from mudet.errors import NotPositiveDefiniteError, RankDeficientError
 from mudet.numkit import (
     HERMITIAN_TOL,
@@ -178,7 +179,12 @@ def _sorted_qr_loop(a):
     return q, coef[:, perm], perm
 
 
-def test_sorted_qr_bit_identical_to_norm_loop():
+def test_sorted_qr_matches_norm_loop(monkeypatch):
+    # the order is always the loop's; q and r are the loop's bits when the
+    # Gram residuals hand the input to it, else the plain QR of a[:, perm]
+    fallbacks = []
+    sorted_mgs = numkit._sorted_mgs
+    monkeypatch.setattr(numkit, "_sorted_mgs", lambda *args: fallbacks.append(1) or sorted_mgs(*args))
     rng = np.random.default_rng(23)
     inputs = []
     for _ in range(60):
@@ -190,11 +196,21 @@ def test_sorted_qr_bit_identical_to_norm_loop():
     inputs += [_with_condition_number(rng, 64, 16, 1e8), np.eye(4), np.eye(6)[:, :3] * 2.0]
     inputs.append(np.asfortranarray(crandn(rng, 8, 3)))
     inputs.append(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-9], [0.0, 1e-9]]))  # near-tied norms
+    taken = 0
     for a in inputs:
+        before = len(fallbacks)
         sq = sorted_qr(a)
         q, r, perm = _sorted_qr_loop(a)
         assert np.array_equal(sq.perm, perm)
-        assert np.array_equal(sq.q, q) and np.array_equal(sq.r, r)
+        if len(fallbacks) > before:
+            taken += 1
+            assert np.array_equal(sq.q, q) and np.array_equal(sq.r, r)
+        else:
+            q_perm, r_perm = qr_decompose(a[:, perm])
+            assert np.array_equal(sq.q, q_perm) and np.array_equal(sq.r, r_perm)
+    # the loop takes the three inputs of condition number 1e8 and 1e10, the
+    # two with exactly tied norms and the near-tied one; the fast path the rest
+    assert taken == 6
 
 
 def _bit_inputs(rng):
