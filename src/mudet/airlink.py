@@ -40,15 +40,22 @@ class Constellation:
 
     ``points[i]`` is the complex symbol whose bit pattern is row ``i`` of
     ``bit_patterns`` (most significant bit first, so index == packed bits).
-    Every kind is a square grid of ``side x side`` points: point ``i * side
-    + q`` has in-phase level ``points[i * side].real`` and quadrature level
-    ``points[q].imag``. The tree searches of :mod:`mudet.detectors` compute
-    their child distances per axis from this layout.
+
+    Every kind is a square grid of ``side x side`` points, described by two
+    read-only tables. Point ``i * side + q`` is ``levels[0, i] + 1j *
+    levels[1, q]`` bit for bit; ``levels`` is ``(2, side)``, one row of
+    levels per axis. Column ``i * side + q`` of the ``(2 side, size)`` 0/1
+    matrix ``pairs`` has its ones in rows ``i`` and ``side + q``, so it adds
+    in-phase term ``i`` to quadrature term ``q``. The tree searches of
+    :mod:`mudet.detectors` compute their child distances per axis from
+    these tables.
     """
 
     points: np.ndarray
     bits_per_symbol: int
     bit_patterns: np.ndarray
+    levels: np.ndarray
+    pairs: np.ndarray
 
     @property
     def size(self) -> int:
@@ -111,7 +118,13 @@ def build_constellation(kind: str) -> Constellation:
     bit_patterns = (
         (idx[:, None] >> np.arange(bps - 1, -1, -1)) & 1
     ).astype(np.uint8)
-    return Constellation(points=points, bits_per_symbol=bps, bit_patterns=bit_patterns)
+    levels = np.stack((axis, axis))
+    pairs = np.zeros((2 * n_axis, idx.size))
+    pairs[i_idx, idx] = pairs[n_axis + q_idx, idx] = 1.0
+    levels.flags.writeable = pairs.flags.writeable = False
+    return Constellation(
+        points=points, bits_per_symbol=bps, bit_patterns=bit_patterns, levels=levels, pairs=pairs
+    )
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,6 @@ channel uses, zero-padded up to a whole number of uses. Decoding sees
 the first 288 detector LLRs; errors are counted on the 144 message bits.
 """
 
-import io
 import math
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
@@ -607,10 +606,3 @@ def emit_plot_data(records, sink) -> None:
     finally:
         if close:
             fh.close()
-
-
-def csv_bytes(records) -> bytes:
-    """The exact bytes :func:`write_csv` would produce (for tests)."""
-    buf = io.StringIO()
-    write_csv(records, buf)
-    return buf.getvalue().encode("utf-8")

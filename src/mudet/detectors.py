@@ -50,22 +50,22 @@ minima, as in the stable sort). A scheduled sorting-reduced last layer
 takes that ``argmin`` over the children that can reach the list, and a
 tied minimum there sends the block through the full layer. The uncoded
 path reads nothing else. A child's distance in a layer is computed per
-axis of the square constellation grid (:func:`_layer_increments`), which
-needs the real diagonal of ``r`` that :mod:`mudet.numkit`'s factorizations
-return; a search given a complex diagonal raises ``ValueError``. The
-rotations in front of a search (``y @ plan.w.T``, ``y_ext @ q.conj()``)
-are matrix products and round a row differently alone than inside a
-block, so a row's ``y_tilde``, and the LLRs computed from it, match its
-row-alone values only to rounding; the records of the batched path are
-pinned by ``tests/test_bench.py::test_golden_records``.
+axis of the square constellation grid, from the ``levels`` and ``pairs``
+tables of :class:`~mudet.airlink.Constellation` (:func:`_layer_increments`).
+That needs the real diagonal of ``r`` that :mod:`mudet.numkit`'s
+factorizations return; a search given a complex diagonal raises
+``ValueError``. The rotations in front of a search (``y @ plan.w.T``,
+``y_ext @ q.conj()``) are matrix products and round a row differently
+alone than inside a block, so a row's ``y_tilde``, and the LLRs computed
+from it, match its row-alone values only to rounding; the records of the
+batched path are pinned by ``tests/test_bench.py::test_golden_records``.
 
 All functions are pure: they read their arguments and return fresh
 arrays, so concurrent calls on distinct subcarrier instances are safe.
 """
 
-import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -138,81 +138,70 @@ class SrKBestParams:
     list) passes its first ``p[i]`` children straight through, its next
     ``v[i]`` children into a small sorting pool, and the best ``s`` pool
     members land at the (1-based) survivor positions ``q``. Only the pool
-    is ever sorted, which is the entire point of the structure.
+    is ever sorted, which is the entire point of the structure. ``p``, ``v``
+    and ``q`` take any 1-D integer sequence and are stored as tuples of
+    ints, so two schedules compare and hash by value.
     """
 
     k: int
     s: int
-    p: np.ndarray
-    v: np.ndarray
-    q: np.ndarray
+    p: tuple
+    v: tuple
+    q: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "p", np.asarray(self.p, dtype=int))
-        object.__setattr__(self, "v", np.asarray(self.v, dtype=int))
-        object.__setattr__(self, "q", np.asarray(self.q, dtype=int))
+        p, v, q = (np.asarray(getattr(self, name)) for name in "pvq")
+        for name, entries in zip("pvq", (p, v, q)):
+            if entries.ndim != 1 or (entries.size and entries.dtype.kind not in "iu"):
+                raise InvalidSearchParamsError(f"{name} must be a 1-D list of integers")
+            object.__setattr__(self, name, tuple(entries.tolist()))
         if self.k < 1 or self.s < 0 or self.s > self.k:
             raise InvalidSearchParamsError(f"need 0 <= s <= k, got k={self.k} s={self.s}")
-        if self.p.size != self.k or self.v.size != self.k:
+        if p.size != self.k or v.size != self.k:
             raise InvalidSearchParamsError("p and v must have one entry per survivor slot")
-        if np.any(self.p < 0) or np.any(self.v < 0):
+        if np.any(p < 0) or np.any(v < 0):
             raise InvalidSearchParamsError("p and v entries must be >= 0")
-        if int(self.p.sum()) != self.k - self.s:
+        if int(p.sum()) != self.k - self.s:
             raise InvalidSearchParamsError(
-                f"sum(p)={int(self.p.sum())} must equal k - s = {self.k - self.s}"
+                f"sum(p)={int(p.sum())} must equal k - s = {self.k - self.s}"
             )
-        if self.q.size != self.s:
+        if q.size != self.s:
             raise InvalidSearchParamsError("q must list one position per sorted survivor")
-        if self.s and (
-            np.any(self.q < 1)
-            or np.any(self.q > self.k)
-            or np.any(np.diff(self.q) <= 0)
-        ):
+        if self.s and (np.any(q < 1) or np.any(q > self.k) or np.any(np.diff(q) <= 0)):
             raise InvalidSearchParamsError("q must be strictly increasing within [1..k]")
-        if np.any(self.p + self.v > SR_EXPAND_BUDGET):
+        if np.any(p + v > SR_EXPAND_BUDGET):
             raise InvalidSearchParamsError(
                 f"p[i] + v[i] must stay within the expansion budget {SR_EXPAND_BUDGET}"
             )
-        if int(self.v.sum()) < self.s:
+        if int(v.sum()) < self.s:
             raise InvalidSearchParamsError("sorting pool smaller than s")
-
-    def _key(self) -> tuple:
-        arrays = (tuple(a.tolist()) for a in (self.p, self.v, self.q))
-        return (self.k, self.s, *arrays)
-
-    # the generated methods would compare and hash the arrays themselves
-    def __eq__(self, other):
-        if not isinstance(other, SrKBestParams):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     @cached_property
     def fill_indices(self):
         """Static gather table of one scheduled layer.
 
-        ``((parent, rank), direct_slots, max_rank)``: ``parent`` and ``rank``
-        name each child the schedule reads, the ``k - s`` direct children
-        first (parent order) and the pool after them; ``direct_slots`` are
-        the survivor slots outside ``q``, and ``max_rank`` is the number of
+        ``((parent, rank), direct_slots, q_slots, max_rank)``: ``parent`` and
+        ``rank`` name each child the schedule reads, the ``k - s`` direct
+        children first (parent order) and the pool after them;
+        ``direct_slots`` are the survivor slots outside ``q``, ``q_slots``
+        the 0-based slots of ``q``, and ``max_rank`` is the number of
         children the schedule reads per parent.
         """
-        max_rank = int(np.max(self.p + self.v))
+        max_rank = max(p + v for p, v in zip(self.p, self.v))
         direct = [(i, j) for i, p in enumerate(self.p) for j in range(p)]
         ranks = enumerate(zip(self.p, self.v))
         pool = [(i, p + j) for i, (p, v) in ranks for j in range(v)]
         parent, rank = np.ascontiguousarray(np.array(direct + pool, dtype=np.int64).T)
-        direct_slots = np.delete(np.arange(self.k), self.q - 1)  # setdiff1d imports numpy.ma
-        return (parent, rank), direct_slots, max_rank
+        q_slots = np.array(self.q, dtype=np.int64) - 1
+        direct_slots = np.delete(np.arange(self.k), q_slots)  # setdiff1d imports numpy.ma
+        return (parent, rank), direct_slots, q_slots, max_rank
 
     @cached_property
     def leaf_parents(self) -> np.ndarray:
         """Parents whose children can reach the search's final list: those
         with a direct child (``p[i] >= 1``) and, when the pool is cut
         (``s >= 1``), those with a pool member (``v[i] >= 1``)."""
-        return np.flatnonzero((self.p > 0) | ((self.v > 0) & (self.s > 0)))
+        return np.flatnonzero((np.array(self.p) > 0) | ((np.array(self.v) > 0) & (self.s > 0)))
 
     @classmethod
     def default_16_4(cls) -> "SrKBestParams":
@@ -323,47 +312,25 @@ def build_extended(h_hat, y, sigma_n2: float, sigma_i2: float) -> ExtendedModel:
     return ExtendedModel(h_ext=h_ext, y_ext=y_ext)
 
 
-@lru_cache(maxsize=8)
-def _grid_axes(key: bytes) -> tuple:
-    """Per-axis levels and pair-sum matrix of the square grid whose points
-    have the bytes ``key`` (``points.tobytes()``).
-
-    Point ``i * side + q`` of a :class:`Constellation` is ``levels[0, i] +
-    1j * levels[1, q]``; ``levels`` is ``(2, side)``. Column ``i * side +
-    q`` of the ``(2 side, side**2)`` 0/1 matrix ``pairs`` adds in-phase
-    term ``i`` to quadrature term ``q``.
-    """
-    points = np.frombuffer(key, dtype=complex)
-    side = math.isqrt(points.size)
-    levels = np.stack((points.real[::side], points.imag[:side]))
-    idx = np.arange(side * side)
-    pairs = np.zeros((2 * side, side * side))
-    pairs[idx // side, idx] = 1.0
-    pairs[side + idx % side, idx] = 1.0
-    levels.flags.writeable = pairs.flags.writeable = False
-    return levels, pairs
-
-
-def _layer_increments(r, y_tilde, layer, symbols, points):
+def _layer_increments(r, y_tilde, layer, symbols, cons):
     """Squared per-layer distances of every child of every candidate.
 
     ``y_tilde (B, m)``, ``symbols (B, K, m)``; returns ``(B, K, size)``.
-    ``points`` is a square grid (:func:`_grid_axes`) and ``r[layer,
+    The points form a square grid (see :class:`Constellation`) and ``r[layer,
     layer]`` is real, so a child's distance is the sum of two squared
-    per-axis offsets. One real matmul sums the ``2 side`` squares of each
-    parent pairwise; only two terms of each sum are nonzero, so every
-    distance is ``x.real * x.real + x.imag * x.imag`` of the complex
-    offset ``x`` bit for bit, at any batch size.
+    per-axis offsets. One real matmul with ``cons.pairs`` sums the ``2
+    side`` squares of each parent pairwise; only two terms of each sum are
+    nonzero, so every distance is ``x.real * x.real + x.imag * x.imag`` of
+    the complex offset ``x`` bit for bit, at any batch size.
     """
-    tail = points[symbols[:, :, layer + 1 :]] @ r[layer, layer + 1 :]
+    tail = cons.points[symbols[:, :, layer + 1 :]] @ r[layer, layer + 1 :]
     b = y_tilde[:, layer, None] - tail
-    levels, pairs = _grid_axes(points.tobytes())
     # axes[c, j, n]: part c (real, imaginary) of parent n's offset from level
     # j of that axis, laid out so each numpy loop runs over the B * K parents
     parts = b.view(np.float64).reshape(b.size, 2).T
-    axes = parts[:, None, :] - (r[layer, layer].real * levels)[:, :, None]
+    axes = parts[:, None, :] - (r[layer, layer].real * cons.levels)[:, :, None]
     axes *= axes
-    return (axes.reshape(pairs.shape[0], b.size).T @ pairs).reshape(*b.shape, -1)
+    return (axes.reshape(cons.pairs.shape[0], b.size).T @ cons.pairs).reshape(*b.shape, -1)
 
 
 # Below this many entries one stable argsort is cheaper than building and
@@ -403,7 +370,7 @@ def _smallest(values, count):
     return (head[..., :count] & low).view(np.int64)
 
 
-def _best_leaf(r, y_tilde, symbols, metrics, points):
+def _best_leaf(r, y_tilde, symbols, metrics, cons):
     """Best child of the last layer (layer 0) as a one-candidate list.
 
     One ``argmin`` over the accumulated metrics of every child of the given
@@ -413,19 +380,19 @@ def _best_leaf(r, y_tilde, symbols, metrics, points):
     """
     n_vec = symbols.shape[0]
     rows = np.arange(n_vec)
-    inc = _layer_increments(r, y_tilde, 0, symbols, points)
+    inc = _layer_increments(r, y_tilde, 0, symbols, cons)
     inc += metrics[:, :, None]
     flat = inc.reshape(n_vec, -1)
     best = flat.argmin(axis=-1)
     low = flat[rows, best]
     if np.count_nonzero(flat == low[:, None]) > n_vec:
         return None
-    out = symbols[rows, best // points.size]
-    out[:, 0] = best % points.size
+    out = symbols[rows, best // cons.size]
+    out[:, 0] = best % cons.size
     return CandidateList(symbols=out[:, None], metrics=low[:, None])
 
 
-def _kbest_step(r, y_tilde, layer, symbols, metrics, points, expand, keep):
+def _kbest_step(r, y_tilde, layer, symbols, metrics, cons, expand, keep):
     """One breadth-first layer: expand each parent, keep the best sorted.
 
     ``symbols (B, K, m)`` and ``metrics (B, K)`` in, the ``keep`` best
@@ -434,8 +401,8 @@ def _kbest_step(r, y_tilde, layer, symbols, metrics, points, expand, keep):
     """
     n_vec = symbols.shape[0]
     rows = np.arange(n_vec)[:, None]
-    inc = _layer_increments(r, y_tilde, layer, symbols, points)
-    full = expand == points.size
+    inc = _layer_increments(r, y_tilde, layer, symbols, cons)
+    full = expand == cons.size
     if not full:
         order = _smallest(inc, expand)
         inc = np.take_along_axis(inc, order, axis=-1)
@@ -475,7 +442,6 @@ def kbest_detect(
     """
     r, y_tilde = _triangular_system(r, y_tilde)
     m = r.shape[0]
-    points = cons.points
     if expand is None:
         expand = cons.size
     if not 1 <= expand <= cons.size:
@@ -488,13 +454,11 @@ def kbest_detect(
     for layer in range(m - 1, -1, -1):
         eff = cons.size if layer == m - 1 else expand
         keep = 1 if best_only and layer == 0 else k
-        symbols, metrics = _kbest_step(
-            r, y_tilde, layer, symbols, metrics, points, eff, keep
-        )
+        symbols, metrics = _kbest_step(r, y_tilde, layer, symbols, metrics, cons, eff, keep)
     return CandidateList(symbols=symbols, metrics=metrics)
 
 
-def _sr_step(r, y_tilde, layer, symbols, metrics, points, params):
+def _sr_step(r, y_tilde, layer, symbols, metrics, cons, params):
     """One scheduled layer of the sorting-reduced search.
 
     Each parent's children are ranked by per-layer distance; direct
@@ -506,17 +470,17 @@ def _sr_step(r, y_tilde, layer, symbols, metrics, points, params):
     (``params.fill_indices``); every survivor field is then read through
     one ``(B, k)`` index into them.
     """
-    (parent, rank), direct_slots, max_rank = params.fill_indices
+    (parent, rank), direct_slots, q_slots, max_rank = params.fill_indices
     n_direct = direct_slots.size
     n_vec = symbols.shape[0]
     rows = np.arange(n_vec)[:, None]
-    inc = _layer_increments(r, y_tilde, layer, symbols, points)
+    inc = _layer_increments(r, y_tilde, layer, symbols, cons)
     point = _smallest(inc, max_rank)[:, parent, rank]
     read = metrics[:, parent] + inc[rows, parent, point]
     src = np.empty((n_vec, params.k), dtype=np.int64)
     src[:, direct_slots] = np.arange(n_direct)
     if params.s:
-        src[:, params.q - 1] = n_direct + _smallest(read[:, n_direct:], params.s)
+        src[:, q_slots] = n_direct + _smallest(read[:, n_direct:], params.s)
     out_symbols = symbols[rows, parent[src]]
     out_symbols[:, :, layer] = point[rows, src]
     return out_symbols, read[rows, src]
@@ -545,8 +509,7 @@ def sr_kbest_detect(
     """
     r, y_tilde = _triangular_system(r, y_tilde)
     m = r.shape[0]
-    points = cons.points
-    if params.fill_indices[2] > cons.size:
+    if params.fill_indices[-1] > cons.size:
         raise InvalidSearchParamsError("schedule needs more children than the constellation has")
     n_vec = y_tilde.shape[0]
     symbols = np.zeros((n_vec, 1, m), dtype=np.int64)
@@ -555,15 +518,15 @@ def sr_kbest_detect(
         last = best_only and layer == 0
         if symbols.shape[1] < params.k:
             symbols, metrics = _kbest_step(
-                r, y_tilde, layer, symbols, metrics, points, cons.size, 1 if last else params.k
+                r, y_tilde, layer, symbols, metrics, cons, cons.size, 1 if last else params.k
             )
             continue
         if last:
             reach = params.leaf_parents
-            best = _best_leaf(r, y_tilde, symbols[:, reach], metrics[:, reach], points)
+            best = _best_leaf(r, y_tilde, symbols[:, reach], metrics[:, reach], cons)
             if best is not None:
                 return best
-        symbols, metrics = _sr_step(r, y_tilde, layer, symbols, metrics, points, params)
+        symbols, metrics = _sr_step(r, y_tilde, layer, symbols, metrics, cons, params)
     final = _smallest(metrics, 1 if best_only else params.k)
     rows = np.arange(n_vec)[:, None]
     return CandidateList(symbols=symbols[rows, final], metrics=metrics[rows, final])

@@ -169,16 +169,6 @@ def encode(code: LdpcCode, bits) -> np.ndarray:
     return cw[0] if single else cw
 
 
-def parity_ok(code: LdpcCode, codeword) -> np.ndarray | bool:
-    """Check ``H c^T == 0`` over GF(2) for one codeword or a batch."""
-    cw = np.asarray(codeword, dtype=np.uint8)
-    single = cw.ndim == 1
-    if single:
-        cw = cw[None, :]
-    ok = _checks_satisfied(code, cw & 1)
-    return bool(ok[0]) if single else ok
-
-
 def decode_min_sum(code: LdpcCode, llrs) -> tuple[np.ndarray, bool, int]:
     """One codeword's ``(message_bits, converged, iterations)``: the one-row
     case of :func:`decode_min_sum_batch`, with its checks."""

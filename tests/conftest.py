@@ -1,9 +1,11 @@
+import io
 import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from mudet import bench
 from mudet.airlink import build_constellation
 
 # pyproject's pytest `pythonpath` puts src/ on this interpreter's path only;
@@ -20,6 +22,13 @@ def qpsk():
 @pytest.fixture(scope="session")
 def qam16():
     return build_constellation("qam16")
+
+
+def csv_bytes(records) -> bytes:
+    """The exact bytes ``bench.write_csv`` writes for ``records``."""
+    buf = io.StringIO()
+    bench.write_csv(records, buf)
+    return buf.getvalue().encode("utf-8")
 
 
 def crandn(rng, *shape):

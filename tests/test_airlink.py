@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mudet.airlink import (
+    CONSTELLATION_KINDS,
     ChannelConfig,
     build_constellation,
     complex_randn,
@@ -49,6 +50,25 @@ def test_gray_adjacency_exhaustive(kind):
                 assert int(np.sum(cons.bit_patterns[i] != cons.bit_patterns[j])) == 1
                 n_adjacent += 1
     assert n_adjacent == (4 if kind == "qpsk" else 24)
+
+
+@pytest.mark.parametrize("kind", CONSTELLATION_KINDS)
+def test_grid_tables_rebuild_every_constellation(kind):
+    cons = build_constellation(kind)
+    side = cons.levels.shape[1]
+    assert cons.levels.shape == (2, side) and cons.levels.flags.c_contiguous
+    idx = np.arange(cons.size)
+    rebuilt = cons.levels[0, idx // side] + 1j * cons.levels[1, idx % side]
+    assert np.array_equal(rebuilt.view(np.uint64), cons.points.view(np.uint64))
+    # column i * side + q adds in-phase term i to quadrature term q, and no other
+    expected = np.zeros((2 * side, cons.size))
+    for i in range(side):
+        for q in range(side):
+            expected[[i, side + q], i * side + q] = 1.0
+    assert np.array_equal(cons.pairs, expected)
+    for table in (cons.levels, cons.pairs):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 0.0
 
 
 def test_bit_symbol_roundtrip(qam16):

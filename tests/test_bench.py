@@ -14,6 +14,8 @@ from mudet.cli import main as cli_main
 from mudet.errors import ConfigParseError, ConfigValidationError
 from mudet.numkit import sorted_qr
 
+from conftest import csv_bytes
+
 
 # --- config parsing -------------------------------------------------------------
 
@@ -188,7 +190,7 @@ def test_sr_schedule_without_pool_from_config():
         "sr.k = 4\nsr.s = 0\nsr.p = 1,1,1,1\nsr.v = 0,0,0,0\nsr.q =\n"
         "snr_db = 10\ntrials_per_point = 2\nsymbols_per_trial = 3\ndetectors = sr-kbest\n"
     )
-    assert cfg.sr_params.s == 0 and cfg.sr_params.q.size == 0
+    assert cfg.sr_params.s == 0 and cfg.sr_params.q == ()
     (rec,) = bench.run_scenario(cfg)
     assert rec.bits == 2 * 3 * 4 * 4
     with pytest.raises(ConfigParseError):
@@ -265,8 +267,8 @@ def test_run_determinism_byte_identical():
         "snr_db = 4,8\ntrials_per_point = 3\nsymbols_per_trial = 4\n"
         "n_interferers = 1\ndetectors = mmse-irc,sr-kbest\nce_mode = ls_pilot\n"
     )
-    a = bench.csv_bytes(bench.run_scenario(cfg))
-    b = bench.csv_bytes(bench.run_scenario(cfg))
+    a = csv_bytes(bench.run_scenario(cfg))
+    b = csv_bytes(bench.run_scenario(cfg))
     assert a == b
 
 
@@ -346,7 +348,7 @@ master_seed = 7
 )
 def test_golden_records(text, digest):
     records = bench.run_scenario(bench.parse_config(text))
-    assert hashlib.sha256(bench.csv_bytes(records)).hexdigest() == digest
+    assert hashlib.sha256(csv_bytes(records)).hexdigest() == digest
 
 
 # The scenarios of the three benchmark workloads (perfbench/run.py), seed 1,

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mudet import detectors as det
-from mudet.airlink import CONSTELLATION_KINDS, build_constellation, estimate_covariance
+from mudet.airlink import estimate_covariance
 from mudet.errors import (
     InvalidSearchParamsError,
     SearchSpaceTooLargeError,
@@ -290,7 +290,7 @@ def test_smallest_key_sort_needs_no_argsort():
         det._smallest(small.view(_NoArgsort), 16)  # under the size threshold
 
 
-def _sorted_children_kbest(r, y_tilde, k, points, expand=None):
+def _sorted_children_kbest(r, y_tilde, k, cons, expand=None):
     """K-best whose layers stable-sort the children of each parent, keep the
     first ``expand`` (all by default) and stable-sort those for the cut, as
     the search did before its selections went through ``_smallest``."""
@@ -299,8 +299,8 @@ def _sorted_children_kbest(r, y_tilde, k, points, expand=None):
     symbols = np.zeros((n_vec, 1, m), dtype=np.int64)
     metrics = np.zeros((n_vec, 1))
     for layer in range(m - 1, -1, -1):
-        eff = points.size if layer == m - 1 or expand is None else expand
-        inc = det._layer_increments(r, y_tilde, layer, symbols, points)
+        eff = cons.size if layer == m - 1 or expand is None else expand
+        inc = det._layer_increments(r, y_tilde, layer, symbols, cons)
         order = np.argsort(inc, axis=-1, kind="stable")[:, :, :eff]
         flat = (metrics[:, :, None] + np.take_along_axis(inc, order, axis=-1)).reshape(n_vec, -1)
         sel = np.argsort(flat, axis=-1, kind="stable")[:, :k]
@@ -310,14 +310,14 @@ def _sorted_children_kbest(r, y_tilde, k, points, expand=None):
     return symbols, metrics
 
 
-def _tie_rule_kbest(r, y_tilde, k, points):
+def _tie_rule_kbest(r, y_tilde, k, cons):
     """Full-expansion K-best that ranks every child of a layer by
     (accumulated metric, survivor index, constellation index)."""
     n_vec, m = y_tilde.shape
     symbols = np.zeros((n_vec, 1, m), dtype=np.int64)
     metrics = np.zeros((n_vec, 1))
     for layer in range(m - 1, -1, -1):
-        child = metrics[:, :, None] + det._layer_increments(r, y_tilde, layer, symbols, points)
+        child = metrics[:, :, None] + det._layer_increments(r, y_tilde, layer, symbols, cons)
         survivor, point = np.indices(child.shape[1:]).reshape(2, -1)
         new_symbols, new_metrics = [], []
         for b in range(n_vec):
@@ -339,7 +339,7 @@ def test_full_expansion_matches_sorted_children(qpsk, qam16, k):
         x = cons.points[rng.integers(0, cons.size, (40, m))]
         y_tilde = (x @ h.T + 0.5 * crandn(rng, 40, m + 2)) @ q.conj()
         cl = det.kbest_detect(r, y_tilde, k, cons)
-        symbols, metrics = _sorted_children_kbest(r, y_tilde, k, cons.points)
+        symbols, metrics = _sorted_children_kbest(r, y_tilde, k, cons)
         assert np.array_equal(cl.symbols, symbols)
         assert np.array_equal(cl.metrics, metrics)
 
@@ -356,7 +356,7 @@ def test_partial_expansion_matches_sorted_children(qpsk, qam16, zero_rows):
         if zero_rows:
             y_tilde[::5] = 0.0
         cl = det.kbest_detect(r, y_tilde, 16, cons, expand)
-        symbols, metrics = _sorted_children_kbest(r, y_tilde, 16, cons.points, expand)
+        symbols, metrics = _sorted_children_kbest(r, y_tilde, 16, cons, expand)
         assert np.array_equal(cl.symbols, symbols)
         assert np.array_equal(cl.metrics, metrics)
 
@@ -370,7 +370,7 @@ def test_full_expansion_tie_rule(qpsk, qam16, k):
         y_tilde = crandn(rng, 6, 3)
         y_tilde[::2] = 0.0
         cl = det.kbest_detect(r, y_tilde, k, cons)
-        symbols, metrics = _tie_rule_kbest(r, y_tilde, k, cons.points)
+        symbols, metrics = _tie_rule_kbest(r, y_tilde, k, cons)
         assert np.array_equal(cl.symbols, symbols)
         assert np.array_equal(cl.metrics, metrics)
 
@@ -390,27 +390,11 @@ def test_layer_increments_are_complex_offset_squares_bit_for_bit(request, cons_n
     y_tilde[1::4] = 0.0
     symbols = rng.integers(0, cons.size, (n_vec, k, 4))
     for layer in range(4):
-        inc = det._layer_increments(r, y_tilde, layer, symbols, points)
+        inc = det._layer_increments(r, y_tilde, layer, symbols, cons)
         tail = points[symbols[:, :, layer + 1 :]] @ r[layer, layer + 1 :]
         x = (y_tilde[:, layer, None] - tail)[:, :, None] - r[layer, layer] * points
         assert inc.shape == (n_vec, k, cons.size)
         assert np.array_equal(inc.view(np.uint64), (x.real * x.real + x.imag * x.imag).view(np.uint64))
-
-
-@pytest.mark.parametrize("kind", CONSTELLATION_KINDS)
-def test_grid_axes_rebuild_every_constellation(kind):
-    points = build_constellation(kind).points
-    levels, pairs = det._grid_axes(points.tobytes())
-    side = levels.shape[1]
-    idx = np.arange(points.size)
-    rebuilt = levels[0, idx // side] + 1j * levels[1, idx % side]
-    assert np.array_equal(rebuilt.view(np.uint64), points.view(np.uint64))
-    # column i * side + q adds in-phase term i to quadrature term q, and no other
-    expected = np.zeros((2 * side, points.size))
-    for i in range(side):
-        for q in range(side):
-            expected[[i, side + q], i * side + q] = 1.0
-    assert np.array_equal(pairs, expected)
 
 
 def test_tree_searches_reject_a_complex_diagonal(qam16):
@@ -432,9 +416,9 @@ def test_tree_searches_reject_a_complex_diagonal(qam16):
 def test_sr_params_default_schedule():
     p = det.SrKBestParams.default_16_4()
     assert p.k == 16 and p.s == 4
-    assert int(p.p.sum()) == p.k - p.s == 12
-    assert list(p.q) == [2, 4, 6, 8]
-    assert np.all(p.p + p.v <= det.SR_EXPAND_BUDGET)
+    assert sum(p.p) == p.k - p.s == 12
+    assert p.q == (2, 4, 6, 8)
+    assert all(a + b <= det.SR_EXPAND_BUDGET for a, b in zip(p.p, p.v))
 
 
 @pytest.mark.parametrize(
@@ -445,6 +429,13 @@ def test_sr_params_default_schedule():
         dict(k=16, s=4, p=[2] + [1] * 10 + [0] * 5, v=[4] * 16, q=[2, 4, 6, 8]),
         dict(k=16, s=4, p=[2] + [1] * 10 + [0] * 5, v=[1] * 16, q=[4, 2, 6, 8]),
         dict(k=16, s=4, p=[2] + [1] * 10 + [0] * 5, v=[0] * 16, q=[2, 4, 6, 8]),
+        # entries that are not integers, or not a flat list: the fractions
+        # would truncate to a valid schedule
+        dict(k=16, s=4, p=[2.9] + [1] * 10 + [0] * 5, v=[1] * 16, q=[2, 4, 6, 8]),
+        dict(k=16, s=4, p=[2] + [1] * 10 + [0] * 5, v=[1] * 16, q=[2.5, 4, 6, 8]),
+        dict(k=16, s=4, p=[2] + [1] * 10 + [0] * 5, v=[True] * 16, q=[2, 4, 6, 8]),
+        dict(k=16, s=4, p=[2] + [1] * 10 + [0] * 5, v=[1] * 16, q=["2", "4", "6", "8"]),
+        dict(k=16, s=4, p=np.reshape([2] + [1] * 10 + [0] * 5, (4, 4)), v=[1] * 16, q=[2, 4, 6, 8]),
     ],
 )
 def test_sr_params_invalid(kwargs):
@@ -454,9 +445,22 @@ def test_sr_params_invalid(kwargs):
 
 def test_sr_params_direct_slots_are_the_slots_outside_q():
     for params in SR_SCHEDULES.values():
-        _, direct_slots, _ = params.fill_indices
-        assert direct_slots.dtype.kind == "i"
-        assert np.array_equal(direct_slots, np.setdiff1d(np.arange(params.k), params.q - 1))
+        _, direct_slots, q_slots, _ = params.fill_indices
+        assert direct_slots.dtype.kind == q_slots.dtype.kind == "i"
+        assert np.array_equal(q_slots, np.array(params.q, dtype=int) - 1)
+        assert np.array_equal(direct_slots, np.setdiff1d(np.arange(params.k), q_slots))
+
+
+def test_sr_params_compare_and_hash_by_value():
+    ref = det.SrKBestParams.default_16_4()
+    as_list = det.SrKBestParams(k=16, s=4, p=list(ref.p), v=list(ref.v), q=[2, 4, 6, 8])
+    as_array = det.SrKBestParams(
+        k=16, s=4, p=np.array(ref.p), v=np.array(ref.v, dtype=np.uint8), q=np.arange(2, 9, 2)
+    )
+    assert ref == as_list == as_array and hash(ref) == hash(as_list) == hash(as_array)
+    assert all(type(e) is int for e in as_array.p + as_array.v + as_array.q)
+    other = det.SrKBestParams(k=16, s=4, p=(1, 2) + ref.p[2:], v=(3, 0) + ref.v[2:], q=ref.q)
+    assert other != ref and len({ref, as_list, as_array, other}) == 2
 
 
 def test_first_sr_search_imports_no_masked_arrays():
@@ -529,7 +533,7 @@ def test_sr_dominance_and_equality_rate_vs_kbest(qam16):
     assert equal >= 0.9 * n_trials
 
 
-def _sr_reference(r, y_tilde, params, points):
+def _sr_reference(r, y_tilde, params, cons):
     """Sorting-reduced K-best whose scheduled layers stable-sort all children
     of each parent, then place the direct children and the stable-sorted
     pool winners with separate gathers, as the search did before its
@@ -542,17 +546,15 @@ def _sr_reference(r, y_tilde, params, points):
     direct_rank = np.concatenate([np.arange(c) for c in params.p]).astype(int)
     pool_parent = np.repeat(np.arange(k), params.v)
     pool_rank = np.concatenate([p + np.arange(c) for p, c in zip(params.p, params.v)]).astype(int)
-    direct_slots = np.setdiff1d(np.arange(k), params.q - 1)
-    q_slots = params.q - 1
+    q_slots = np.array(params.q) - 1
+    direct_slots = np.setdiff1d(np.arange(k), q_slots)
     symbols = np.zeros((n_vec, 1, m), dtype=np.int64)
     metrics = np.zeros((n_vec, 1))
     for layer in range(m - 1, -1, -1):
         if symbols.shape[1] < k:
-            symbols, metrics = det._kbest_step(
-                r, y_tilde, layer, symbols, metrics, points, points.size, k
-            )
+            symbols, metrics = det._kbest_step(r, y_tilde, layer, symbols, metrics, cons, cons.size, k)
             continue
-        inc = det._layer_increments(r, y_tilde, layer, symbols, points)
+        inc = det._layer_increments(r, y_tilde, layer, symbols, cons)
         order = np.argsort(inc, axis=-1, kind="stable")
         child = metrics[:, :, None] + np.take_along_axis(inc, order, axis=-1)
         out_symbols = np.empty_like(symbols)
@@ -601,7 +603,7 @@ def test_sr_matches_reference(qpsk, qam16, schedule, zero_rows):
             if zero_rows:  # y_tilde = 0: exact ties in every selection
                 y_tilde[::5] = 0.0
             cl = det.sr_kbest_detect(r, y_tilde, params, cons)
-            symbols, metrics = _sr_reference(r, y_tilde, params, cons.points)
+            symbols, metrics = _sr_reference(r, y_tilde, params, cons)
             assert np.array_equal(cl.symbols, symbols)
             assert np.array_equal(cl.metrics, metrics)
 
