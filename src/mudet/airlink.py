@@ -34,7 +34,7 @@ def _gray_codes(n_bits: int) -> np.ndarray:
     return i ^ (i >> 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Constellation:
     """Unit-energy Gray-mapped constellation.
 
@@ -49,6 +49,9 @@ class Constellation:
     in-phase term ``i`` to quadrature term ``q``. The tree searches of
     :mod:`mudet.detectors` compute their child distances per axis from
     these tables.
+
+    Two constellations compare and hash by identity, so one can key a dict
+    or sit in a list that ``in`` searches; build each kind once and share it.
     """
 
     points: np.ndarray

@@ -71,11 +71,10 @@ from .detectors import (
     osic_detect,
     robust_apply,
     robust_plan,
-    robust_soft_llrs,
     sr_kbest_detect,
 )
 from .errors import ConfigParseError, ConfigValidationError
-from .numkit import sorted_qr
+from .numkit import as_complex_matrix, sorted_qr
 
 DETECTOR_NAMES = ("mrc", "mmse-irc", "osic", "kbest", "sr-kbest", "robust-sr-kbest", "ml")
 
@@ -109,11 +108,19 @@ _CONSTELLATIONS = {kind: build_constellation(kind) for kind in CONSTELLATION_KIN
 _PILOT = _CONSTELLATIONS["qpsk"]
 _INTERFERER = _CONSTELLATIONS["qam16"]
 
+# Width of the robust detector's soft-output list. On 16 x 4 QAM16 with two
+# interferers and LS channel estimates, log-MAP over a list this wide gives
+# the coded BER of exhaustive log-MAP over all 65,536 hypotheses, within
+# Monte-Carlo noise; widths 16 and 32 fall short of it.
+SOFT_LIST_WIDTH = 64
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Fully-validated simulation scenario; the desk-scale defaults run in
-    seconds and keep brute-force ML feasible."""
+    seconds and keep brute-force ML feasible. Every construction validates,
+    ``dataclasses.replace`` included, and raises
+    :class:`~mudet.errors.ConfigValidationError` naming the offending key."""
 
     n_rx: int = 16
     n_users: int = 4
@@ -140,7 +147,7 @@ class ScenarioConfig:
     # such a bit
     llr_clip: float = 8.0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.n_users < 1 or self.n_rx < self.n_users:
             raise ConfigValidationError("n_users", "need n_rx >= n_users >= 1")
         if self.n_interferers < 0:
@@ -344,9 +351,7 @@ def parse_config(text: str) -> ScenarioConfig:
         sr_params = replace(SrKBestParams.default_16_4(), **sr_values)
     except ValueError as exc:
         raise ConfigValidationError("sr", str(exc)) from exc
-    cfg = ScenarioConfig(sr_params=sr_params, **values)
-    cfg.validate()
-    return cfg
+    return ScenarioConfig(sr_params=sr_params, **values)
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +427,18 @@ def _detect_uses(cfg, name: str, cons, know: _TrialKnowledge, y_block, coded: bo
     searches all uses together; every tree-search list is mapped back to
     user order. Uncoded, the K-best and sorting-reduced searches return only
     their best candidate (``best_only``). Coded, every list becomes LLRs by
-    list log-MAP (:func:`logmap_llrs`) on its likelihood; the robust
-    detector's list is its own soft-output search, not its hard search.
+    list log-MAP (:func:`logmap_llrs`) on its likelihood, and every K-best
+    list, hard or soft, comes from :func:`kbest_detect` and its one tie rule.
+
+    The robust detector's hard decisions come from the sorting-reduced
+    search on the second-stage model ``(plan.hard_qr.r, y3)``, but its LLRs
+    come from a full-expansion :func:`kbest_detect` of width
+    ``SOFT_LIST_WIDTH`` on ``plan.soft_qr``, the sorted QR of the whitened
+    channel, where the noise is white with unit variance. The search metric
+    there is the whitened log-likelihood ``||y2 - r1 x||^2`` itself, which
+    the ``h2`` metric of the hard search is not, so its list metrics go to
+    :func:`logmap_llrs` as they are. The other lists' extended-model metrics
+    are turned into negative log-likelihoods first.
     """
     h_hat, r_uu, sigma_det = know.h_hat, know.r_uu, know.sigma_det
 
@@ -466,11 +481,17 @@ def _detect_uses(cfg, name: str, cons, know: _TrialKnowledge, y_block, coded: bo
     if name == "robust-sr-kbest":
         plan = robust_plan(h_hat, r_uu)
         if coded:
-            return robust_soft_llrs(plan, y_block, cons)
-        # robust_apply first: it builds the sorted QR of h2 that plan.r2 reads
+            sq = plan.soft_qr
+            rotate = sq.q.conj().T @ plan.q1.conj().T @ plan.w
+            # rows checked before the product, which warns on an inf entry
+            y_tilde = as_complex_matrix(y_block, "y_block") @ rotate.T
+            cands = kbest_detect(sq.r, y_tilde, SOFT_LIST_WIDTH, cons).permuted(sq.perm)
+            return logmap_llrs(cands.symbols, cands.metrics, cons)
+        # robust_apply first: it builds the sorted QR of h2 that the search reads
         y3 = robust_apply(plan, y_block)
-        cands = sr_kbest_detect(plan.r2, y3, cfg.sr_params, cons, best_only=True)
-        return cands.permuted(plan.perm).symbols[:, 0]
+        hard = plan.hard_qr
+        cands = sr_kbest_detect(hard.r, y3, cfg.sr_params, cons, best_only=True)
+        return cands.permuted(hard.perm).symbols[:, 0]
 
     if name == "ml":
         hard, llr, _ = ml_bruteforce(h_hat, y_block, cons, soft=coded)
@@ -518,7 +539,6 @@ def run_scenario(cfg: ScenarioConfig) -> list[BerRecord]:
     Trials are independent and aggregated by commutative integer sums, so
     any execution order produces identical records.
     """
-    cfg.validate()
     code = fec.build_code(seed=_LDPC_CODE_SEED) if cfg.coded else None
     snr_grid = tuple(sorted(cfg.snr_grid_db))
     records = []

@@ -53,7 +53,6 @@ def _load_config(args):
         except ValueError as exc:
             raise ConfigValidationError("snr_db", str(exc)) from exc
         cfg = replace(cfg, snr_grid_db=grid)
-    cfg.validate()
     return cfg
 
 

@@ -10,30 +10,18 @@ robust to spatially coloured interference. A detector is composed from
 these parts in ``mudet.bench``: a plan per channel, a rotation of the
 received vectors, one search and, on the coded path, LLRs.
 
-Soft output of the robust detector: its hard decisions come from the
-sorting-reduced search on the second-stage model ``(r2, y3)``, but its
-LLRs are exact log-MAP values over the list of a full-expansion
-:func:`kbest_detect` of width ``SOFT_LIST_WIDTH``, searched on the sorted
-QR of the whitened channel, where the noise is white with unit variance.
-The search metric there is the whitened log-likelihood ``||y2 - r1 x||^2``
-itself, which the ``h2`` metric of the hard search is not. Every K-best
-list, hard or soft, comes from that one search and its one tie rule. The
-other list detectors use the same rule: ``mudet.bench`` turns their
-extended-model metrics into negative log-likelihoods for
-:func:`logmap_llrs`.
-
 LLR convention: positive favours bit 0. Magnitudes are clamped to
 ``LLR_MAX`` so a missing bit hypothesis in a candidate list stays finite
 for the decoder.
 
 Batching: :func:`build_extended`, the tree searches (:func:`osic_detect`,
 :func:`kbest_detect`, :func:`sr_kbest_detect`), :func:`ml_bruteforce`,
-:func:`robust_apply`, :func:`robust_soft_llrs` and
-:func:`equalizer_llrs` take a ``(B, ...)`` block of received vectors
-that share one channel factorization, and nothing else: a 1-D input raises
-``ValueError`` (one vector is the block ``y[None]``). Every output carries
-the leading ``B`` axis. Given its rotated input ``y_tilde``, every row is
-searched exactly as it would be alone: each selection along the last axis
+:func:`robust_apply` and :func:`equalizer_llrs` take a ``(B, ...)`` block
+of received vectors that share one channel factorization, and nothing
+else: a 1-D input raises ``ValueError`` (one vector is the block
+``y[None]``). Every output carries the leading ``B`` axis. Given its
+rotated input ``y_tilde``, every row is searched exactly as it would be
+alone: each selection along the last axis
 returns what a stable sort of that row would, so ties resolve the same way
 at any batch size. Every selection of a search (the per-parent ranking of
 a partial-expansion or scheduled layer, each survivor and pool cut, and
@@ -88,12 +76,6 @@ LLR_MAX = 30.0
 
 # Per-parent child budget of the sorting-reduced search.
 SR_EXPAND_BUDGET = 4
-
-# Width of the robust detector's soft-output list. On 16 x 4 QAM16 with two
-# interferers and LS channel estimates, log-MAP over a list this wide gives
-# the coded BER of exhaustive log-MAP over all 65,536 hypotheses, within
-# Monte-Carlo noise; widths 16 and 32 fall short of it.
-SOFT_LIST_WIDTH = 64
 
 # Largest exhaustive search space ml_bruteforce (and a scenario running it)
 # accepts.
@@ -227,12 +209,8 @@ class RobustPlan:
 
     @cached_property
     def hard_qr(self) -> SortedQR:
-        """Sorted QR of ``h2``: ``q2 @ r2 == h2[:, perm]``."""
+        """Sorted QR of ``h2``, the hard-search model: ``q @ r == h2[:, perm]``."""
         return sorted_qr(self.h2)
-
-    q2 = property(lambda self: self.hard_qr.q)
-    r2 = property(lambda self: self.hard_qr.r)
-    perm = property(lambda self: self.hard_qr.perm)
 
     @cached_property
     def soft_qr(self) -> SortedQR:
@@ -624,28 +602,11 @@ def robust_plan(h_hat, r_uu) -> RobustPlan:
 
 def robust_apply(plan: RobustPlan, y) -> np.ndarray:
     """Rotate received rows ``y (B, n_rx)`` onto the hard-search model:
-    ``y3 = q2' q1' w y``, one row per vector. The hard search runs over
-    ``(plan.r2, y3)`` and reads back through ``plan.perm``."""
+    ``y3 = q2' q1' w y`` with ``q2 = plan.hard_qr.q``, one row per vector.
+    The hard search runs over ``(plan.hard_qr.r, y3)`` and reads back
+    through ``plan.hard_qr.perm``."""
     y = _rows(y, plan.w.shape[0], "y")
-    return ((y @ plan.w.T) @ plan.q1.conj()) @ plan.q2.conj()
-
-
-def robust_soft_llrs(plan: RobustPlan, y_block, cons: Constellation) -> np.ndarray:
-    """Exact log-MAP LLRs of the whitened model, one row per received vector.
-
-    ``y_block`` is ``(n_vectors, n_rx)``. Each vector is whitened and rotated onto
-    ``plan.soft_qr``; :func:`kbest_detect` of width ``SOFT_LIST_WIDTH``
-    with full expansion then lists candidates whose accumulated metric is
-    ``||y2 - r1 x||^2``, ties going to the lower survivor index, then the
-    lower constellation index, and :func:`logmap_llrs` turns each list
-    into LLRs at unit noise variance. Returns
-    ``(n_vectors, n_users * bits_per_symbol)``, user-major.
-    """
-    y_block = _rows(y_block, plan.w.shape[0], "y_block")
-    sq = plan.soft_qr
-    rotate = sq.q.conj().T @ plan.q1.conj().T @ plan.w
-    cands = kbest_detect(sq.r, y_block @ rotate.T, SOFT_LIST_WIDTH, cons).permuted(sq.perm)
-    return logmap_llrs(cands.symbols, cands.metrics, cons)
+    return ((y @ plan.w.T) @ plan.q1.conj()) @ plan.hard_qr.q.conj()
 
 
 # ---------------------------------------------------------------------------

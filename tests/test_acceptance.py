@@ -208,7 +208,7 @@ def test_c04_robust_pipeline_hand_check():
         np.allclose(plan.r1, np.eye(4), atol=1e-12),
         np.allclose(np.linalg.solve(plan.h2, y2), y / 2, atol=1e-12),
         np.allclose(plan.h2, 2 * np.eye(4), atol=1e-12),
-        np.allclose(plan.r2, 2 * np.eye(4), atol=1e-12),
+        np.allclose(plan.hard_qr.r, 2 * np.eye(4), atol=1e-12),
         np.allclose(y3, y, atol=1e-12),
     ]
     _report("C4 robust hand-check", all(checks), "r1=I, x=y/2, h2=r2=2I, y3=y at 1e-12")

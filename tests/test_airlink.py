@@ -82,6 +82,15 @@ def test_unsupported_kind():
         build_constellation("qam64")
 
 
+def test_constellations_compare_and_hash_by_identity():
+    # array fields: a field-wise comparison would raise numpy's ambiguous truth value
+    a, b = build_constellation("qam16"), build_constellation("qam16")
+    assert a == a and a != b
+    assert a in [b, a] and b not in [a]
+    assert hash(a) == hash(a) and len({a, b, a}) == 2
+    assert {a: "qam16"}[a] == "qam16"
+
+
 # --- channel generation -------------------------------------------------------
 
 

@@ -84,6 +84,16 @@ def test_validation_error_names_key():
         assert err.value.key == key
 
 
+def test_config_validates_when_built():
+    # a config is checked at construction, and so is every replace() of one
+    with pytest.raises(ConfigValidationError) as err:
+        bench.ScenarioConfig(n_rx=2, n_users=4)
+    assert err.value.key == "n_users"
+    with pytest.raises(ConfigValidationError) as err:
+        dataclasses.replace(bench.ScenarioConfig(), trials_per_point=0)
+    assert err.value.key == "trials_per_point"
+
+
 def test_config_equality():
     assert bench.parse_config("") == bench.ScenarioConfig()
     assert hash(bench.parse_config("")) == hash(bench.ScenarioConfig())
@@ -433,8 +443,8 @@ def test_hard_only_uses_permute_the_best_candidate_like_the_whole_list(qam16):
             "kbest": (det.kbest_detect(sq.r, y_tilde, cfg.kbest_k, qam16), sq.perm),
             "sr-kbest": (det.sr_kbest_detect(sq.r, y_tilde, cfg.sr_params, qam16), sq.perm),
             "robust-sr-kbest": (
-                det.sr_kbest_detect(plan.r2, y3, cfg.sr_params, qam16),
-                plan.perm,
+                det.sr_kbest_detect(plan.hard_qr.r, y3, cfg.sr_params, qam16),
+                plan.hard_qr.perm,
             ),
         }
         for name, (cands, perm) in lists.items():
@@ -473,6 +483,27 @@ def test_coded_kbest_llrs_are_exhaustive_logmap(kind, k):
         ref = _exhaustive_logmap(h, y, 0.8, cons)
         assert np.max(np.abs(llr - ref)) <= 1e-9
         assert np.mean(np.abs(ref) < det.LLR_MAX) > 0.5  # most LLRs are soft
+
+
+def test_coded_robust_soft_list_is_one_traceable_kbest_search(qam16, monkeypatch):
+    # the coded robust list is searched by the kbest_detect bench looks up,
+    # the name a tracer wraps, once per block of uses
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return det.kbest_detect(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "kbest_detect", spy)
+    rng = np.random.default_rng(65)
+    h = (rng.standard_normal((16, 4)) + 1j * rng.standard_normal((16, 4))) / np.sqrt(2)
+    know = bench._TrialKnowledge(h_hat=h, r_uu=np.eye(16), sigma_det=0.5, sigma_i2=0.0)
+    y = rng.standard_normal((9, 16)) + 1j * rng.standard_normal((9, 16))
+    cfg = bench.ScenarioConfig()
+    llr = bench._detect_uses(cfg, "robust-sr-kbest", qam16, know, y, coded=True)
+    assert len(calls) == 1 and llr.shape == (9, 16)
+    _, y_tilde, width, cons = calls[0]
+    assert width == bench.SOFT_LIST_WIDTH and cons is qam16 and y_tilde.shape == (9, 4)
 
 
 def test_coded_osic_llrs_are_hard():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mudet import bench
 from mudet import detectors as det
 from mudet.airlink import estimate_covariance
 from mudet.errors import (
@@ -609,12 +610,12 @@ def test_sr_matches_reference(qpsk, qam16, schedule, zero_rows):
 
 
 def _leaf_models(rng, cons, m, n_vec, case):
-    """``(r, y_tilde)`` of the extended model and of the robust ``(plan.r2,
-    y3)`` model. ``zero-rows`` zeroes every fifth row and ``tied-norms``
-    gives the channel equal column norms (``r`` has a constant diagonal),
-    both of which tie the last layer's minimum. The noise is strong enough
-    that a parent outside ``leaf_parents`` often holds the best child of a
-    scheduled last layer."""
+    """``(r, y_tilde)`` of the extended model and of the robust
+    ``(plan.hard_qr.r, y3)`` model. ``zero-rows`` zeroes every fifth row
+    and ``tied-norms`` gives the channel equal column norms (``r`` has a
+    constant diagonal), both of which tie the last layer's minimum. The
+    noise is strong enough that a parent outside ``leaf_parents`` often
+    holds the best child of a scheduled last layer."""
     h = np.kron([[1.0], [1.0]], np.eye(m)) if case == "tied-norms" else crandn(rng, 2 * m, m)
     y = cons.points[rng.integers(0, cons.size, (n_vec, m))] @ h.T + 2.0 * crandn(rng, n_vec, 2 * m)
     if case == "zero-rows":
@@ -623,7 +624,7 @@ def _leaf_models(rng, cons, m, n_vec, case):
     sq = sorted_qr(ext.h_ext)
     plan = det.robust_plan(h, random_pd(rng, 2 * m))
     y3 = det.robust_apply(plan, y)
-    return (sq.r, ext.y_ext @ sq.q.conj()), (plan.r2, y3)
+    return (sq.r, ext.y_ext @ sq.q.conj()), (plan.hard_qr.r, y3)
 
 
 LEAF_SEARCHES = {
@@ -709,7 +710,7 @@ def test_batched_searches_equal_row_by_row(qpsk, qam16, n_vec, m, use_qpsk, k, z
 
 ENTRY_POINTS = (
     "build_extended", "osic_detect", "kbest_detect", "sr_kbest_detect", "ml_bruteforce",
-    "robust_apply", "robust_soft_llrs", "equalizer_llrs",
+    "robust_apply", "equalizer_llrs",
 )
 
 
@@ -733,7 +734,6 @@ def test_entry_points_take_blocks_only(qam16, name):
         "sr_kbest_detect": (lambda v: listed(det.sr_kbest_detect(r, v, params, qam16)), 3),
         "ml_bruteforce": (lambda v: det.ml_bruteforce(h, v, qam16), 6),
         "robust_apply": (lambda v: (det.robust_apply(plan, v),), 6),
-        "robust_soft_llrs": (lambda v: (det.robust_soft_llrs(plan, v, qam16),), 6),
         "equalizer_llrs": (
             lambda v: (det.equalizer_llrs(v, np.ones(3), np.full(3, 0.1), qam16),), 3
         ),
@@ -753,7 +753,7 @@ def test_batched_apply_and_llrs_equal_row_by_row(qam16, monkeypatch):
     y3 = det.robust_apply(plan, y)
     y2 = (y @ plan.w.T) @ plan.q1.conj()
     x = np.linalg.solve(plan.h2, y2.T).T
-    cands = det.sr_kbest_detect(plan.r2, y3, det.SrKBestParams.default_16_4(), qam16)
+    cands = det.sr_kbest_detect(plan.hard_qr.r, y3, det.SrKBestParams.default_16_4(), qam16)
     llr = det.logmap_llrs(cands.symbols, cands.metrics, qam16)
     x_eq = 1.3 * crandn(rng, 5, 3)
     bias = np.array([0.9, 1.0, 1.1])
@@ -841,7 +841,17 @@ def robust_hard(h, y, r_uu, params, cons):
     ``mudet.bench`` composes it."""
     plan = det.robust_plan(h, r_uu)
     y3 = det.robust_apply(plan, y[None])
-    return det.sr_kbest_detect(plan.r2, y3, params, cons).permuted(plan.perm).symbols[0, 0]
+    hard = plan.hard_qr
+    return det.sr_kbest_detect(hard.r, y3, params, cons).permuted(hard.perm).symbols[0, 0]
+
+
+def robust_soft(h, r_uu, y_block, cons):
+    """LLRs of the coded robust detector on the rows of ``y_block``, as
+    ``mudet.bench`` composes them; it reads no noise power."""
+    n_rx, n_users = h.shape
+    cfg = bench.ScenarioConfig(n_rx=n_rx, n_users=n_users)
+    know = bench._TrialKnowledge(h_hat=h, r_uu=r_uu, sigma_det=1.0, sigma_i2=0.0)
+    return bench._detect_uses(cfg, "robust-sr-kbest", cons, know, y_block, coded=True)
 
 
 def test_robust_identity_hand_check():
@@ -853,9 +863,9 @@ def test_robust_identity_hand_check():
     y2 = (y[None] @ plan.w.T) @ plan.q1.conj()
     assert np.allclose(np.linalg.solve(plan.h2, y2[0]), y / 2, atol=1e-12)
     assert np.allclose(plan.h2, 2 * np.eye(4), atol=1e-12)
-    assert np.allclose(plan.r2, 2 * np.eye(4), atol=1e-12)
+    assert np.allclose(plan.hard_qr.r, 2 * np.eye(4), atol=1e-12)
     assert np.allclose(y3[0], y, atol=1e-12)
-    assert list(plan.perm) == [0, 1, 2, 3]
+    assert list(plan.hard_qr.perm) == [0, 1, 2, 3]
 
 
 def test_robust_identity_whitening_passthrough():
@@ -876,8 +886,9 @@ def test_robust_apply_follows_chain_steps():
     assert np.allclose(plan.w @ r_uu @ plan.w.conj().T, np.eye(8))
     assert np.allclose(plan.q1 @ plan.r1, plan.w @ h)
     assert np.allclose(plan.h2, np.linalg.inv(plan.r1.conj().T) + plan.r1)
-    assert np.allclose(plan.q2 @ plan.r2, plan.h2[:, plan.perm])
-    assert np.allclose(y3[0], plan.q2.conj().T @ plan.q1.conj().T @ plan.w @ y)
+    sq2 = plan.hard_qr
+    assert np.allclose(sq2.q @ sq2.r, plan.h2[:, sq2.perm])
+    assert np.allclose(y3[0], sq2.q.conj().T @ plan.q1.conj().T @ plan.w @ y)
 
 
 def _robust_plan_before(h_hat, r_uu):
@@ -913,18 +924,26 @@ def test_robust_plan_factors_bit_identical_to_eager_solves():
     rng = np.random.default_rng(47)
     for h, r_uu in _covariance_inputs(rng):
         plan = det.robust_plan(h, r_uu)
-        ref = _robust_plan_before(h, r_uu)
-        for name, value in ref.items():
-            assert np.array_equal(getattr(plan, name), value), name
+        sq2 = plan.hard_qr
+        got = dict(w=plan.w, q1=plan.q1, r1=plan.r1, h2=plan.h2)
+        got.update(q2=sq2.q, r2=sq2.r, perm=sq2.perm)
+        for name, value in _robust_plan_before(h, r_uu).items():
+            assert np.array_equal(got[name], value), name
 
 
 def test_robust_hard_factors_built_once_and_only_for_the_hard_search(qam16, monkeypatch):
     rng = np.random.default_rng(53)
     h, r_uu = crandn(rng, 16, 4), random_pd(rng, 16)
-    plan = det.robust_plan(h, r_uu)
-    factored = []
+    plans, factored = [], []
+
+    def keep(*args):  # the coded path builds its plan inside bench
+        plans.append(det.robust_plan(*args))
+        return plans[-1]
+
+    monkeypatch.setattr(bench, "robust_plan", keep)
     monkeypatch.setattr(det, "sorted_qr", lambda a: factored.append(a) or sorted_qr(a))
-    det.robust_soft_llrs(plan, crandn(rng, 3, 16), qam16)
+    robust_soft(h, r_uu, crandn(rng, 3, 16), qam16)
+    (plan,) = plans
     assert "h2" not in vars(plan) and "hard_qr" not in vars(plan)
     assert len(factored) == 1  # the soft search's sorted QR of r1
     # robust_apply builds the hard-search factors, so a traced run counts
@@ -954,9 +973,9 @@ def test_whitening_few_samples_at_default_loading(qam16):
         idx = rng.integers(0, 16, (3, 4))
         y3 = det.robust_apply(plan, qam16.points[idx] @ h.T)
         params = det.SrKBestParams.default_16_4()
-        cands = det.sr_kbest_detect(plan.r2, y3, params, qam16)
+        cands = det.sr_kbest_detect(plan.hard_qr.r, y3, params, qam16)
         assert np.all(np.isfinite(cands.metrics))
-        llr = det.robust_soft_llrs(plan, qam16.points[idx] @ h.T, qam16)
+        llr = robust_soft(h, r_uu, qam16.points[idx] @ h.T, qam16)
         assert np.all(np.isfinite(llr))
 
 
@@ -1051,7 +1070,7 @@ def test_logmap_llrs_sign_flips_under_complement(qam16, symbols, seed):
 def test_robust_llrs_match_bruteforce_logmap(qpsk):
     # QPSK with 3 users has 64 hypotheses, all inside the soft-output list,
     # so the list LLRs must equal exhaustive log-MAP on the whitened model
-    assert qpsk.size**3 == det.SOFT_LIST_WIDTH
+    assert qpsk.size**3 == bench.SOFT_LIST_WIDTH
     rng = np.random.default_rng(26)
     every = np.stack(np.meshgrid(*[np.arange(4)] * 3, indexing="ij"), -1).reshape(-1, 3)
     bits = qpsk.bit_patterns[every].reshape(every.shape[0], -1)
@@ -1061,7 +1080,7 @@ def test_robust_llrs_match_bruteforce_logmap(qpsk):
         r_uu = g @ g.conj().T + 0.5 * np.eye(6)
         y = h @ qpsk.points[rng.integers(0, 4, 3)] + g @ crandn(rng, 2) + 0.7 * crandn(rng, 6)
         plan = det.robust_plan(h, r_uu)
-        llr = det.robust_soft_llrs(plan, y[None], qpsk)[0]
+        llr = robust_soft(h, r_uu, y[None], qpsk)[0]
         y1 = plan.w @ y
         like = np.exp(-np.sum(np.abs(y1 - qpsk.points[every] @ (plan.w @ h).T) ** 2, axis=1))
         ref = np.log(like @ (bits == 0)) - np.log(like @ (bits == 1))
@@ -1085,26 +1104,26 @@ def test_robust_soft_llrs_block_matches_rows(qam16):
     rng = np.random.default_rng(27)
     h = crandn(rng, 16, 4)
     g = crandn(rng, 16, 2)
-    plan = det.robust_plan(h, g @ g.conj().T + 0.3 * np.eye(16))
+    r_uu = g @ g.conj().T + 0.3 * np.eye(16)
     y_block = 2.0 * crandn(rng, 18, 16)
     y_block[5] = 0.0
-    llr = det.robust_soft_llrs(plan, y_block, qam16)
+    llr = robust_soft(h, r_uu, y_block, qam16)
     assert llr.shape == (18, 4 * qam16.bits_per_symbol)
-    assert np.array_equal(llr[5], det.robust_soft_llrs(plan, y_block[5, None], qam16)[0])
+    assert np.array_equal(llr[5], robust_soft(h, r_uu, y_block[5, None], qam16)[0])
     for t in range(18):
-        one = det.robust_soft_llrs(plan, y_block[t, None], qam16)
+        one = robust_soft(h, r_uu, y_block[t, None], qam16)
         assert one.shape == (1, llr.shape[1])
         assert np.allclose(llr[t], one[0], rtol=0, atol=1e-12)
 
 
 def test_robust_soft_llrs_rejects_non_finite_row(qam16):
     rng = np.random.default_rng(31)
-    plan = det.robust_plan(crandn(rng, 16, 4), np.eye(16))
+    h = crandn(rng, 16, 4)
     y_block = crandn(rng, 3, 16)
     for bad in (np.nan, np.inf):
         y_block[1, 7] = bad
         with pytest.raises(ValueError):
-            det.robust_soft_llrs(plan, y_block, qam16)
+            robust_soft(h, np.eye(16), y_block, qam16)
 
 
 def test_equalizer_llrs_signs_at_high_snr(qam16):
