@@ -76,7 +76,7 @@ class Constellation:
 
     def indices_to_bits(self, indices: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`bits_to_indices`; appends a bit axis."""
-        return self.bit_patterns[np.asarray(indices)]
+        return self.bit_patterns.take(indices, axis=0)
 
     def nearest(self, values: np.ndarray) -> np.ndarray:
         """Slice complex values to nearest-point indices (ties: lowest index)."""

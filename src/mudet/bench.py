@@ -46,6 +46,7 @@ from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from . import fec
 from .airlink import (
@@ -358,12 +359,27 @@ def parse_config(text: str) -> ScenarioConfig:
 # random streams
 
 
+class _PhiloxKey(ISeedSequence):
+    """Seed sequence whose state is a given Philox key.
+
+    ``Philox(key=...)`` still builds an unused ``SeedSequence()`` from OS
+    entropy; seeded with this instead, Philox reads its two key words from
+    :meth:`generate_state` and draws nothing.
+    """
+
+    def __init__(self, key: np.ndarray):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.key
+
+
 def trial_stream(
     master_seed: int, detector_index: int, snr_index: int, trial_index: int
 ) -> np.random.Generator:
     """Counter-based per-trial stream; see the module docstring."""
     bits = np.random.Philox(
-        key=np.array([master_seed, 0], dtype=np.uint64),
+        _PhiloxKey(np.array([master_seed, 0], dtype=np.uint64)),
         counter=np.array([trial_index, snr_index, detector_index, 0], dtype=np.uint64),
     )
     return np.random.Generator(bits)

@@ -28,8 +28,12 @@ a partial-expansion or scheduled layer, each survivor and pool cut, and
 the final order) goes through :func:`_smallest`: a large input is ranked
 by one value sort of packed (metric, index) keys, and the stable argsort
 decides when two of the kept metrics lie within a few ulps of each other.
-A full-expansion K-best layer cuts its unsorted children, so its ties go
-to the lower survivor index, then to the lower constellation index. A
+Rows of ``_PARTITION_MIN`` entries or more (the 1024-child cuts of a
+width-64 QAM16 soft list) are partitioned in place at the cut and only
+their head is sorted: the packed keys are unique, so the head holds the
+same keys in the same order as a full sort. A full-expansion K-best
+layer cuts its unsorted children, so its ties go to the lower survivor
+index, then to the lower constellation index. A
 scheduled sorting-reduced layer gathers only the children its schedule
 reads. With ``best_only=True`` the K-best and sorting-reduced searches
 return ``full[:, :1]`` of their list, bit for bit, without building the
@@ -315,6 +319,11 @@ def _layer_increments(r, y_tilde, layer, symbols, cons):
 # sorting packed keys (measured on (B, 256) and (B, 16, 16) metrics).
 _KEY_SORT_MIN = 2048
 
+# From this row width on, an in-place partition at the cut and a sort of
+# the head beat one sort of the whole row (measured at B = 18, count 64:
+# the sort wins at 256, the partition from 384 on).
+_PARTITION_MIN = 512
+
 # Clears the sign bit, so -0.0 packs like +0.0.
 _MAGNITUDE = np.uint64(0x7FFF_FFFF_FFFF_FFFF)
 
@@ -332,6 +341,12 @@ def _smallest(values, count):
     ulps of each other; when two of the first ``count + 1`` keys agree above
     the index bits the stable argsort decides instead, and otherwise every
     kept entry is strictly smaller than every entry after it.
+
+    Rows of at least ``_PARTITION_MIN`` entries are not sorted whole: an
+    in-place partition at ``count`` puts the ``count + 1`` smallest keys
+    first, and only they are sorted. The packed keys are unique (their
+    index bits differ), so that head is the head of the fully sorted row
+    key for key, and the tie check reads the same keys.
     """
     if count == 1:  # argmin returns the first index of the minimum
         return values.argmin(axis=-1)[..., None]
@@ -341,7 +356,11 @@ def _smallest(values, count):
     low = np.uint64((1 << (n - 1).bit_length()) - 1)
     keys = values.view(np.uint64) & (_MAGNITUDE & ~low)
     keys |= np.arange(n, dtype=np.uint64)
-    keys.sort(axis=-1)
+    if n >= _PARTITION_MIN and count < n:
+        keys.partition(count, axis=-1)  # in place: np.partition would copy
+        keys[..., : count + 1].sort(axis=-1)
+    else:
+        keys.sort(axis=-1)
     head = keys[..., : count + 1]
     if np.any((head[..., 1:] ^ head[..., :-1]) <= low):
         return values.argsort(axis=-1, kind="stable")[..., :count]
@@ -377,8 +396,7 @@ def _kbest_step(r, y_tilde, layer, symbols, metrics, cons, expand, keep):
     children of each row out. Only a partial expansion sorts each parent's
     children; a full one cuts the unsorted children directly.
     """
-    n_vec = symbols.shape[0]
-    rows = np.arange(n_vec)[:, None]
+    n_vec, _, m = symbols.shape
     inc = _layer_increments(r, y_tilde, layer, symbols, cons)
     full = expand == cons.size
     if not full:
@@ -386,10 +404,12 @@ def _kbest_step(r, y_tilde, layer, symbols, metrics, cons, expand, keep):
         inc = np.take_along_axis(inc, order, axis=-1)
     inc += metrics[:, :, None]
     flat = inc.reshape(n_vec, -1)
-    sel = _smallest(flat, keep)
-    out = symbols[rows, sel // expand]
-    out[:, :, layer] = sel % expand if full else order.reshape(n_vec, -1)[rows, sel]
-    return out, flat[rows, sel]
+    # flat index of each kept child; its parent's flat index is that // expand
+    child = _smallest(flat, keep) + np.arange(n_vec)[:, None] * flat.shape[1]
+    parent = child // expand
+    out = symbols.reshape(-1, m).take(parent, axis=0)
+    out[:, :, layer] = child - parent * expand if full else order.take(child)
+    return out, flat.take(child)
 
 
 def kbest_detect(
@@ -450,16 +470,18 @@ def _sr_step(r, y_tilde, layer, symbols, metrics, cons, params):
     """
     (parent, rank), direct_slots, q_slots, max_rank = params.fill_indices
     n_direct = direct_slots.size
-    n_vec = symbols.shape[0]
+    n_vec, n_par, m = symbols.shape
     rows = np.arange(n_vec)[:, None]
     inc = _layer_increments(r, y_tilde, layer, symbols, cons)
-    point = _smallest(inc, max_rank)[:, parent, rank]
-    read = metrics[:, parent] + inc[rows, parent, point]
+    # take where it measured faster than a fancy index (shared columns and
+    # whole survivor rows); the per-row gathers stay fancy indices
+    point = _smallest(inc, max_rank).reshape(n_vec, -1).take(parent * max_rank + rank, axis=1)
+    read = metrics.take(parent, axis=1) + inc[rows, parent, point]
     src = np.empty((n_vec, params.k), dtype=np.int64)
     src[:, direct_slots] = np.arange(n_direct)
     if params.s:
         src[:, q_slots] = n_direct + _smallest(read[:, n_direct:], params.s)
-    out_symbols = symbols[rows, parent[src]]
+    out_symbols = symbols.reshape(-1, m).take(parent[src] + rows * n_par, axis=0)
     out_symbols[:, :, layer] = point[rows, src]
     return out_symbols, read[rows, src]
 
@@ -629,7 +651,7 @@ def logmap_llrs(symbols, metrics, cons: Constellation) -> np.ndarray:
     metrics = np.asarray(metrics, dtype=float)
     if metrics.ndim == 0 or symbols.shape[:-1] != metrics.shape or metrics.size == 0:
         raise DimensionMismatchError("need one metric per candidate and a non-empty list")
-    bits = cons.bit_patterns[symbols].reshape(*metrics.shape, -1)
+    bits = cons.bit_patterns.take(symbols, axis=0).reshape(*metrics.shape, -1)
     # shifted by the best metric, whose weight is then 1: a zero sum means
     # the hypothesis is absent (or over ~700 worse, past the clamp anyway),
     # and its log of -inf clips to -/+LLR_MAX

@@ -193,25 +193,25 @@ def decode_min_sum_batch(code: LdpcCode, llrs) -> tuple[np.ndarray, np.ndarray, 
     if not np.isfinite(llrs).all():
         raise ValueError("LLRs must be finite")
     hard = llrs < 0
-    converged = _checks_satisfied(code, hard)
+    converged = _checks_satisfied(hard.take(code.check_vars, axis=1))
     iters = np.zeros(llrs.shape[0], dtype=int)
     rows = np.flatnonzero(~converged)  # batch rows still iterating
     llr = llrs[rows]
-    v2c = np.take(llr, code.check_vars, axis=1)
+    v2c = llr.take(code.check_vars, axis=1)
     for it in range(1, MAX_ITERS + 1):
         if rows.size == 0:
             break
         c2v = _check_messages(v2c)
-        from_checks = np.take(c2v.reshape(rows.size, -1), code.var_edges, axis=1)
+        from_checks = c2v.reshape(rows.size, -1).take(code.var_edges, axis=1)
         # ascending check order, as a left-to-right sum
         total = llr + ((from_checks[:, 0] + from_checks[:, 1]) + from_checks[:, 2])
-        v2c = np.take(total, code.check_vars, axis=1) - c2v
-        row_hard = total < 0
-        ok = _checks_satisfied(code, row_hard)
-        stop = ok | (it == MAX_ITERS)
+        on_edges = total.take(code.check_vars, axis=1)
+        v2c = on_edges - c2v
+        ok = _checks_satisfied(on_edges < 0)  # the hard decision, on its edges
+        stop = ok if it < MAX_ITERS else np.ones_like(ok)
         if stop.any():
             out = rows[stop]
-            hard[out] = row_hard[stop]
+            hard[out] = total[stop] < 0
             converged[out] = ok[stop]
             iters[out] = it
             keep = ~stop
@@ -225,17 +225,18 @@ def _check_messages(v2c: np.ndarray) -> np.ndarray:
     Each edge gets the smallest magnitude among its check's other edges:
     the check's second smallest magnitude on the edge holding the smallest,
     the smallest everywhere else (on a tie the two are equal). Its sign is
-    the product of the other edges' signs, a zero counting as positive.
+    the product of the other edges' signs, a zero counting as positive; the
+    sign rides on the normalization factor, so a zero magnitude keeps it.
     """
     mags = np.abs(v2c)
     low = np.sort(mags, axis=1)
-    mag = NORMALIZATION * np.where(mags == low[:, :1], low[:, 1:2], low[:, :1])
     neg = v2c < 0
     flip = neg ^ np.logical_xor.reduce(neg, axis=1, keepdims=True)
-    return np.where(flip, -mag, mag)
+    scale = np.where(flip, -NORMALIZATION, NORMALIZATION)
+    return scale * np.where(mags == low[:, :1], low[:, 1:2], low[:, :1])
 
 
-def _checks_satisfied(code: LdpcCode, hard: np.ndarray) -> np.ndarray:
-    """Per row of 0/1 (or boolean) bits, whether every check's XOR is 0."""
-    syndrome = np.bitwise_xor.reduce(np.take(hard, code.check_vars, axis=1), axis=1)
-    return ~syndrome.any(axis=1)
+def _checks_satisfied(edge_bits: np.ndarray) -> np.ndarray:
+    """Per row of boolean bits on the slot-major edges, ``(rows, ROW_WEIGHT,
+    n_checks)``, whether every check's XOR is 0."""
+    return ~np.logical_xor.reduce(edge_bits, axis=1).any(axis=1)

@@ -77,6 +77,15 @@ def test_bit_symbol_roundtrip(qam16):
     assert np.array_equal(qam16.nearest(qam16.points), idx)
 
 
+def test_indices_to_bits_equals_fancy_index(qpsk, qam16):
+    rng = np.random.default_rng(17)
+    for cons in (qpsk, qam16):
+        for shape in ((), (7,), (50, 4), (18, 64, 4)):
+            idx = rng.integers(0, cons.size, shape)
+            assert np.array_equal(cons.indices_to_bits(idx), cons.bit_patterns[idx])
+        assert np.array_equal(cons.indices_to_bits([0, 3]), cons.bit_patterns[[0, 3]])
+
+
 def test_unsupported_kind():
     with pytest.raises(ValueError):
         build_constellation("qam64")

@@ -234,6 +234,42 @@ def test_trial_stream_reproducible_and_distinct():
         assert not np.array_equal(a, c)
 
 
+
+def _philox_state(gen):
+    state = gen.bit_generator.state
+    arrays = (state["state"]["key"], state["state"]["counter"], state["buffer"])
+    rest = (state["bit_generator"], state["buffer_pos"], state["has_uint32"], state["uinteger"])
+    return tuple(a.tolist() for a in arrays) + rest
+
+
+def test_trial_stream_is_the_keyed_philox_stream():
+    cases = [
+        (0, 0, 0, 0), (1, 5, 2, 39), (7, 6, 13, 2**40), (2**64 - 1, 3, 1, 7),
+        (2**64 - 1, 0, 0, 2**64 - 1),
+    ]
+    for seed, det_index, snr_index, trial in cases:
+        keyed = np.random.Generator(np.random.Philox(
+            key=np.array([seed, 0], dtype=np.uint64),
+            counter=np.array([trial, snr_index, det_index, 0], dtype=np.uint64),
+        ))
+        stream = bench.trial_stream(seed, det_index, snr_index, trial)
+        assert _philox_state(stream) == _philox_state(keyed)
+        assert np.array_equal(stream.standard_normal(9), keyed.standard_normal(9))
+        assert np.array_equal(stream.integers(0, 2**63, 5), keyed.integers(0, 2**63, 5))
+
+
+def test_trial_streams_share_no_bit_generator():
+    alone = [bench.trial_stream(3, 1, 0, t).standard_normal(12) for t in (0, 1)]
+    a, b = bench.trial_stream(3, 1, 0, 0), bench.trial_stream(3, 1, 0, 1)
+    assert a.bit_generator is not b.bit_generator
+    drawn = [[], []]
+    for _ in range(4):  # alternately, three draws at a time
+        drawn[0].append(a.standard_normal(3))
+        drawn[1].append(b.standard_normal(3))
+    assert np.array_equal(np.concatenate(drawn[0]), alone[0])
+    assert np.array_equal(np.concatenate(drawn[1]), alone[1])
+
+
 # --- scenario engine ---------------------------------------------------------------
 
 

@@ -337,3 +337,110 @@ def test_decoder_batch_rows_stop_at_different_iterations(code):
     conv, iters = _assert_matches_reference(code, llrs)
     assert len(set(iters.tolist())) >= 4
     assert conv.any() and not conv.all()
+
+
+# --- bit identity with the decoder before its iteration was trimmed -------------
+
+
+def _check_messages_before(v2c):
+    """``_check_messages`` as it was before the sign rode on the
+    normalization factor."""
+    mags = np.abs(v2c)
+    low = np.sort(mags, axis=1)
+    mag = fec.NORMALIZATION * np.where(mags == low[:, :1], low[:, 1:2], low[:, :1])
+    neg = v2c < 0
+    flip = neg ^ np.logical_xor.reduce(neg, axis=1, keepdims=True)
+    return np.where(flip, -mag, mag)
+
+
+def _decode_before(code, llrs, messages):
+    """``decode_min_sum_batch`` as it was before it read the syndrome on the
+    gathered totals and built hard decisions only for rows that stop.
+    Appends each iteration's ``(v2c, c2v)`` to ``messages``."""
+    hard = llrs < 0
+    syndrome = np.bitwise_xor.reduce(np.take(hard, code.check_vars, axis=1), axis=1)
+    converged = ~syndrome.any(axis=1)
+    iters = np.zeros(llrs.shape[0], dtype=int)
+    rows = np.flatnonzero(~converged)
+    llr = llrs[rows]
+    v2c = np.take(llr, code.check_vars, axis=1)
+    for it in range(1, fec.MAX_ITERS + 1):
+        if rows.size == 0:
+            break
+        c2v = _check_messages_before(v2c)
+        messages.append((v2c, c2v))
+        from_checks = np.take(c2v.reshape(rows.size, -1), code.var_edges, axis=1)
+        total = llr + ((from_checks[:, 0] + from_checks[:, 1]) + from_checks[:, 2])
+        v2c = np.take(total, code.check_vars, axis=1) - c2v
+        row_hard = total < 0
+        syndrome = np.bitwise_xor.reduce(np.take(row_hard, code.check_vars, axis=1), axis=1)
+        ok = ~syndrome.any(axis=1)
+        stop = ok | (it == fec.MAX_ITERS)
+        if stop.any():
+            out = rows[stop]
+            hard[out] = row_hard[stop]
+            converged[out] = ok[stop]
+            iters[out] = it
+            keep = ~stop
+            rows, llr, v2c = rows[keep], llr[keep], v2c[keep]
+    return hard[:, : code.k].astype(np.uint8), converged, iters
+
+
+def _same_bits(a, b):
+    """Equal arrays, signed zeros told apart."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _identity_inputs(code, rng):
+    """Tied, zero-heavy and clipped LLR blocks, and batches whose rows stop
+    at different iterations."""
+    blocks = []
+    for sigma in (0.6, 0.75, 0.9):
+        tied = np.clip(np.round(2.0 * _noisy_llrs(code, rng, sigma, rows=3)) / 2.0, -4.0, 4.0)
+        blocks.append(tied)
+        zeros = tied.copy()
+        zeros[:, rng.random(code.n) < 0.4] = 0.0
+        zeros[1, rng.random(code.n) < 0.3] = -0.0
+        blocks.append(zeros)
+        blocks.append(np.clip(_noisy_llrs(code, rng, sigma, rows=3), -8.0, 8.0))
+    blocks.append(np.vstack([_noisy_llrs(code, rng, s) for s in (0.3, 0.6, 0.7, 0.75, 0.8, 1.5)]))
+    blocks.append(-np.zeros((2, code.n)))
+    return blocks
+
+
+def test_decoder_bit_identical_to_decode_before(code, monkeypatch):
+    seen = []
+
+    def recording(v2c):
+        c2v = check_messages(v2c)
+        seen.append((v2c, c2v))
+        return c2v
+
+    check_messages = fec._check_messages
+    monkeypatch.setattr(fec, "_check_messages", recording)
+    stops = set()
+    for llrs in _identity_inputs(code, np.random.default_rng(23)):
+        seen.clear()
+        before = []
+        got = fec.decode_min_sum_batch(code, llrs)
+        ref = _decode_before(code, llrs, before)
+        for a, b in zip(got, ref):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert len(seen) == len(before)
+        for (v2c, c2v), (v2c_ref, c2v_ref) in zip(seen, before):
+            assert _same_bits(v2c, v2c_ref) and _same_bits(c2v, c2v_ref)
+        stops.add(len(set(got[2].tolist())))
+    assert max(stops) >= 4  # some batch's rows stopped at four different iterations
+
+
+def test_check_messages_bit_identical_to_before():
+    rng = np.random.default_rng(24)
+    for rows in (1, 3):
+        for draw in (
+            lambda shape: rng.standard_normal(shape),
+            lambda shape: np.round(2.0 * rng.standard_normal(shape)) / 2.0,  # ties
+            lambda shape: rng.choice([0.0, -0.0, 0.5, -0.5], shape),  # signed zeros
+            lambda shape: np.clip(8.0 * rng.standard_normal(shape), -8.0, 8.0),
+        ):
+            v2c = draw((rows, fec.ROW_WEIGHT, fec.K_BITS))
+            assert _same_bits(fec._check_messages(v2c), _check_messages_before(v2c))
