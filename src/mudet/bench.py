@@ -26,12 +26,13 @@ entries the expected signal power per antenna is ``n_users``, so
 ``sigma_n2 = n_users * 10**(-snr_db / 10)``. Interferers are excluded
 from the numerator. SNRs whose noise power exceeds
 :data:`MAX_NOISE_POWER` are rejected, and so are interferers whose power
-summed over the array exceeds :data:`MAX_ARRAY_INR` times the lowest
-noise power the detectors see.
+summed over the array exceeds :data:`MAX_ARRAY_INR` times the highest
+finite SNR's noise power (floored at :data:`NOISELESS_FLOOR`).
 
 ``snr_db = inf`` transmits with zero noise while the detectors are fed
-``sigma_n2 = NOISELESS_FLOOR`` and a matching covariance floor so every
-matrix stays positive definite.
+the noise power :meth:`ScenarioConfig.noise_floor`, which rises with the
+interferer power, and a matching covariance floor so every matrix stays
+positive definite.
 
 Coded path
 ----------
@@ -70,7 +71,6 @@ from .detectors import (
     ml_bruteforce,
     mmse_irc_weights,
     osic_detect,
-    robust_apply,
     robust_plan,
     sr_kbest_detect,
 )
@@ -216,10 +216,24 @@ class ScenarioConfig:
 
     def max_interferer_power(self) -> float:
         """Largest ``interferer_power_ratio`` this scenario accepts: the one
-        that reaches ``MAX_ARRAY_INR`` at the lowest noise power the
-        detectors see."""
-        noise = snr_to_noise_power(max(self.snr_grid_db), self.n_users)
-        return MAX_ARRAY_INR * max(noise, NOISELESS_FLOOR) / self.n_rx
+        that reaches ``MAX_ARRAY_INR`` at the highest finite SNR's noise
+        power, floored at ``NOISELESS_FLOOR``. At ``snr_db = inf`` the
+        detectors' floor rises with the interference (:meth:`noise_floor`),
+        so there the bound keeps that floor within ``MAX_NOISE_POWER``."""
+        noises = (snr_to_noise_power(s, self.n_users) for s in self.snr_grid_db if s < math.inf)
+        lowest = min((max(n, NOISELESS_FLOOR) for n in noises), default=MAX_NOISE_POWER)
+        return MAX_ARRAY_INR * lowest / self.n_rx
+
+    def noise_floor(self) -> float:
+        """Lowest noise power the detectors see: ``NOISELESS_FLOOR``, or with
+        interferers, if higher, the noise power at which their power over
+        the array, ``n_rx * interferer_power_ratio``, reaches
+        ``MAX_ARRAY_INR``. Up to :meth:`max_interferer_power` that is no
+        higher than a finite SNR's noise power floored at ``NOISELESS_FLOOR``,
+        so it raises the detectors' noise power only at ``snr_db = inf``."""
+        if not self.n_interferers:
+            return NOISELESS_FLOOR
+        return max(NOISELESS_FLOOR, self.n_rx * self.interferer_power_ratio / MAX_ARRAY_INR)
 
 
 @dataclass(frozen=True)
@@ -407,7 +421,7 @@ def _acquire_knowledge(cfg, channel, rng) -> _TrialKnowledge:
     """The receiver's view of the channel: the truth under ``ideal``; under
     ``ls_pilot``, a least-squares ``h_hat`` from ``pilot_count`` slots per
     user, then the covariance of ``covariance_samples`` more slots' residuals."""
-    sigma_det = max(channel.sigma_n2, NOISELESS_FLOOR)
+    sigma_det = max(channel.sigma_n2, cfg.noise_floor())
     n_rx = cfg.n_rx
     if cfg.ce_mode == "ideal":
         h_hat = channel.h
@@ -446,15 +460,16 @@ def _detect_uses(cfg, name: str, cons, know: _TrialKnowledge, y_block, coded: bo
     list log-MAP (:func:`logmap_llrs`) on its likelihood, and every K-best
     list, hard or soft, comes from :func:`kbest_detect` and its one tie rule.
 
-    The robust detector's hard decisions come from the sorting-reduced
-    search on the second-stage model ``(plan.hard_qr.r, y3)``, but its LLRs
-    come from a full-expansion :func:`kbest_detect` of width
-    ``SOFT_LIST_WIDTH`` on ``plan.soft_qr``, the sorted QR of the whitened
-    channel, where the noise is white with unit variance. The search metric
-    there is the whitened log-likelihood ``||y2 - r1 x||^2`` itself, which
-    the ``h2`` metric of the hard search is not, so its list metrics go to
-    :func:`logmap_llrs` as they are. The other lists' extended-model metrics
-    are turned into negative log-likelihoods first.
+    The robust detector searches the whitened channel: one
+    :func:`robust_plan` gives the rotation and the sorted QR ``sq`` of the
+    whitened channel, where the noise is white with unit variance, and one
+    product rotates every use. Its hard decisions come from the
+    sorting-reduced search and its LLRs from a full-expansion
+    :func:`kbest_detect` of width ``SOFT_LIST_WIDTH``, both on ``(sq.r,
+    y_tilde)``. The search metric there is the whitened log-likelihood
+    ``||w (y - h_hat x)||^2`` itself, so its list metrics go to
+    :func:`logmap_llrs` as they are. The other lists' extended-model
+    metrics are turned into negative log-likelihoods first.
     """
     h_hat, r_uu, sigma_det = know.h_hat, know.r_uu, know.sigma_det
 
@@ -495,19 +510,14 @@ def _detect_uses(cfg, name: str, cons, know: _TrialKnowledge, y_block, coded: bo
         return logmap_llrs(cands.symbols, cands.metrics / sigma2 - energy, cons)
 
     if name == "robust-sr-kbest":
-        plan = robust_plan(h_hat, r_uu)
-        if coded:
-            sq = plan.soft_qr
-            rotate = sq.q.conj().T @ plan.q1.conj().T @ plan.w
-            # rows checked before the product, which warns on an inf entry
-            y_tilde = as_complex_matrix(y_block, "y_block") @ rotate.T
-            cands = kbest_detect(sq.r, y_tilde, SOFT_LIST_WIDTH, cons).permuted(sq.perm)
-            return logmap_llrs(cands.symbols, cands.metrics, cons)
-        # robust_apply first: it builds the sorted QR of h2 that the search reads
-        y3 = robust_apply(plan, y_block)
-        hard = plan.hard_qr
-        cands = sr_kbest_detect(hard.r, y3, cfg.sr_params, cons, best_only=True)
-        return cands.permuted(hard.perm).symbols[:, 0]
+        rotate, sq = robust_plan(h_hat, r_uu)
+        # rows checked before the product, which warns on an inf entry
+        y_tilde = as_complex_matrix(y_block, "y_block") @ rotate.T
+        if not coded:
+            cands = sr_kbest_detect(sq.r, y_tilde, cfg.sr_params, cons, best_only=True)
+            return cands.permuted(sq.perm).symbols[:, 0]
+        cands = kbest_detect(sq.r, y_tilde, SOFT_LIST_WIDTH, cons).permuted(sq.perm)
+        return logmap_llrs(cands.symbols, cands.metrics, cons)
 
     if name == "ml":
         hard, llr, _ = ml_bruteforce(h_hat, y_block, cons, soft=coded)

@@ -5,18 +5,19 @@ interference rejection and of white-noise MRC), three tree searches on an
 upper-triangular system (ordered successive interference cancellation,
 breadth-first K-best, and its sorting-reduced variant driven by a
 ``(k, s, p, v, q)`` schedule), exhaustive maximum likelihood, and the
-interference-whitening pre-processing chain that makes the tree search
-robust to spatially coloured interference. A detector is composed from
-these parts in ``mudet.bench``: a plan per channel, a rotation of the
-received vectors, one search and, on the coded path, LLRs.
+interference-whitening plan (:func:`robust_plan`) that puts the tree
+search on the whitened likelihood, robust to spatially coloured
+interference. A detector is composed from these parts in ``mudet.bench``:
+a plan per channel, a rotation of the received vectors, one search and,
+on the coded path, LLRs.
 
 LLR convention: positive favours bit 0. Magnitudes are clamped to
 ``LLR_MAX`` so a missing bit hypothesis in a candidate list stays finite
 for the decoder.
 
 Batching: :func:`build_extended`, the tree searches (:func:`osic_detect`,
-:func:`kbest_detect`, :func:`sr_kbest_detect`), :func:`ml_bruteforce`,
-:func:`robust_apply` and :func:`equalizer_llrs` take a ``(B, ...)`` block
+:func:`kbest_detect`, :func:`sr_kbest_detect`), :func:`ml_bruteforce`
+and :func:`equalizer_llrs` take a ``(B, ...)`` block
 of received vectors that share one channel factorization, and nothing
 else: a 1-D input raises ``ValueError`` (one vector is the block
 ``y[None]``). Every output carries the leading ``B`` axis. Given its
@@ -46,7 +47,7 @@ axis of the square constellation grid, from the ``levels`` and ``pairs``
 tables of :class:`~mudet.airlink.Constellation` (:func:`_layer_increments`).
 That needs the real diagonal of ``r`` that :mod:`mudet.numkit`'s
 factorizations return; a search given a complex diagonal raises
-``ValueError``. The rotations in front of a search (``y @ plan.w.T``,
+``ValueError``. The rotations in front of a search (``y @ rotate.T``,
 ``y_ext @ q.conj()``) are matrix products and round a row differently
 alone than inside a block, so a row's ``y_tilde``, and the LLRs computed
 from it, match its row-alone values only to rounding; the records of the
@@ -195,37 +196,6 @@ class SrKBestParams:
         p = [2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0]
         v = [2, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2]
         return cls(k=16, s=4, p=p, v=v, q=[2, 4, 6, 8])
-
-
-@dataclass(frozen=True)
-class RobustPlan:
-    """Per-block (y-independent) factors of the whitening chain, reusable
-    across every received vector that shares ``h_hat`` and ``r_uu``."""
-
-    w: np.ndarray
-    q1: np.ndarray
-    r1: np.ndarray
-
-    @cached_property
-    def h2(self) -> np.ndarray:
-        """Second-stage matrix ``inv(r1') + r1`` of the hard search, built on first use."""
-        return np.linalg.inv(self.r1.conj().T) + self.r1
-
-    @cached_property
-    def hard_qr(self) -> SortedQR:
-        """Sorted QR of ``h2``, the hard-search model: ``q @ r == h2[:, perm]``."""
-        return sorted_qr(self.h2)
-
-    @cached_property
-    def soft_qr(self) -> SortedQR:
-        """Sorted QR of the whitened channel, the soft-output search model.
-
-        The whitened channel is ``w h_hat = q1 r1``, so factorizing the
-        square ``r1`` gives the same triangular factor as factorizing it,
-        and ``(w h_hat)[:, perm] = q1 q r``. Computed on first use, since
-        only the soft output needs it.
-        """
-        return sorted_qr(self.r1)
 
 
 # ---------------------------------------------------------------------------
@@ -604,31 +574,27 @@ def ml_bruteforce(h, y, cons: Constellation, soft: bool = True) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# robust whitening chain
+# robust whitening plan
 
 
-def robust_plan(h_hat, r_uu) -> RobustPlan:
-    """Pre-compute the received-vector-independent part of the robust chain.
+def robust_plan(h_hat, r_uu) -> tuple[np.ndarray, SortedQR]:
+    """The received-vector-independent part of the robust detector.
 
-    Whitens the channel and factorizes it; the second-stage matrix ``h2 =
-    inv(r1') + r1`` and its sorted QR follow when the hard search first
-    reads them. One plan serves every received vector of a resource block.
+    Whitens the channel with ``w = inv_sqrt(r_uu)``, factorizes ``w h_hat =
+    q1 r1`` and sorts ``r1``: ``sq = sorted_qr(r1)``, so ``(w h_hat)[:,
+    sq.perm] = q1 sq.q sq.r``. Returns ``(rotate, sq)`` with ``rotate =
+    sq.q' q1' w``: a block ``y`` becomes ``y_tilde = y @ rotate.T``, and
+    ``||y_tilde - sq.r x||^2`` is the whitened log-likelihood ``||w (y -
+    h_hat x)||^2`` up to a per-vector constant, with ``x`` in ``sq.perm``
+    order. One plan serves every received vector of a resource block.
     """
     h_hat = as_complex_matrix(h_hat, "h_hat")
     w = inv_sqrt(r_uu)
     if w.shape[0] != h_hat.shape[0]:
         raise DimensionMismatchError("r_uu dimension must equal n_rx")
     q1, r1 = qr_decompose(w @ h_hat)
-    return RobustPlan(w=w, q1=q1, r1=r1)
-
-
-def robust_apply(plan: RobustPlan, y) -> np.ndarray:
-    """Rotate received rows ``y (B, n_rx)`` onto the hard-search model:
-    ``y3 = q2' q1' w y`` with ``q2 = plan.hard_qr.q``, one row per vector.
-    The hard search runs over ``(plan.hard_qr.r, y3)`` and reads back
-    through ``plan.hard_qr.perm``."""
-    y = _rows(y, plan.w.shape[0], "y")
-    return ((y @ plan.w.T) @ plan.q1.conj()) @ plan.hard_qr.q.conj()
+    sq = sorted_qr(r1)
+    return sq.q.conj().T @ q1.conj().T @ w, sq
 
 
 # ---------------------------------------------------------------------------

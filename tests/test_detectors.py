@@ -681,7 +681,7 @@ def test_lists_bit_identical_to_fancy_index_searches(qpsk, qam16, n_vec, k):
 
 def _leaf_models(rng, cons, m, n_vec, case):
     """``(r, y_tilde)`` of the extended model and of the robust
-    ``(plan.hard_qr.r, y3)`` model. ``zero-rows`` zeroes every fifth row
+    ``(sq.r, y @ rotate.T)`` model. ``zero-rows`` zeroes every fifth row
     and ``tied-norms`` gives the channel equal column norms (``r`` has a
     constant diagonal), both of which tie the last layer's minimum. The
     noise is strong enough that a parent outside ``leaf_parents`` often
@@ -692,9 +692,8 @@ def _leaf_models(rng, cons, m, n_vec, case):
         y[::5] = 0.0
     ext = det.build_extended(h, y, 0.2, 0.1)
     sq = sorted_qr(ext.h_ext)
-    plan = det.robust_plan(h, random_pd(rng, 2 * m))
-    y3 = det.robust_apply(plan, y)
-    return (sq.r, ext.y_ext @ sq.q.conj()), (plan.hard_qr.r, y3)
+    rotate, robust = det.robust_plan(h, random_pd(rng, 2 * m))
+    return (sq.r, ext.y_ext @ sq.q.conj()), (robust.r, y @ rotate.T)
 
 
 LEAF_SEARCHES = {
@@ -780,7 +779,7 @@ def test_batched_searches_equal_row_by_row(qpsk, qam16, n_vec, m, use_qpsk, k, z
 
 ENTRY_POINTS = (
     "build_extended", "osic_detect", "kbest_detect", "sr_kbest_detect", "ml_bruteforce",
-    "robust_apply", "equalizer_llrs",
+    "equalizer_llrs",
 )
 
 
@@ -791,7 +790,6 @@ def test_entry_points_take_blocks_only(qam16, name):
     h = crandn(rng, 6, 3)
     y = crandn(rng, 6)
     r = qr_decompose(h)[1]
-    plan = det.robust_plan(h, random_pd(rng, 6))
     params = det.SrKBestParams.default_16_4()
 
     def listed(cands):
@@ -803,7 +801,6 @@ def test_entry_points_take_blocks_only(qam16, name):
         "kbest_detect": (lambda v: listed(det.kbest_detect(r, v, 4, qam16)), 3),
         "sr_kbest_detect": (lambda v: listed(det.sr_kbest_detect(r, v, params, qam16)), 3),
         "ml_bruteforce": (lambda v: det.ml_bruteforce(h, v, qam16), 6),
-        "robust_apply": (lambda v: (det.robust_apply(plan, v),), 6),
         "equalizer_llrs": (
             lambda v: (det.equalizer_llrs(v, np.ones(3), np.full(3, 0.1), qam16),), 3
         ),
@@ -819,20 +816,16 @@ def test_batched_apply_and_llrs_equal_row_by_row(qam16, monkeypatch):
     h = crandn(rng, 8, 3)
     r_uu = random_pd(rng, 8)
     y = crandn(rng, 5, 8)
-    plan = det.robust_plan(h, r_uu)
-    y3 = det.robust_apply(plan, y)
-    y2 = (y @ plan.w.T) @ plan.q1.conj()
-    x = np.linalg.solve(plan.h2, y2.T).T
-    cands = det.sr_kbest_detect(plan.hard_qr.r, y3, det.SrKBestParams.default_16_4(), qam16)
+    rotate, sq = det.robust_plan(h, r_uu)
+    y_tilde = y @ rotate.T
+    cands = det.sr_kbest_detect(sq.r, y_tilde, det.SrKBestParams.default_16_4(), qam16)
     llr = det.logmap_llrs(cands.symbols, cands.metrics, qam16)
     x_eq = 1.3 * crandn(rng, 5, 3)
     bias = np.array([0.9, 1.0, 1.1])
     noise = np.array([0.1, 0.2, 0.3])
     eq = det.equalizer_llrs(x_eq, bias, noise, qam16)
     for t in range(5):
-        assert np.allclose(y3[t], det.robust_apply(plan, y[t, None])[0], rtol=0, atol=1e-12)
-        y2_row = (y[t, None] @ plan.w.T) @ plan.q1.conj()
-        assert np.allclose(x[t], np.linalg.solve(plan.h2, y2_row[0]), rtol=0, atol=1e-12)
+        assert np.allclose(y_tilde[t], (y[t, None] @ rotate.T)[0], rtol=0, atol=1e-12)
         assert np.array_equal(llr[t], det.logmap_llrs(cands.symbols[t], cands.metrics[t], qam16))
         assert np.array_equal(eq[t], det.equalizer_llrs(x_eq[t, None], bias, noise, qam16)[0])
     # 4096 candidates in chunks of 64, scored 12 at a time for 5 vectors, so
@@ -906,71 +899,24 @@ def test_ml_guard(qam16):
 # --- robust chain ---------------------------------------------------------------
 
 
-def robust_hard(h, y, r_uu, params, cons):
-    """Hard decision of the robust detector on one vector ``y``, as
-    ``mudet.bench`` composes it."""
-    plan = det.robust_plan(h, r_uu)
-    y3 = det.robust_apply(plan, y[None])
-    hard = plan.hard_qr
-    return det.sr_kbest_detect(hard.r, y3, params, cons).permuted(hard.perm).symbols[0, 0]
-
-
-def robust_soft(h, r_uu, y_block, cons):
-    """LLRs of the coded robust detector on the rows of ``y_block``, as
-    ``mudet.bench`` composes them; it reads no noise power."""
+def robust_detect(h, r_uu, y_block, cons, coded, params=None):
+    """Hard decisions (uncoded) or LLRs (coded) of the robust detector on
+    the rows of ``y_block``, as ``mudet.bench`` composes them; it reads no
+    noise power."""
     n_rx, n_users = h.shape
-    cfg = bench.ScenarioConfig(n_rx=n_rx, n_users=n_users)
+    params = params or det.SrKBestParams.default_16_4()
+    cfg = bench.ScenarioConfig(n_rx=n_rx, n_users=n_users, sr_params=params)
     know = bench._TrialKnowledge(h_hat=h, r_uu=r_uu, sigma_det=1.0, sigma_i2=0.0)
-    return bench._detect_uses(cfg, "robust-sr-kbest", cons, know, y_block, coded=True)
-
-
-def test_robust_identity_hand_check():
-    rng = np.random.default_rng(17)
-    y = crandn(rng, 4)
-    plan = det.robust_plan(np.eye(4), np.eye(4))
-    y3 = det.robust_apply(plan, y[None])
-    assert np.allclose(plan.r1, np.eye(4), atol=1e-12)
-    y2 = (y[None] @ plan.w.T) @ plan.q1.conj()
-    assert np.allclose(np.linalg.solve(plan.h2, y2[0]), y / 2, atol=1e-12)
-    assert np.allclose(plan.h2, 2 * np.eye(4), atol=1e-12)
-    assert np.allclose(plan.hard_qr.r, 2 * np.eye(4), atol=1e-12)
-    assert np.allclose(y3[0], y, atol=1e-12)
-    assert list(plan.hard_qr.perm) == [0, 1, 2, 3]
+    return bench._detect_uses(cfg, "robust-sr-kbest", cons, know, y_block, coded=coded)
 
 
 def test_robust_identity_whitening_passthrough():
+    # white unit-power noise needs no whitening: the rotation only
+    # triangularizes, so it maps the sorted QR back onto the channel
     rng = np.random.default_rng(18)
     h = crandn(rng, 6, 3)
-    assert np.allclose(det.robust_plan(h, np.eye(6)).w @ h, h)
-
-
-def test_robust_apply_follows_chain_steps():
-    # w = R_uu^-1/2; y1 = w y, h1 = w h = q1 r1; y2 = q1' y1;
-    # h2 = inv(r1') + r1 = q2 r2 (sorted by perm); y3 = q2' y2
-    rng = np.random.default_rng(19)
-    h = crandn(rng, 8, 4)
-    r_uu = random_pd(rng, 8)
-    y = crandn(rng, 8)
-    plan = det.robust_plan(h, r_uu)
-    y3 = det.robust_apply(plan, y[None])
-    assert np.allclose(plan.w @ r_uu @ plan.w.conj().T, np.eye(8))
-    assert np.allclose(plan.q1 @ plan.r1, plan.w @ h)
-    assert np.allclose(plan.h2, np.linalg.inv(plan.r1.conj().T) + plan.r1)
-    sq2 = plan.hard_qr
-    assert np.allclose(sq2.q @ sq2.r, plan.h2[:, sq2.perm])
-    assert np.allclose(y3[0], sq2.q.conj().T @ plan.q1.conj().T @ plan.w @ y)
-
-
-def _robust_plan_before(h_hat, r_uu):
-    """The factors of ``robust_plan`` as it built them before its explicit
-    inverses were ``np.linalg.inv`` and its hard-search factors were lazy."""
-    low = np.linalg.cholesky(np.asarray(r_uu, dtype=complex))
-    w = np.linalg.solve(low, np.eye(low.shape[0], dtype=complex))
-    h1 = w @ np.asarray(h_hat, dtype=complex)
-    q1, r1 = qr_decompose(h1)
-    h2 = np.linalg.solve(r1.conj().T, np.eye(r1.shape[0], dtype=complex)) + r1
-    sq2 = sorted_qr(h2)
-    return dict(w=w, q1=q1, r1=r1, h2=h2, q2=sq2.q, r2=sq2.r, perm=sq2.perm)
+    rotate, sq = det.robust_plan(h, np.eye(6))
+    assert np.allclose(rotate.conj().T @ sq.r, h[:, sq.perm])
 
 
 def _covariance_inputs(rng):
@@ -985,45 +931,26 @@ def _covariance_inputs(rng):
         for samples in (1, n // 4, n - 1):
             res = crandn(rng, samples, n) @ np.diag(np.linspace(1.0, 3.0, n))
             pairs.append((crandn(rng, n, m), estimate_covariance(res)))
-    pairs.append((np.eye(4), np.eye(4)))  # h2 = 2 I: tied column norms in its sorted QR
+    pairs.append((np.eye(4), np.eye(4)))  # r1 = I: tied column norms in its sorted QR
     pairs.append((np.kron([[1.0], [1.0]], np.eye(4)), 2.0 * np.eye(8)))
     return pairs
 
 
-def test_robust_plan_factors_bit_identical_to_eager_solves():
+def test_robust_plan_rotates_onto_the_sorted_whitened_channel():
+    # the rotation whitens the noise and triangularizes the permuted channel:
+    # rotate h_hat[:, perm] = r with a real, positive diagonal, and the
+    # rotated noise is white with unit power
     rng = np.random.default_rng(47)
     for h, r_uu in _covariance_inputs(rng):
-        plan = det.robust_plan(h, r_uu)
-        sq2 = plan.hard_qr
-        got = dict(w=plan.w, q1=plan.q1, r1=plan.r1, h2=plan.h2)
-        got.update(q2=sq2.q, r2=sq2.r, perm=sq2.perm)
-        for name, value in _robust_plan_before(h, r_uu).items():
-            assert np.array_equal(got[name], value), name
-
-
-def test_robust_hard_factors_built_once_and_only_for_the_hard_search(qam16, monkeypatch):
-    rng = np.random.default_rng(53)
-    h, r_uu = crandn(rng, 16, 4), random_pd(rng, 16)
-    plans, factored = [], []
-
-    def keep(*args):  # the coded path builds its plan inside bench
-        plans.append(det.robust_plan(*args))
-        return plans[-1]
-
-    monkeypatch.setattr(bench, "robust_plan", keep)
-    monkeypatch.setattr(det, "sorted_qr", lambda a: factored.append(a) or sorted_qr(a))
-    robust_soft(h, r_uu, crandn(rng, 3, 16), qam16)
-    (plan,) = plans
-    assert "h2" not in vars(plan) and "hard_qr" not in vars(plan)
-    assert len(factored) == 1  # the soft search's sorted QR of r1
-    # robust_apply builds the hard-search factors, so a traced run counts
-    # their cost in its apply stage; later reads reuse them
-    first = det.robust_apply(plan, crandn(rng, 2, 16))
-    hard_qr = vars(plan)["hard_qr"]
-    assert factored[1] is plan.h2 and len(factored) == 2
-    second = det.robust_apply(plan, crandn(rng, 1, 16))
-    assert plan.hard_qr is hard_qr and len(factored) == 2
-    assert first.shape == (2, 4) and second.shape == (1, 4)
+        rotate, sq = det.robust_plan(h, r_uu)
+        m = h.shape[1]
+        assert rotate.shape == (m, h.shape[0]) and sq.r.shape == (m, m)
+        assert sorted(sq.perm) == list(range(m))
+        scale = np.linalg.norm(sq.r)
+        assert np.allclose(rotate @ h[:, sq.perm], sq.r, rtol=0, atol=1e-10 * scale)
+        assert np.allclose(rotate @ r_uu @ rotate.conj().T, np.eye(m), rtol=0, atol=1e-6)
+        assert np.array_equal(np.triu(sq.r), sq.r)
+        assert not sq.r.diagonal().imag.any() and np.all(sq.r.diagonal().real > 0)
 
 
 def test_whitening_few_samples_at_default_loading(qam16):
@@ -1037,15 +964,15 @@ def test_whitening_few_samples_at_default_loading(qam16):
         w = inv_sqrt(r_uu)
         assert np.linalg.norm(w @ r_uu @ w.conj().T - np.eye(n)) <= 1e-6
         h = crandn(rng, n, 4)
-        plan = det.robust_plan(h, r_uu)
-        h1 = plan.w @ h
-        assert np.allclose(plan.q1 @ plan.r1, h1, rtol=0, atol=1e-8 * np.linalg.norm(h1))
+        rotate, sq = det.robust_plan(h, r_uu)
+        h1 = w @ h
+        assert np.allclose(rotate @ h[:, sq.perm], sq.r, rtol=0, atol=1e-8 * np.linalg.norm(h1))
         idx = rng.integers(0, 16, (3, 4))
-        y3 = det.robust_apply(plan, qam16.points[idx] @ h.T)
+        y_tilde = (qam16.points[idx] @ h.T) @ rotate.T
         params = det.SrKBestParams.default_16_4()
-        cands = det.sr_kbest_detect(plan.hard_qr.r, y3, params, qam16)
+        cands = det.sr_kbest_detect(sq.r, y_tilde, params, qam16)
         assert np.all(np.isfinite(cands.metrics))
-        llr = robust_soft(h, r_uu, qam16.points[idx] @ h.T, qam16)
+        llr = robust_detect(h, r_uu, qam16.points[idx] @ h.T, qam16, coded=True)
         assert np.all(np.isfinite(llr))
 
 
@@ -1067,8 +994,9 @@ def test_robust_sr_kbest_noiseless_recovery(qam16):
     for _ in range(100):
         h = crandn(rng, 8, 4)
         idx = rng.integers(0, 16, 4)
-        hard = robust_hard(h, h @ qam16.points[idx], 1e-12 * np.eye(8), params, qam16)
-        assert np.array_equal(hard, idx)
+        y = (h @ qam16.points[idx])[None]
+        hard = robust_detect(h, 1e-12 * np.eye(8), y, qam16, coded=False, params=params)
+        assert np.array_equal(hard[0], idx)
 
 
 def test_whitening_preserves_ml_argmin(qam16):
@@ -1085,19 +1013,19 @@ def test_whitening_preserves_ml_argmin(qam16):
 
 
 def test_robust_full_search_matches_whitened_ml(qam16):
-    # with the search relaxed to exhaustive and a near-zero noise floor, the
-    # hard output must equal brute-force ML on the whitened model
-    rng = np.random.default_rng(22)
+    # with the search relaxed to exhaustive, the hard output must equal
+    # brute-force ML on the whitened model, noise and interferer included
+    rng = np.random.default_rng(2323)
     full = det.SrKBestParams(k=256, s=0, p=[1] * 256, v=[0] * 256, q=[])
-    for _ in range(50):
+    for _ in range(100):
         h = crandn(rng, 6, 2)
         g = crandn(rng, 6, 1)
-        r_uu = 1e-6 * (g @ g.conj().T + np.eye(6))
-        idx = rng.integers(0, 16, 2)
-        y = h @ qam16.points[idx]
-        plan = det.robust_plan(h, r_uu)
-        hard = det.ml_bruteforce(plan.w @ h, (plan.w @ y)[None], qam16)[0]
-        assert np.array_equal(robust_hard(h, y, r_uu, full, qam16), hard[0])
+        r_uu = g @ g.conj().T + 0.3 * np.eye(6)
+        x = qam16.points[rng.integers(0, 16, (8, 2))]
+        y = x @ h.T + crandn(rng, 8, 1) @ g.T + np.sqrt(0.3) * crandn(rng, 8, 6)
+        w = inv_sqrt(r_uu)
+        hard = det.ml_bruteforce(w @ h, y @ w.T, qam16, soft=False)[0]
+        assert np.array_equal(robust_detect(h, r_uu, y, qam16, coded=False, params=full), hard)
 
 
 # --- soft output ----------------------------------------------------------------
@@ -1174,10 +1102,10 @@ def test_robust_llrs_match_bruteforce_logmap(qpsk):
         g = crandn(rng, 6, 2)
         r_uu = g @ g.conj().T + 0.5 * np.eye(6)
         y = h @ qpsk.points[rng.integers(0, 4, 3)] + g @ crandn(rng, 2) + 0.7 * crandn(rng, 6)
-        plan = det.robust_plan(h, r_uu)
-        llr = robust_soft(h, r_uu, y[None], qpsk)[0]
-        y1 = plan.w @ y
-        like = np.exp(-np.sum(np.abs(y1 - qpsk.points[every] @ (plan.w @ h).T) ** 2, axis=1))
+        w = inv_sqrt(r_uu)
+        llr = robust_detect(h, r_uu, y[None], qpsk, coded=True)[0]
+        y1 = w @ y
+        like = np.exp(-np.sum(np.abs(y1 - qpsk.points[every] @ (w @ h).T) ** 2, axis=1))
         ref = np.log(like @ (bits == 0)) - np.log(like @ (bits == 1))
         assert np.max(np.abs(llr - np.clip(ref, -det.LLR_MAX, det.LLR_MAX))) <= 1e-9
 
@@ -1202,11 +1130,11 @@ def test_robust_soft_llrs_block_matches_rows(qam16):
     r_uu = g @ g.conj().T + 0.3 * np.eye(16)
     y_block = 2.0 * crandn(rng, 18, 16)
     y_block[5] = 0.0
-    llr = robust_soft(h, r_uu, y_block, qam16)
+    llr = robust_detect(h, r_uu, y_block, qam16, coded=True)
     assert llr.shape == (18, 4 * qam16.bits_per_symbol)
-    assert np.array_equal(llr[5], robust_soft(h, r_uu, y_block[5, None], qam16)[0])
+    assert np.array_equal(llr[5], robust_detect(h, r_uu, y_block[5, None], qam16, coded=True)[0])
     for t in range(18):
-        one = robust_soft(h, r_uu, y_block[t, None], qam16)
+        one = robust_detect(h, r_uu, y_block[t, None], qam16, coded=True)
         assert one.shape == (1, llr.shape[1])
         assert np.allclose(llr[t], one[0], rtol=0, atol=1e-12)
 
@@ -1218,7 +1146,7 @@ def test_robust_soft_llrs_rejects_non_finite_row(qam16):
     for bad in (np.nan, np.inf):
         y_block[1, 7] = bad
         with pytest.raises(ValueError):
-            robust_soft(h, np.eye(16), y_block, qam16)
+            robust_detect(h, np.eye(16), y_block, qam16, coded=True)
 
 
 def test_equalizer_llrs_signs_at_high_snr(qam16):

@@ -33,5 +33,5 @@ def test_readme_detectors_layout_names_exist():
     row = next(line for line in TEXT.splitlines() if line.startswith("| `mudet.detectors` |"))
     names = {n for n in re.findall(r"`([A-Za-z_]\w*)`", row) if "_" in n}
     assert names
-    missing = [n for n in names if not hasattr(detectors, n) and not hasattr(detectors.RobustPlan, n)]
+    missing = [n for n in names if not hasattr(detectors, n)]
     assert missing == []
