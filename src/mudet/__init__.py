@@ -3,7 +3,7 @@
 Submodules
 ----------
 numkit
-    Complex QR (plain and sorted), Cholesky, whitening, Hermitian solves.
+    Sorted complex QR, Cholesky, whitening, Hermitian solves.
 airlink
     Constellations, correlated channel with interferers, pilot channel
     estimation, interference+noise covariance estimation.

@@ -75,7 +75,7 @@ from .detectors import (
     sr_kbest_detect,
 )
 from .errors import ConfigParseError, ConfigValidationError
-from .numkit import as_complex_matrix, sorted_qr
+from .numkit import as_complex_matrix
 
 DETECTOR_NAMES = ("mrc", "mmse-irc", "osic", "kbest", "sr-kbest", "robust-sr-kbest", "ml")
 
@@ -460,15 +460,17 @@ def _detect_uses(cfg, name: str, cons, know: _TrialKnowledge, y_block, coded: bo
     list log-MAP (:func:`logmap_llrs`) on its likelihood, and every K-best
     list, hard or soft, comes from :func:`kbest_detect` and its one tie rule.
 
-    The robust detector searches the whitened channel: one
-    :func:`robust_plan` gives the rotation and the sorted QR ``sq`` of the
-    whitened channel, where the noise is white with unit variance, and one
-    product rotates every use. Its hard decisions come from the
-    sorting-reduced search and its LLRs from a full-expansion
-    :func:`kbest_detect` of width ``SOFT_LIST_WIDTH``, both on ``(sq.r,
-    y_tilde)``. The search metric there is the whitened log-likelihood
-    ``||w (y - h_hat x)||^2`` itself, so its list metrics go to
-    :func:`logmap_llrs` as they are. The other lists' extended-model
+    Every tree search runs on one plan ``(rotate, sq)``: the sorted QR
+    ``sq`` of one channel matrix and the rotation that one product
+    ``y @ rotate.T`` applies to every use. ``osic``, ``kbest`` and
+    ``sr-kbest`` plan on the MMSE-extended channel (:func:`build_extended`).
+    The robust detector plans on the whitened channel
+    (:func:`robust_plan`), where the noise is white with unit variance. Its
+    hard decisions come from the sorting-reduced search and its LLRs from a
+    full-expansion :func:`kbest_detect` of width ``SOFT_LIST_WIDTH``, both
+    on ``(sq.r, y_tilde)``. The search metric there is the whitened
+    log-likelihood ``||w (y - h_hat x)||^2`` itself, so its list metrics go
+    to :func:`logmap_llrs` as they are. The other lists' extended-model
     metrics are turned into negative log-likelihoods first.
     """
     h_hat, r_uu, sigma_det = know.h_hat, know.r_uu, know.sigma_det
@@ -488,36 +490,34 @@ def _detect_uses(cfg, name: str, cons, know: _TrialKnowledge, y_block, coded: bo
         noise = np.real(np.diag(w @ r_model @ w.conj().T))
         return equalizer_llrs(x_eq, bias, inter + noise, cons)
 
-    if name in ("osic", "kbest", "sr-kbest"):
-        ext = build_extended(h_hat, y_block, sigma_det, know.sigma_i2)
-        sq = sorted_qr(ext.h_ext)
-        y_tilde = ext.y_ext @ sq.q.conj()
+    if name in ("osic", "kbest", "sr-kbest", "robust-sr-kbest"):
+        robust = name == "robust-sr-kbest"
+        if robust:
+            rotate, sq = robust_plan(h_hat, r_uu)
+        else:
+            rotate, sq = build_extended(h_hat, sigma_det, know.sigma_i2)
+        # rows checked before the product, which warns on an inf entry
+        y_tilde = as_complex_matrix(y_block, "y_block") @ rotate.T
         if name == "osic":
             cands = osic_detect(sq.r, y_tilde, cons)
         elif name == "kbest":
             cands = kbest_detect(
                 sq.r, y_tilde, cfg.kbest_k, cons, cfg.kbest_expand, best_only=not coded
             )
+        elif robust and coded:
+            cands = kbest_detect(sq.r, y_tilde, SOFT_LIST_WIDTH, cons)
         else:
             cands = sr_kbest_detect(sq.r, y_tilde, cfg.sr_params, cons, best_only=not coded)
         cands = cands.permuted(sq.perm)
         if not coded:
             return cands.symbols[:, 0]
+        if robust:
+            return logmap_llrs(cands.symbols, cands.metrics, cons)
         # the extended metric is ||y - H x||^2 + sigma2 ||x||^2 up to a
         # per-vector constant; dropping the prior term leaves the likelihood
         sigma2 = sigma_det + know.sigma_i2
         energy = (np.abs(cons.points[cands.symbols]) ** 2).sum(axis=-1)
         return logmap_llrs(cands.symbols, cands.metrics / sigma2 - energy, cons)
-
-    if name == "robust-sr-kbest":
-        rotate, sq = robust_plan(h_hat, r_uu)
-        # rows checked before the product, which warns on an inf entry
-        y_tilde = as_complex_matrix(y_block, "y_block") @ rotate.T
-        if not coded:
-            cands = sr_kbest_detect(sq.r, y_tilde, cfg.sr_params, cons, best_only=True)
-            return cands.permuted(sq.perm).symbols[:, 0]
-        cands = kbest_detect(sq.r, y_tilde, SOFT_LIST_WIDTH, cons).permuted(sq.perm)
-        return logmap_llrs(cands.symbols, cands.metrics, cons)
 
     if name == "ml":
         hard, llr, _ = ml_bruteforce(h_hat, y_block, cons, soft=coded)

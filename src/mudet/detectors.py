@@ -15,12 +15,13 @@ LLR convention: positive favours bit 0. Magnitudes are clamped to
 ``LLR_MAX`` so a missing bit hypothesis in a candidate list stays finite
 for the decoder.
 
-Batching: :func:`build_extended`, the tree searches (:func:`osic_detect`,
-:func:`kbest_detect`, :func:`sr_kbest_detect`), :func:`ml_bruteforce`
-and :func:`equalizer_llrs` take a ``(B, ...)`` block
-of received vectors that share one channel factorization, and nothing
-else: a 1-D input raises ``ValueError`` (one vector is the block
-``y[None]``). Every output carries the leading ``B`` axis. Given its
+Batching: the tree searches (:func:`osic_detect`, :func:`kbest_detect`,
+:func:`sr_kbest_detect`), :func:`ml_bruteforce` and :func:`equalizer_llrs`
+take a ``(B, ...)`` block of received vectors that share one channel
+factorization, and nothing else: a 1-D input raises ``ValueError`` (one
+vector is the block ``y[None]``). Every output carries the leading ``B``
+axis. The plans, :func:`build_extended` and :func:`robust_plan`, take no
+received vectors. Given its
 rotated input ``y_tilde``, every row is searched exactly as it would be
 alone: each selection along the last axis
 returns what a stable sort of that row would, so ties resolve the same way
@@ -47,8 +48,8 @@ axis of the square constellation grid, from the ``levels`` and ``pairs``
 tables of :class:`~mudet.airlink.Constellation` (:func:`_layer_increments`).
 That needs the real diagonal of ``r`` that :mod:`mudet.numkit`'s
 factorizations return; a search given a complex diagonal raises
-``ValueError``. The rotations in front of a search (``y @ rotate.T``,
-``y_ext @ q.conj()``) are matrix products and round a row differently
+``ValueError``. The rotation in front of a search (``y @ rotate.T``, with
+the ``rotate`` of a plan) is a matrix product and rounds a row differently
 alone than inside a block, so a row's ``y_tilde``, and the LLRs computed
 from it, match its row-alone values only to rounding; the records of the
 batched path are pinned by ``tests/test_bench.py::test_golden_records``.
@@ -72,7 +73,6 @@ from .numkit import (
     SortedQR,
     as_complex_matrix,
     inv_sqrt,
-    qr_decompose,
     solve_hermitian,
     sorted_qr,
 )
@@ -107,14 +107,6 @@ class CandidateList:
         out = np.empty_like(self.symbols)
         out[..., np.asarray(perm)] = self.symbols
         return CandidateList(symbols=out, metrics=self.metrics)
-
-
-@dataclass(frozen=True)
-class ExtendedModel:
-    """Regularized channel: ``sqrt(sigma_n2 + sigma_i2) * I`` stacked under ``h``."""
-
-    h_ext: np.ndarray
-    y_ext: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -246,22 +238,25 @@ def _triangular_system(r, y_tilde):
     return r, _rows(y_tilde, m, "y_tilde")
 
 
-def build_extended(h_hat, y, sigma_n2: float, sigma_i2: float) -> ExtendedModel:
-    """Stack ``sqrt(sigma_n2 + sigma_i2) * I`` under the channel.
+def build_extended(h_hat, sigma_n2: float, sigma_i2: float) -> tuple[np.ndarray, SortedQR]:
+    """Plan of the MMSE-extended model: ``sqrt(sigma_n2 + sigma_i2) * I``
+    stacked under the channel.
 
     QR-based detection on the extended model implicitly applies MMSE-style
-    regularization without explicit matrix inversion. ``y`` is a ``(B,
-    n_rx)`` block; ``y_ext`` is ``(B, n_rx + n_users)``.
+    regularization without explicit matrix inversion (Wubben et al., "MMSE
+    extension of V-BLAST based on sorted QR decomposition", VTC 2003).
+    Returns ``(rotate, sq)``: ``sq`` is the sorted QR of the stacked
+    ``(n_rx + n_users, n_users)`` channel and ``rotate = sq.q[:n_rx]'``, so
+    a block ``y`` becomes ``y_tilde = y @ rotate.T``, the rotation of ``y``
+    padded with ``n_users`` zeros, without building the padded block.
     """
     h_hat = as_complex_matrix(h_hat, "h_hat")
-    rows = _rows(y, h_hat.shape[0], "y")
     total = sigma_n2 + sigma_i2
     if total <= 0.0:
         raise ValueError("sigma_n2 + sigma_i2 must be > 0")
-    n_users = h_hat.shape[1]
-    h_ext = np.concatenate([h_hat, np.sqrt(total) * np.eye(n_users)])
-    y_ext = np.concatenate([rows, np.zeros((rows.shape[0], n_users), dtype=complex)], axis=1)
-    return ExtendedModel(h_ext=h_ext, y_ext=y_ext)
+    n_rx, n_users = h_hat.shape
+    sq = sorted_qr(np.concatenate([h_hat, np.sqrt(total) * np.eye(n_users)]))
+    return sq.q[:n_rx].conj().T, sq
 
 
 def _layer_increments(r, y_tilde, layer, symbols, cons):
@@ -580,21 +575,20 @@ def ml_bruteforce(h, y, cons: Constellation, soft: bool = True) -> tuple:
 def robust_plan(h_hat, r_uu) -> tuple[np.ndarray, SortedQR]:
     """The received-vector-independent part of the robust detector.
 
-    Whitens the channel with ``w = inv_sqrt(r_uu)``, factorizes ``w h_hat =
-    q1 r1`` and sorts ``r1``: ``sq = sorted_qr(r1)``, so ``(w h_hat)[:,
-    sq.perm] = q1 sq.q sq.r``. Returns ``(rotate, sq)`` with ``rotate =
-    sq.q' q1' w``: a block ``y`` becomes ``y_tilde = y @ rotate.T``, and
-    ``||y_tilde - sq.r x||^2`` is the whitened log-likelihood ``||w (y -
-    h_hat x)||^2`` up to a per-vector constant, with ``x`` in ``sq.perm``
-    order. One plan serves every received vector of a resource block.
+    Whitens the channel with ``w = inv_sqrt(r_uu)`` and sorts its QR: ``sq =
+    sorted_qr(w h_hat)``, so ``(w h_hat)[:, sq.perm] = sq.q sq.r``. Returns
+    ``(rotate, sq)`` with ``rotate = sq.q' w``: a block ``y`` becomes
+    ``y_tilde = y @ rotate.T``, and ``||y_tilde - sq.r x||^2`` is the
+    whitened log-likelihood ``||w (y - h_hat x)||^2`` up to a per-vector
+    constant, with ``x`` in ``sq.perm`` order. One plan serves every
+    received vector of a resource block.
     """
     h_hat = as_complex_matrix(h_hat, "h_hat")
     w = inv_sqrt(r_uu)
     if w.shape[0] != h_hat.shape[0]:
         raise DimensionMismatchError("r_uu dimension must equal n_rx")
-    q1, r1 = qr_decompose(w @ h_hat)
-    sq = sorted_qr(r1)
-    return sq.q.conj().T @ q1.conj().T @ w, sq
+    sq = sorted_qr(w @ h_hat)
+    return sq.q.conj().T @ w, sq
 
 
 # ---------------------------------------------------------------------------
@@ -617,7 +611,7 @@ def logmap_llrs(symbols, metrics, cons: Constellation) -> np.ndarray:
     metrics = np.asarray(metrics, dtype=float)
     if metrics.ndim == 0 or symbols.shape[:-1] != metrics.shape or metrics.size == 0:
         raise DimensionMismatchError("need one metric per candidate and a non-empty list")
-    bits = cons.bit_patterns.take(symbols, axis=0).reshape(*metrics.shape, -1)
+    bits = cons.bit_patterns.astype(float).take(symbols, axis=0).reshape(*metrics.shape, -1)
     # shifted by the best metric, whose weight is then 1: a zero sum means
     # the hypothesis is absent (or over ~700 worse, past the clamp anyway),
     # and its log of -inf clips to -/+LLR_MAX

@@ -1,12 +1,11 @@
 """Dense complex linear-algebra kernels shared by every detector.
 
-Thin QR from LAPACK, a sorted QR with a greedy weakest-column-first
-pivot order (the order from the Gram matrix, the factors from LAPACK, and
-a modified Gram-Schmidt loop for inputs whose order the Gram matrix cannot
-settle), Cholesky factorization, the inverse-square-root whitener, and
-Hermitian solves. Matrices are plain
-complex ``numpy`` arrays; the factorization results are small frozen
-dataclasses.
+A sorted QR with a greedy weakest-column-first pivot order (the order
+from the Gram matrix, the factors from LAPACK, and a modified Gram-Schmidt
+loop for inputs whose order the Gram matrix cannot settle), Cholesky
+factorization, the inverse-square-root whitener, and Hermitian solves.
+Matrices are plain complex ``numpy`` arrays; the factorization results are
+small frozen dataclasses.
 
 Conventions
 -----------
@@ -86,28 +85,6 @@ def _check_pivot(k: int, magnitude: float, threshold: float) -> None:
         raise RankDeficientError(f"pivot {k} has magnitude {magnitude:.3e} <= {threshold:.3e}")
 
 
-def qr_decompose(a) -> tuple[np.ndarray, np.ndarray]:
-    """Thin QR (LAPACK, via ``numpy``) with real positive diagonal.
-
-    Parameters
-    ----------
-    a : array_like
-        Complex matrix with at least as many rows as columns and full
-        column rank.
-
-    Returns
-    -------
-    (q, r) : tuple of ndarray
-        ``q`` orthonormal columns, ``r`` upper triangular, ``q @ r == a``.
-
-    Raises
-    ------
-    RankDeficientError
-        If a pivot magnitude falls below ``RANK_TOL * ||a||_F``.
-    """
-    return _lapack_qr(*_tall_input(a))
-
-
 def _lapack_qr(a, threshold):
     q, r = np.linalg.qr(a)
     diag = np.abs(r.diagonal())
@@ -132,12 +109,13 @@ def sorted_qr(a) -> SortedQR:
     (Electronics Letters, 2001).
 
     The order comes from the Gram matrix (:func:`_gram_order`) and ``q, r``
-    from one Householder QR of ``a[:, perm]``, as :func:`qr_decompose`
-    returns it. When the Gram residuals cannot settle the order, a column
-    being weak or two residual norms being close, the modified Gram-Schmidt
-    loop :func:`_sorted_mgs` factorizes ``a`` instead, so the Gram order
-    is used only where its pivot is the clear minimum and the loop would
-    pick the same. Raises ``RankDeficientError`` like :func:`qr_decompose`.
+    from one LAPACK Householder QR of ``a[:, perm]`` (:func:`_lapack_qr`).
+    When the Gram residuals cannot settle the order, a column being weak or
+    two residual norms being close, the modified Gram-Schmidt loop
+    :func:`_sorted_mgs` factorizes ``a`` instead, so the Gram order is used
+    only where its pivot is the clear minimum and the loop would pick the
+    same. Raises ``RankDeficientError`` if a pivot magnitude falls below
+    ``RANK_TOL * ||a||_F``.
     """
     a, threshold = _tall_input(a)
     perm = _gram_order(a)

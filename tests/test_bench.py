@@ -12,7 +12,6 @@ from mudet import airlink, bench, numkit
 from mudet import detectors as det
 from mudet.cli import main as cli_main
 from mudet.errors import ConfigParseError, ConfigValidationError
-from mudet.numkit import sorted_qr
 
 from conftest import csv_bytes
 
@@ -502,22 +501,37 @@ def test_hard_only_uses_permute_the_best_candidate_like_the_whole_list(qam16):
         )
         y[2] = 0.0
         y = np.asfortranarray(y) if trial % 2 else y
-        ext = det.build_extended(h, y, know.sigma_det, know.sigma_i2)
-        sq = sorted_qr(ext.h_ext)
-        y_tilde = ext.y_ext @ sq.q.conj()
-        rotate, robust = det.robust_plan(h, r_uu)
+        rotate, sq = det.build_extended(h, know.sigma_det, know.sigma_i2)
+        y_tilde = y @ rotate.T
+        robust_rotate, robust = det.robust_plan(h, r_uu)
         lists = {
             "osic": (det.osic_detect(sq.r, y_tilde, qam16), sq.perm),
             "kbest": (det.kbest_detect(sq.r, y_tilde, cfg.kbest_k, qam16), sq.perm),
             "sr-kbest": (det.sr_kbest_detect(sq.r, y_tilde, cfg.sr_params, qam16), sq.perm),
             "robust-sr-kbest": (
-                det.sr_kbest_detect(robust.r, y @ rotate.T, cfg.sr_params, qam16),
+                det.sr_kbest_detect(robust.r, y @ robust_rotate.T, cfg.sr_params, qam16),
                 robust.perm,
             ),
         }
         for name, (cands, perm) in lists.items():
             hard = bench._detect_uses(cfg, name, qam16, know, y, coded=False)
             assert np.array_equal(hard, cands.permuted(perm).symbols[:, 0]), name
+
+
+@pytest.mark.parametrize("name", ["osic", "kbest", "sr-kbest", "robust-sr-kbest"])
+def test_tree_search_uses_validate_their_rows(qam16, name):
+    # the plans take no received vectors: _detect_uses checks the rows
+    # before it rotates them
+    rng = np.random.default_rng(71)
+    cfg = bench.ScenarioConfig(n_rx=8, n_users=4)
+    h = (rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))) / np.sqrt(2)
+    know = bench._TrialKnowledge(h_hat=h, r_uu=np.eye(8), sigma_det=0.2, sigma_i2=0.0)
+    y = rng.standard_normal((3, 8)) + 0j
+    with pytest.raises(ValueError, match="y_block must be 2-D, got ndim=1"):
+        bench._detect_uses(cfg, name, qam16, know, y[0], coded=False)
+    y[1, 5] = np.inf
+    with pytest.raises(ValueError, match="y_block contains non-finite entries"):
+        bench._detect_uses(cfg, name, qam16, know, y, coded=True)
 
 
 def _exhaustive_logmap(h, y, sigma2, cons):

@@ -14,7 +14,7 @@ from mudet.errors import (
     InvalidSearchParamsError,
     SearchSpaceTooLargeError,
 )
-from mudet.numkit import inv_sqrt, qr_decompose, sorted_qr
+from mudet.numkit import inv_sqrt, sorted_qr
 
 from conftest import crandn
 
@@ -103,15 +103,38 @@ def test_mrc_white_cases():
 def test_build_extended_blocks():
     rng = np.random.default_rng(4)
     h = crandn(rng, 6, 3)
-    y = crandn(rng, 6)[None]
-    ext = det.build_extended(h, y, 1.0, 0.0)
-    assert np.allclose(ext.h_ext[6:], np.eye(3))
-    ext = det.build_extended(h, y, 1.0, 3.0)
-    assert np.allclose(ext.h_ext[6:], 2.0 * np.eye(3))
-    assert ext.h_ext.shape == (9, 3) and ext.y_ext.shape == (1, 9)
-    assert np.all(ext.y_ext[0, 6:] == 0)
+    for sigma_i2, scale in ((0.0, 1.0), (3.0, 2.0)):
+        rotate, sq = det.build_extended(h, 1.0, sigma_i2)
+        stacked = np.concatenate([h, scale * np.eye(3)])
+        assert sq.q.shape == (9, 3) and rotate.shape == (3, 6)
+        assert np.allclose(sq.q @ sq.r, stacked[:, sq.perm])
     with pytest.raises(ValueError):
-        det.build_extended(h, y, 0.0, 0.0)
+        det.build_extended(h, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("n_vec", [1, 2, 18, 50])
+@pytest.mark.parametrize("shape", [(16, 4), (64, 16)])
+def test_build_extended_rotation_is_the_zero_padded_rotation(shape, n_vec):
+    # y @ rotate.T is the rotation of y padded with n_users zeros, bit for
+    # bit, and sq factors the stacked channel in sq.perm order
+    n_rx, n_users = shape
+    rng = np.random.default_rng(83)
+    for _ in range(5):
+        h = crandn(rng, n_rx, n_users)
+        total = rng.uniform(0.01, 1.0)
+        rotate, sq = det.build_extended(h, 0.7 * total, 0.3 * total)
+        stacked = np.concatenate([h, np.sqrt(total) * np.eye(n_users)])
+        scale = np.linalg.norm(stacked)
+        assert np.allclose(sq.q @ sq.r, stacked[:, sq.perm], rtol=0, atol=1e-12 * scale)
+        y = crandn(rng, n_vec, n_rx)
+        padded = np.concatenate([y, np.zeros((n_vec, n_users), dtype=complex)], axis=1)
+        assert np.array_equal(y @ rotate.T, padded @ sq.q.conj())
+
+
+def sorted_factors(h):
+    """``(q, r, perm)`` of the sorted QR of ``h``: ``q @ r == h[:, perm]``."""
+    sq = sorted_qr(h)
+    return sq.q, sq.r, sq.perm
 
 
 # --- OSIC -----------------------------------------------------------------------
@@ -119,9 +142,8 @@ def test_build_extended_blocks():
 
 def extended_triangle(h, y, sigma_n2):
     """Sorted QR of the extended model and the rotated received rows ``y (B, n)``."""
-    ext = det.build_extended(h, y, sigma_n2, 0.0)
-    sq = sorted_qr(ext.h_ext)
-    return sq, ext.y_ext @ sq.q.conj()
+    rotate, sq = det.build_extended(h, sigma_n2, 0.0)
+    return sq, y @ rotate.T
 
 
 def test_osic_single_user_noiseless(qam16):
@@ -170,7 +192,7 @@ def test_kbest_exhaustive_equals_ml(qam16):
     for _ in range(60):
         h = crandn(rng, 4, 2)
         y = h @ qam16.points[rng.integers(0, 16, 2)] + 0.2 * crandn(rng, 4)
-        q, r = qr_decompose(h)
+        q, r, _ = sorted_factors(h)
         y_tilde = (q.conj().T @ y)[None]
         cl = det.kbest_detect(r, y_tilde, 256, qam16, expand=16)
         hard, _, metric = det.ml_bruteforce(r, y_tilde, qam16)
@@ -183,7 +205,7 @@ def test_kbest_exhaustive_equals_ml_qpsk_four_users(qpsk):
     for _ in range(60):
         h = crandn(rng, 6, 4)
         y = h @ qpsk.points[rng.integers(0, 4, 4)] + 0.3 * crandn(rng, 6)
-        q, r = qr_decompose(h)
+        q, r, _ = sorted_factors(h)
         y_tilde = (q.conj().T @ y)[None]
         cl = det.kbest_detect(r, y_tilde, 256, qpsk, expand=4)
         hard = det.ml_bruteforce(r, y_tilde, qpsk)[0]
@@ -195,9 +217,9 @@ def test_kbest_noiseless_keeps_transmitted(qam16):
     for k in (1, 4, 16):
         h = crandn(rng, 6, 3)
         idx = rng.integers(0, 16, 3)
-        q, r = qr_decompose(h)
+        q, r, perm = sorted_factors(h)
         cl = det.kbest_detect(r, (q.conj().T @ (h @ qam16.points[idx]))[None], k, qam16)
-        assert np.array_equal(cl.symbols[0, 0], idx)
+        assert np.array_equal(cl.permuted(perm).symbols[0, 0], idx)
         assert cl.metrics[0, 0] < 1e-18
 
 
@@ -205,7 +227,7 @@ def test_kbest_output_sorted(qam16):
     rng = np.random.default_rng(11)
     h = crandn(rng, 6, 3)
     y = crandn(rng, 6)
-    q, r = qr_decompose(h)
+    q, r, _ = sorted_factors(h)
     cl = det.kbest_detect(r, (q.conj().T @ y)[None], 16, qam16, expand=4)
     assert cl.metrics.shape == (1, 16) and np.all(np.diff(cl.metrics[0]) >= 0)
 
@@ -370,7 +392,7 @@ def test_full_expansion_matches_sorted_children(qpsk, qam16, k):
     rng = np.random.default_rng(29)
     for cons, m in ((qam16, 4), (qpsk, 6)):
         h = crandn(rng, m + 2, m)
-        q, r = qr_decompose(h)
+        q, r, _ = sorted_factors(h)
         x = cons.points[rng.integers(0, cons.size, (40, m))]
         y_tilde = (x @ h.T + 0.5 * crandn(rng, 40, m + 2)) @ q.conj()
         cl = det.kbest_detect(r, y_tilde, k, cons)
@@ -385,7 +407,7 @@ def test_partial_expansion_matches_sorted_children(qpsk, qam16, zero_rows):
     rng = np.random.default_rng(43)
     for cons, m, expand in ((qam16, 4, 4), (qam16, 5, 2), (qpsk, 6, 3)):
         h = crandn(rng, m + 2, m)
-        q, r = qr_decompose(h)
+        q, r, _ = sorted_factors(h)
         x = cons.points[rng.integers(0, cons.size, (60, m))]
         y_tilde = (x @ h.T + 0.5 * crandn(rng, 60, m + 2)) @ q.conj()
         if zero_rows:
@@ -401,7 +423,7 @@ def test_full_expansion_tie_rule(qpsk, qam16, k):
     # y = 0: every layer is full of exact ties, at the cut as well
     rng = np.random.default_rng(30)
     for cons in (qam16, qpsk):
-        q, r = qr_decompose(crandn(rng, 5, 3))
+        r = sorted_qr(crandn(rng, 5, 3)).r
         y_tilde = crandn(rng, 6, 3)
         y_tilde[::2] = 0.0
         cl = det.kbest_detect(r, y_tilde, k, cons)
@@ -419,7 +441,7 @@ def test_layer_increments_are_complex_offset_squares_bit_for_bit(request, cons_n
     cons = request.getfixturevalue(cons_name)
     points = cons.points
     rng = np.random.default_rng(97)
-    q, r = qr_decompose(crandn(rng, 6, 4))
+    r = sorted_qr(crandn(rng, 6, 4)).r
     y_tilde = crandn(rng, n_vec, 4)
     y_tilde[::3] = points[rng.integers(0, cons.size, (y_tilde[::3].shape[0], 4))] @ r.T
     y_tilde[1::4] = 0.0
@@ -527,7 +549,7 @@ def test_sr_degenerate_reduces_to_kbest(qam16, qpsk):
         for _ in range(50):
             h = crandn(rng, 12, 6)
             y = h @ cons.points[rng.integers(0, cons.size, 6)] + 0.3 * crandn(rng, 12)
-            q, r = qr_decompose(h)
+            q, r, _ = sorted_factors(h)
             y_tilde = (q.conj().T @ y)[None]
             a = det.sr_kbest_detect(r, y_tilde, degen, cons)
             b = det.kbest_detect(r, y_tilde, k, cons, expand=1)
@@ -541,7 +563,7 @@ def test_sr_never_beats_exhaustive_search(qpsk):
     for _ in range(300):
         h = crandn(rng, 8, 4)
         y = h @ qpsk.points[rng.integers(0, 4, 4)] + 0.3 * crandn(rng, 8)
-        q, r = qr_decompose(h)
+        q, r, _ = sorted_factors(h)
         y_tilde = (q.conj().T @ y)[None]
         sr = det.sr_kbest_detect(r, y_tilde, params, qpsk)
         metric = det.ml_bruteforce(r, y_tilde, qpsk)[2]
@@ -558,7 +580,7 @@ def test_sr_dominance_and_equality_rate_vs_kbest(qam16):
     for _ in range(n_trials):
         h = crandn(rng, 8, 4)
         y = h @ qam16.points[rng.integers(0, 16, 4)] + 0.5 * crandn(rng, 8)
-        q, r = qr_decompose(h)
+        q, r, _ = sorted_factors(h)
         y_tilde = (q.conj().T @ y)[None]
         sr = det.sr_kbest_detect(r, y_tilde, params, qam16)
         kb = det.kbest_detect(r, y_tilde, 16, qam16, expand=4)
@@ -634,7 +656,7 @@ def test_sr_matches_reference(qpsk, qam16, schedule, zero_rows):
     for cons in (qam16, qpsk):
         for _ in range(3):
             h = crandn(rng, 7, 5)
-            q, r = qr_decompose(h)
+            q, r, _ = sorted_factors(h)
             x = cons.points[rng.integers(0, cons.size, (60, 5))]
             y_tilde = (x @ h.T + 0.6 * crandn(rng, 60, 7)) @ q.conj()
             if zero_rows:  # y_tilde = 0: exact ties in every selection
@@ -663,7 +685,7 @@ def test_lists_bit_identical_to_fancy_index_searches(qpsk, qam16, n_vec, k):
     params = _wide_schedule(k)
     for cons, m in ((qam16, 4), (qpsk, 6)):
         h = crandn(rng, m + 2, m)
-        q, r = qr_decompose(h)
+        q, r, _ = sorted_factors(h)
         x = cons.points[rng.integers(0, cons.size, (n_vec, m))]
         y_tilde = (x @ h.T + 0.5 * crandn(rng, n_vec, m + 2)) @ q.conj()
         y_tilde[::3] = 0.0  # exact ties in every selection of those rows
@@ -690,10 +712,9 @@ def _leaf_models(rng, cons, m, n_vec, case):
     y = cons.points[rng.integers(0, cons.size, (n_vec, m))] @ h.T + 2.0 * crandn(rng, n_vec, 2 * m)
     if case == "zero-rows":
         y[::5] = 0.0
-    ext = det.build_extended(h, y, 0.2, 0.1)
-    sq = sorted_qr(ext.h_ext)
-    rotate, robust = det.robust_plan(h, random_pd(rng, 2 * m))
-    return (sq.r, ext.y_ext @ sq.q.conj()), (robust.r, y @ rotate.T)
+    rotate, sq = det.build_extended(h, 0.2, 0.1)
+    robust_rotate, robust = det.robust_plan(h, random_pd(rng, 2 * m))
+    return (sq.r, y @ rotate.T), (robust.r, y @ robust_rotate.T)
 
 
 LEAF_SEARCHES = {
@@ -755,9 +776,8 @@ def test_batched_searches_equal_row_by_row(qpsk, qam16, n_vec, m, use_qpsk, k, z
     y = y.T
     if zero_row:
         y[0] = 0.0  # y_tilde = 0: every layer is full of exact ties
-    ext = det.build_extended(h, y, 0.25, 0.0)
-    sq = sorted_qr(ext.h_ext)
-    y_tilde = ext.y_ext @ sq.q.conj()
+    rotate, sq = det.build_extended(h, 0.25, 0.0)
+    y_tilde = y @ rotate.T
     params = det.SrKBestParams.default_16_4()
     expand = min(4, cons.size)
     kb = det.kbest_detect(sq.r, y_tilde, k, cons, expand)
@@ -778,8 +798,7 @@ def test_batched_searches_equal_row_by_row(qpsk, qam16, n_vec, m, use_qpsk, k, z
 
 
 ENTRY_POINTS = (
-    "build_extended", "osic_detect", "kbest_detect", "sr_kbest_detect", "ml_bruteforce",
-    "equalizer_llrs",
+    "osic_detect", "kbest_detect", "sr_kbest_detect", "ml_bruteforce", "equalizer_llrs",
 )
 
 
@@ -789,14 +808,13 @@ def test_entry_points_take_blocks_only(qam16, name):
     rng = np.random.default_rng(67)
     h = crandn(rng, 6, 3)
     y = crandn(rng, 6)
-    r = qr_decompose(h)[1]
+    r = sorted_qr(h).r
     params = det.SrKBestParams.default_16_4()
 
     def listed(cands):
         return cands.symbols, cands.metrics
 
     call, width = {
-        "build_extended": (lambda v: (det.build_extended(h, v, 0.5, 0.0).y_ext,), 6),
         "osic_detect": (lambda v: listed(det.osic_detect(r, v, qam16)), 3),
         "kbest_detect": (lambda v: listed(det.kbest_detect(r, v, 4, qam16)), 3),
         "sr_kbest_detect": (lambda v: listed(det.sr_kbest_detect(r, v, params, qam16)), 3),
@@ -951,6 +969,29 @@ def test_robust_plan_rotates_onto_the_sorted_whitened_channel():
         assert np.allclose(rotate @ r_uu @ rotate.conj().T, np.eye(m), rtol=0, atol=1e-6)
         assert np.array_equal(np.triu(sq.r), sq.r)
         assert not sq.r.diagonal().imag.any() and np.all(sq.r.diagonal().real > 0)
+
+
+@pytest.mark.parametrize("shape", [(16, 4), (64, 16)])
+def test_robust_plan_is_one_sorted_qr_of_the_whitened_channel(monkeypatch, shape):
+    # sq is sorted_qr(w h_hat) field by field, rotate is sq.q' w exactly,
+    # and the plan runs one LAPACK QR, the sorted QR's own
+    n_rx, n_users = shape
+    rng = np.random.default_rng(89)
+    qrs = []
+    lapack_qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda a: qrs.append(a.shape) or lapack_qr(a))
+    for _ in range(10):
+        h = crandn(rng, n_rx, n_users)
+        g = crandn(rng, n_rx, 2)
+        r_uu = g @ g.conj().T + rng.uniform(0.01, 1.0) * np.eye(n_rx)
+        qrs.clear()
+        rotate, sq = det.robust_plan(h, r_uu)
+        assert qrs == [(n_rx, n_users)]
+        w = inv_sqrt(r_uu)
+        ref = sorted_qr(w @ h)
+        assert np.array_equal(sq.perm, ref.perm)
+        assert np.array_equal(sq.q, ref.q) and np.array_equal(sq.r, ref.r)
+        assert np.array_equal(rotate, sq.q.conj().T @ w)
 
 
 def test_whitening_few_samples_at_default_loading(qam16):

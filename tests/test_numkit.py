@@ -10,7 +10,6 @@ from mudet.numkit import (
     _frobenius,
     cholesky,
     inv_sqrt,
-    qr_decompose,
     solve_hermitian,
     sorted_qr,
 )
@@ -23,18 +22,19 @@ def random_pd(rng, n):
     return b @ b.conj().T + np.eye(n)
 
 
-# --- plain QR ---------------------------------------------------------------
+# --- QR shape, phase and rank checks -----------------------------------------
 
 
 def test_qr_identity():
-    q, r = qr_decompose(np.eye(3))
-    assert np.allclose(q, np.eye(3)) and np.allclose(r, np.eye(3))
+    sq = sorted_qr(np.eye(3))
+    assert np.allclose(sq.q, np.eye(3)) and np.allclose(sq.r, np.eye(3))
+    assert sq.perm.tolist() == [0, 1, 2]
 
 
 def test_qr_345_column():
-    q, r = qr_decompose([[3.0], [4.0]])
-    assert np.allclose(q.ravel(), [0.6, 0.8])
-    assert np.allclose(r, [[5.0]])
+    sq = sorted_qr([[3.0], [4.0]])
+    assert np.allclose(sq.q.ravel(), [0.6, 0.8])
+    assert np.allclose(sq.r, [[5.0]])
 
 
 def test_qr_random_reconstruction():
@@ -43,9 +43,10 @@ def test_qr_random_reconstruction():
         n = int(rng.integers(2, 12))
         m = int(rng.integers(1, n + 1))
         a = crandn(rng, n, m)
-        q, r = qr_decompose(a)
+        sq = sorted_qr(a)
+        q, r = sq.q, sq.r
         assert np.linalg.norm(q.conj().T @ q - np.eye(m)) <= 1e-10 * m
-        assert np.linalg.norm(q @ r - a) <= 1e-10 * np.linalg.norm(a)
+        assert np.linalg.norm(q @ r - a[:, sq.perm]) <= 1e-10 * np.linalg.norm(a)
         diag = np.diag(r)
         assert np.all(diag.imag == 0) and np.all(diag.real > 0)
         assert np.all(r[np.tril_indices(m, -1)] == 0)
@@ -54,23 +55,23 @@ def test_qr_random_reconstruction():
 def test_qr_seeded_8x4():
     rng = np.random.default_rng(42)
     a = crandn(rng, 8, 4)
-    q, r = qr_decompose(a)
-    assert np.linalg.norm(q.conj().T @ q - np.eye(4)) <= 1e-10 * 4
-    assert np.linalg.norm(q @ r - a) <= 1e-10 * np.linalg.norm(a)
+    sq = sorted_qr(a)
+    assert np.linalg.norm(sq.q.conj().T @ sq.q - np.eye(4)) <= 1e-10 * 4
+    assert np.linalg.norm(sq.q @ sq.r - a[:, sq.perm]) <= 1e-10 * np.linalg.norm(a)
 
 
 def test_qr_rank_deficient_raises():
     with pytest.raises(RankDeficientError):
-        qr_decompose([[1.0, 1.0], [1.0, 1.0]])
+        sorted_qr([[1.0, 1.0], [1.0, 1.0]])
     with pytest.raises(RankDeficientError):
         sorted_qr([[1.0, 2.0, 3.0], [0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [2.0, 1.0, 3.0]])
 
 
 def test_qr_rejects_bad_input():
     with pytest.raises(ValueError):
-        qr_decompose(np.ones((2, 3)))  # rows < cols
+        sorted_qr(np.ones((2, 3)))  # rows < cols
     with pytest.raises(ValueError):
-        qr_decompose(np.array([[np.nan], [1.0]]))
+        sorted_qr(np.array([[np.nan], [1.0]]))
 
 
 # --- sorted QR --------------------------------------------------------------
@@ -148,7 +149,7 @@ def test_sorted_qr_r_equals_plain_qr_of_permuted_input():
     inputs += [_with_condition_number(rng, 20, 4, 1e6) for _ in range(10)]
     for a in inputs:
         sq = sorted_qr(a)
-        _, r = qr_decompose(a[:, sq.perm])
+        _, r = _plain_qr(a[:, sq.perm])
         assert np.max(np.abs(sq.r - r)) <= 1e-10
 
 
@@ -206,7 +207,7 @@ def test_sorted_qr_matches_norm_loop(monkeypatch):
             taken += 1
             assert np.array_equal(sq.q, q) and np.array_equal(sq.r, r)
         else:
-            q_perm, r_perm = qr_decompose(a[:, perm])
+            q_perm, r_perm = _plain_qr(a[:, perm])
             assert np.array_equal(sq.q, q_perm) and np.array_equal(sq.r, r_perm)
     # the loop takes the three inputs of condition number 1e8 and 1e10, the
     # two with exactly tied norms and the near-tied one; the fast path the rest
@@ -238,9 +239,9 @@ def _cholesky_before(a):
     return np.linalg.cholesky(a)
 
 
-def _qr_decompose_before(a):
-    """``qr_decompose`` as it was before its pivots were checked in one
-    comparison: ``np.linalg.norm`` threshold, one check per pivot."""
+def _plain_qr(a):
+    """Thin LAPACK QR with a real positive diagonal, one pivot check at a
+    time: the reference factors of a sorted QR's permuted input."""
     a = np.asarray(a, dtype=complex)
     threshold = RANK_TOL * np.linalg.norm(a)
     q, r = np.linalg.qr(a)
@@ -261,21 +262,6 @@ def test_frobenius_is_numpy_norm_bit_for_bit():
         assert _frobenius(a) == np.linalg.norm(a)
         d = a[: a.shape[1]] - a[: a.shape[1]].conj().T
         assert _frobenius(d) == np.linalg.norm(d)
-
-
-def test_qr_decompose_bit_identical_to_pivot_loop():
-    rng = np.random.default_rng(31)
-    for a in _bit_inputs(rng):
-        q, r = qr_decompose(a)
-        q_ref, r_ref = _qr_decompose_before(a)
-        assert np.array_equal(q, q_ref) and np.array_equal(r, r_ref)
-    # the first pivot at or under the threshold is named, as before
-    for a in (np.array([[1.0, 1.0], [1.0, 1.0]]), np.array([[1.0, 0, 0], [0, 0, 0], [0, 0, 0]])):
-        with pytest.raises(RankDeficientError) as err:
-            qr_decompose(a)
-        with pytest.raises(RankDeficientError) as ref:
-            _qr_decompose_before(a)
-        assert str(err.value) == str(ref.value)
 
 
 def test_inv_sqrt_and_solves_bit_identical_to_eye_solves():
