@@ -61,21 +61,19 @@ from .airlink import (
     generate_channel,
 )
 from .detectors import (
-    ML_GUARD,
     SrKBestParams,
     build_extended,
     equalizer_llrs,
     kbest_detect,
     linear_weights,
     logmap_llrs,
-    ml_bruteforce,
     mmse_irc_weights,
     osic_detect,
     robust_plan,
     sr_kbest_detect,
 )
 from .errors import ConfigParseError, ConfigValidationError
-from .numkit import as_complex_matrix
+from .numkit import as_complex_matrix, sorted_qr
 
 DETECTOR_NAMES = ("mrc", "mmse-irc", "osic", "kbest", "sr-kbest", "robust-sr-kbest", "ml")
 
@@ -115,11 +113,18 @@ _INTERFERER = _CONSTELLATIONS["qam16"]
 # Monte-Carlo noise; widths 16 and 32 fall short of it.
 SOFT_LIST_WIDTH = 64
 
+# Most symbol vectors the ml detector may search: a scenario with more
+# rejects ml, and ml searches the uses of a trial in row chunks whose
+# hypotheses number at most this many together, which bounds its memory.
+# It is the 16 x 4 QAM16 space.
+ML_GUARD = 2**16
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Fully-validated simulation scenario; the desk-scale defaults run in
-    seconds and keep brute-force ML feasible. Every construction validates,
+    seconds, and their 16 x 4 QAM16 space is the largest ``ml`` accepts
+    (:data:`ML_GUARD`). Every construction validates,
     ``dataclasses.replace`` included, and raises
     :class:`~mudet.errors.ConfigValidationError` naming the offending key."""
 
@@ -459,6 +464,8 @@ def _detect_uses(cfg, name: str, cons, know: _TrialKnowledge, y_block, coded: bo
     their best candidate (``best_only``). Coded, every list becomes LLRs by
     list log-MAP (:func:`logmap_llrs`) on its likelihood, and every K-best
     list, hard or soft, comes from :func:`kbest_detect` and its one tie rule.
+    ``ml`` is such a K-best search, wide enough to be exhaustive
+    (:func:`_ml_uses`).
 
     Every tree search runs on one plan ``(rotate, sq)``: the sorted QR
     ``sq`` of one channel matrix and the rotation that one product
@@ -490,14 +497,19 @@ def _detect_uses(cfg, name: str, cons, know: _TrialKnowledge, y_block, coded: bo
         noise = np.real(np.diag(w @ r_model @ w.conj().T))
         return equalizer_llrs(x_eq, bias, inter + noise, cons)
 
-    if name in ("osic", "kbest", "sr-kbest", "robust-sr-kbest"):
+    if name in ("osic", "kbest", "sr-kbest", "robust-sr-kbest", "ml"):
         robust = name == "robust-sr-kbest"
         if robust:
             rotate, sq = robust_plan(h_hat, r_uu)
+        elif name == "ml":
+            sq = sorted_qr(h_hat)
+            rotate = sq.q.conj().T
         else:
             rotate, sq = build_extended(h_hat, sigma_det, know.sigma_i2)
         # rows checked before the product, which warns on an inf entry
         y_tilde = as_complex_matrix(y_block, "y_block") @ rotate.T
+        if name == "ml":
+            return _ml_uses(sq, y_tilde, cons, coded, sigma_det + know.sigma_i2)
         if name == "osic":
             cands = osic_detect(sq.r, y_tilde, cons)
         elif name == "kbest":
@@ -519,11 +531,34 @@ def _detect_uses(cfg, name: str, cons, know: _TrialKnowledge, y_block, coded: bo
         energy = (np.abs(cons.points[cands.symbols]) ** 2).sum(axis=-1)
         return logmap_llrs(cands.symbols, cands.metrics / sigma2 - energy, cons)
 
-    if name == "ml":
-        hard, llr, _ = ml_bruteforce(h_hat, y_block, cons, soft=coded)
-        return llr if coded else hard
-
     raise ValueError(f"unknown detector {name!r}")
+
+
+def _ml_uses(sq, y_tilde, cons, coded: bool, sigma2: float):
+    """Maximum likelihood on the plain channel as a full-width K-best.
+
+    ``sq`` is the sorted QR of ``h_hat`` and ``y_tilde = y @ sq.q.conj()``,
+    so ``||y_tilde - sq.r x||^2`` is ``||y - h_hat x||^2`` up to a
+    per-vector constant. A :func:`kbest_detect` of width ``size**m`` cuts
+    no path. Uncoded, its best leaf (``best_only``) is the exhaustive
+    minimum; tied minima go by :func:`kbest_detect`'s rule, not to the
+    lexicographically smallest vector. Coded, its list holds every
+    hypothesis, and list log-MAP over it, with the metrics divided by the
+    noise-plus-interference power ``sigma2``, is exact. The rows go
+    through in chunks of ``ML_GUARD // size**m``, so the hypotheses of one
+    chunk number at most ``ML_GUARD``.
+    """
+    full = cons.size ** sq.r.shape[0]
+    step = ML_GUARD // full
+    out = []
+    for start in range(0, y_tilde.shape[0], step):
+        rows = y_tilde[start : start + step]
+        cands = kbest_detect(sq.r, rows, full, cons, best_only=not coded).permuted(sq.perm)
+        if coded:
+            out.append(logmap_llrs(cands.symbols, cands.metrics / sigma2, cons))
+        else:
+            out.append(cands.symbols[:, 0])
+    return np.concatenate(out)
 
 
 def _run_trial(cfg, det_name: str, code, snr_db: float, rng) -> tuple[int, int]:

@@ -4,24 +4,25 @@ Linear detection (the weight matrices of multi-user MMSE with
 interference rejection and of white-noise MRC), three tree searches on an
 upper-triangular system (ordered successive interference cancellation,
 breadth-first K-best, and its sorting-reduced variant driven by a
-``(k, s, p, v, q)`` schedule), exhaustive maximum likelihood, and the
-interference-whitening plan (:func:`robust_plan`) that puts the tree
-search on the whitened likelihood, robust to spatially coloured
-interference. A detector is composed from these parts in ``mudet.bench``:
-a plan per channel, a rotation of the received vectors, one search and,
-on the coded path, LLRs.
+``(k, s, p, v, q)`` schedule), and the interference-whitening plan
+(:func:`robust_plan`) that puts the tree search on the whitened
+likelihood, robust to spatially coloured interference. A detector is
+composed from these parts in ``mudet.bench``: a plan per channel, a
+rotation of the received vectors, one search and, on the coded path,
+LLRs. The maximum-likelihood detector is composed the same way, as a
+K-best search wide enough to keep every path.
 
 LLR convention: positive favours bit 0. Magnitudes are clamped to
 ``LLR_MAX`` so a missing bit hypothesis in a candidate list stays finite
 for the decoder.
 
 Batching: the tree searches (:func:`osic_detect`, :func:`kbest_detect`,
-:func:`sr_kbest_detect`), :func:`ml_bruteforce` and :func:`equalizer_llrs`
-take a ``(B, ...)`` block of received vectors that share one channel
-factorization, and nothing else: a 1-D input raises ``ValueError`` (one
-vector is the block ``y[None]``). Every output carries the leading ``B``
-axis. The plans, :func:`build_extended` and :func:`robust_plan`, take no
-received vectors. Given its
+:func:`sr_kbest_detect`) and :func:`equalizer_llrs` take a ``(B, ...)``
+block of received vectors that share one channel factorization, and
+nothing else: a 1-D input raises ``ValueError`` (one vector is the block
+``y[None]``). Every output carries the leading ``B`` axis. The plans,
+:func:`build_extended` and :func:`robust_plan`, take no received
+vectors. Given its
 rotated input ``y_tilde``, every row is searched exactly as it would be
 alone: each selection along the last axis
 returns what a stable sort of that row would, so ties resolve the same way
@@ -64,11 +65,7 @@ from functools import cached_property
 import numpy as np
 
 from .airlink import Constellation
-from .errors import (
-    DimensionMismatchError,
-    InvalidSearchParamsError,
-    SearchSpaceTooLargeError,
-)
+from .errors import DimensionMismatchError, InvalidSearchParamsError
 from .numkit import (
     SortedQR,
     as_complex_matrix,
@@ -81,11 +78,6 @@ LLR_MAX = 30.0
 
 # Per-parent child budget of the sorting-reduced search.
 SR_EXPAND_BUDGET = 4
-
-# Largest exhaustive search space ml_bruteforce (and a scenario running it)
-# accepts.
-ML_GUARD = 10**6
-_ML_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -515,57 +507,6 @@ def osic_detect(r, y_tilde, cons: Constellation) -> CandidateList:
         hard[:, layer] = cons.nearest(resid / r[layer, layer])
     metric = (np.abs(y_tilde - points[hard] @ r.T) ** 2).sum(axis=-1)
     return CandidateList(symbols=hard[:, None, :], metrics=metric[:, None])
-
-
-def ml_bruteforce(h, y, cons: Constellation, soft: bool = True) -> tuple:
-    """Exhaustive minimum-distance search over every symbol vector.
-
-    Returns ``(hard, llr, metric)``, one row per received vector: hard
-    decisions (constellation indices per user), per-bit LLRs (None when
-    ``soft=False``) and best metrics.
-
-    Guarded to one million candidates. ``y`` is a ``(B, n)`` block; each chunk of ``_ML_CHUNK`` candidate images is
-    computed once for the whole batch and scored in steps of at most
-    ``max(_ML_CHUNK, B)`` (candidate, vector) pairs, so memory stays
-    bounded. LLRs are exact max-log values over the full search space.
-    Ties resolve to the lexicographically smallest index sequence.
-    """
-    h = as_complex_matrix(h, "h")
-    n, m = h.shape
-    y = _rows(y, n, "y")
-    size = cons.size
-    total = size**m
-    if total > ML_GUARD:
-        raise SearchSpaceTooLargeError(f"{total} candidates exceeds guard {ML_GUARD}")
-    n_vec = y.shape[0]
-    n_bits = m * cons.bits_per_symbol
-    rows = np.arange(n_vec)
-    best_metric = np.full(n_vec, np.inf)
-    best_idx = np.zeros(n_vec, dtype=np.int64)
-    min_by_bit = np.full((2, n_vec, n_bits), np.inf)
-    weights = size ** np.arange(m - 1, -1, -1, dtype=np.int64)
-    step = max(1, _ML_CHUNK // n_vec)
-    for start in range(0, total, _ML_CHUNK):
-        idx = np.arange(start, min(start + _ML_CHUNK, total), dtype=np.int64)
-        sym = (idx[:, None] // weights) % size
-        images = cons.points[sym] @ h.T
-        if soft:
-            bits = cons.bit_patterns[sym].reshape(idx.size, n_bits)
-        for lo in range(0, idx.size, step):
-            part = slice(lo, lo + step)
-            metrics = np.sum(np.abs(y[:, None, :] - images[part]) ** 2, axis=-1)
-            j = np.argmin(metrics, axis=1)
-            low = metrics[rows, j]
-            better = low < best_metric
-            best_metric = np.where(better, low, best_metric)
-            best_idx = np.where(better, idx[lo + j], best_idx)
-            if soft:
-                for hyp in (0, 1):
-                    masked = np.where(bits[part] == hyp, metrics[:, :, None], np.inf)
-                    np.minimum(min_by_bit[hyp], masked.min(axis=1), out=min_by_bit[hyp])
-    hard = (best_idx[:, None] // weights) % size
-    llr = np.clip(min_by_bit[1] - min_by_bit[0], -LLR_MAX, LLR_MAX) if soft else None
-    return hard, llr, best_metric
 
 
 # ---------------------------------------------------------------------------

@@ -35,10 +35,6 @@ class InvalidSearchParamsError(ValueError):
     """An SR-K-best candidate-selection schedule violates its invariants."""
 
 
-class SearchSpaceTooLargeError(ValueError):
-    """Exhaustive search was requested over more candidates than the guard allows."""
-
-
 class CodeConstructionError(RuntimeError):
     """LDPC code construction failed to produce an invertible parity block."""
 

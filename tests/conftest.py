@@ -33,3 +33,20 @@ def csv_bytes(records) -> bytes:
 
 def crandn(rng, *shape):
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+
+def every_vector(cons, m):
+    """Every symbol vector of ``m`` users as constellation indices,
+    ``(size**m, m)`` in lexicographic order."""
+    grids = np.meshgrid(*[np.arange(cons.size)] * m, indexing="ij")
+    return np.stack(grids, -1).reshape(-1, m)
+
+
+def exhaustive_search(h, y, cons):
+    """``(hard, metric)`` of maximum likelihood by enumeration, for every
+    row of ``y (B, n)``: the symbol vector minimizing ``||y - h x||^2``
+    (the lexicographically smallest of exact ties) and that minimum."""
+    every = every_vector(cons, h.shape[1])
+    metrics = np.sum(np.abs(y[:, None, :] - cons.points[every] @ h.T) ** 2, axis=-1)
+    best = metrics.argmin(axis=1)
+    return every[best], metrics[np.arange(y.shape[0]), best]

@@ -16,7 +16,7 @@ from mudet import bench, detectors as det, fec
 from mudet.airlink import build_constellation, complex_randn
 from mudet.numkit import inv_sqrt, sorted_qr
 
-from conftest import csv_bytes
+from conftest import csv_bytes, exhaustive_search
 
 QAM16 = build_constellation("qam16")
 QPSK = build_constellation("qpsk")
@@ -149,7 +149,7 @@ def test_c01_kbest_matches_ml_exactly():
         sq = sorted_qr(h)
         cl = det.kbest_detect(sq.r, (sq.q.conj().T @ y)[None], 256, QAM16, expand=16)
         cl = cl.permuted(sq.perm)
-        hard = det.ml_bruteforce(h, y[None], QAM16)[0]
+        hard = exhaustive_search(h, y[None], QAM16)[0]
         if not np.array_equal(cl.symbols[0, 0], hard[0]):
             mismatches += 1
     elapsed = time.perf_counter() - start

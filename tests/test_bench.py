@@ -4,6 +4,7 @@ import io
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from mudet import detectors as det
 from mudet.cli import main as cli_main
 from mudet.errors import ConfigParseError, ConfigValidationError
 
-from conftest import csv_bytes
+from conftest import crandn, csv_bytes, every_vector, exhaustive_search
 
 
 # --- config parsing -------------------------------------------------------------
@@ -197,9 +198,18 @@ def test_large_array_config_accepted():
     assert (cfg.n_rx, cfg.n_users, cfg.n_interferers) == (64, 16, 4)
 
 
-def test_ml_rejected_at_infeasible_scale():
-    with pytest.raises(ConfigValidationError):
-        bench.parse_config("n_rx = 64\nn_users = 16\ndetectors = ml\n")
+@pytest.mark.parametrize(
+    "kind, n_users, accepted",
+    [("qam16", 16, False), ("qam16", 4, True), ("qpsk", 8, True), ("qpsk", 9, False)],
+)
+def test_ml_rejected_at_infeasible_scale(kind, n_users, accepted):
+    # ml may search at most bench.ML_GUARD = 4**8 = 16**4 symbol vectors
+    text = f"n_rx = 64\nn_users = {n_users}\nconstellation = {kind}\ndetectors = ml\n"
+    if accepted:
+        assert bench.parse_config(text).detectors == ("ml",)
+    else:
+        with pytest.raises(ConfigValidationError):
+            bench.parse_config(text)
 
 
 def test_snr_spec_forms():
@@ -363,9 +373,11 @@ def test_detector_subset_invariance():
 # csv_bytes. The uncoded digest was recorded with a per-vector search loop;
 # the coded LS-pilot digest was re-recorded when kbest and sr-kbest began
 # to score their lists by list log-MAP on the likelihood (only their rows
-# moved). Batching a search over the uses of a trial, or any other change
-# to a detector's arithmetic or tie rule that moves a decision or an LLR
-# enough to flip a bit, shows here.
+# moved), and again when ml's max-log LLRs over unscaled distances became
+# list log-MAP over every hypothesis (only its rows moved). Batching a
+# search over the uses of a trial, or any other change to a detector's
+# arithmetic or tie rule that moves a decision or an LLR enough to flip a
+# bit, shows here.
 GOLDEN_UNCODED = """
 n_rx = 8
 n_users = 3
@@ -419,7 +431,7 @@ master_seed = 7
     "text, digest",
     [
         (GOLDEN_UNCODED, "86c0c48d41d9c5eb7582652ad7efbcb017d74cbd20c1a97deb832924b89ac80b"),
-        (GOLDEN_CODED, "9b9b4f8cc3fa7b9b07dc3899287426b07509e40904aceb984c839f08823818ba"),
+        (GOLDEN_CODED, "81e20f8a76b41d830a1a1d0f9e2f84adbf95697bc0ac9efd3943cc0702296050"),
         (GOLDEN_NO_INTERFERERS, "06a54108bee0b0b972427a06fe8dc9b4ed5caa9f70420f8dad9a00e3edd385b4"),
     ],
     ids=["uncoded", "coded-ls-pilot", "uncoded-no-interferers"],
@@ -518,7 +530,7 @@ def test_hard_only_uses_permute_the_best_candidate_like_the_whole_list(qam16):
             assert np.array_equal(hard, cands.permuted(perm).symbols[:, 0]), name
 
 
-@pytest.mark.parametrize("name", ["osic", "kbest", "sr-kbest", "robust-sr-kbest"])
+@pytest.mark.parametrize("name", ["osic", "kbest", "sr-kbest", "robust-sr-kbest", "ml"])
 def test_tree_search_uses_validate_their_rows(qam16, name):
     # the plans take no received vectors: _detect_uses checks the rows
     # before it rotates them
@@ -537,8 +549,7 @@ def test_tree_search_uses_validate_their_rows(qam16, name):
 def _exhaustive_logmap(h, y, sigma2, cons):
     """Log-MAP LLRs of every row of ``y`` over all symbol vectors, from the
     likelihood ``exp(-||y - H x||^2 / sigma2)``."""
-    m = h.shape[1]
-    every = np.stack(np.meshgrid(*[np.arange(cons.size)] * m, indexing="ij"), -1).reshape(-1, m)
+    every = every_vector(cons, h.shape[1])
     bits = cons.bit_patterns[every].reshape(every.shape[0], -1)
     nll = np.sum(np.abs(y[:, None, :] - cons.points[every] @ h.T) ** 2, axis=-1) / sigma2
     weight = np.exp(nll.min(axis=1, keepdims=True) - nll)
@@ -565,6 +576,51 @@ def test_coded_kbest_llrs_are_exhaustive_logmap(kind, k):
         ref = _exhaustive_logmap(h, y, 0.8, cons)
         assert np.max(np.abs(llr - ref)) <= 1e-9
         assert np.mean(np.abs(ref) < det.LLR_MAX) > 0.5  # most LLRs are soft
+
+
+def test_ml_uses_are_exhaustive_over_row_chunks(qam16, monkeypatch):
+    # 8 x 3 QAM16 has 4,096 hypotheses, so ml searches 16 rows at a time and
+    # this 40-use block in three chunks. Coded, its LLRs are exact log-MAP
+    # on the likelihood of y = H x + noise of power sigma_det + sigma_i2
+    chunks = []
+
+    def spy(*args, **kwargs):
+        chunks.append(args[1].shape[0])
+        return det.kbest_detect(*args, **kwargs)
+
+    monkeypatch.setattr(bench, "kbest_detect", spy)
+    rng = np.random.default_rng(2626)
+    cfg = bench.ScenarioConfig(n_rx=8, n_users=3, detectors=("ml",))
+    h = crandn(rng, 8, 3)
+    know = bench._TrialKnowledge(h_hat=h, r_uu=np.eye(8), sigma_det=0.5, sigma_i2=0.3)
+    y = qam16.points[rng.integers(0, 16, (40, 3))] @ h.T + 0.6 * crandn(rng, 40, 8)
+    llr = bench._detect_uses(cfg, "ml", qam16, know, y, coded=True)
+    assert chunks == [16, 16, 8]
+    ref = _exhaustive_logmap(h, y, 0.8, qam16)
+    assert np.max(np.abs(llr - ref)) <= 1e-9
+    assert np.mean(np.abs(ref) < det.LLR_MAX) > 0.5  # most LLRs are soft
+    chunks.clear()
+    hard = bench._detect_uses(cfg, "ml", qam16, know, y, coded=False)
+    assert chunks == [16, 16, 8]
+    assert np.array_equal(hard, exhaustive_search(h, y, qam16)[0])
+
+
+def test_coded_ml_memory_is_bounded(qam16):
+    # 16 x 4 QAM16 lists all 65,536 hypotheses of each use; the 18 uses of a
+    # coded trial searched as one block peaked at about 351 MB
+    rng = np.random.default_rng(2627)
+    cfg = bench.ScenarioConfig(detectors=("ml",))
+    h = crandn(rng, 16, 4)
+    know = bench._TrialKnowledge(h_hat=h, r_uu=np.eye(16), sigma_det=0.5, sigma_i2=0.0)
+    y = qam16.points[rng.integers(0, 16, (18, 4))] @ h.T + 0.7 * crandn(rng, 18, 16)
+    tracemalloc.start()
+    try:
+        llr = bench._detect_uses(cfg, "ml", qam16, know, y, coded=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert llr.shape == (18, 16) and np.all(np.isfinite(llr))
+    assert peak < 64e6
 
 
 def test_coded_robust_soft_list_is_one_traceable_kbest_search(qam16, monkeypatch):

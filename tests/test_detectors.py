@@ -10,13 +10,10 @@ from hypothesis import strategies as st
 from mudet import bench
 from mudet import detectors as det
 from mudet.airlink import estimate_covariance
-from mudet.errors import (
-    InvalidSearchParamsError,
-    SearchSpaceTooLargeError,
-)
+from mudet.errors import InvalidSearchParamsError
 from mudet.numkit import inv_sqrt, sorted_qr
 
-from conftest import crandn
+from conftest import crandn, every_vector, exhaustive_search
 
 
 def random_pd(rng, n, floor=0.1):
@@ -195,7 +192,7 @@ def test_kbest_exhaustive_equals_ml(qam16):
         q, r, _ = sorted_factors(h)
         y_tilde = (q.conj().T @ y)[None]
         cl = det.kbest_detect(r, y_tilde, 256, qam16, expand=16)
-        hard, _, metric = det.ml_bruteforce(r, y_tilde, qam16)
+        hard, metric = exhaustive_search(r, y_tilde, qam16)
         assert np.array_equal(cl.symbols[0, 0], hard[0])
         assert abs(cl.metrics[0, 0] - metric[0]) < 1e-9
 
@@ -208,7 +205,7 @@ def test_kbest_exhaustive_equals_ml_qpsk_four_users(qpsk):
         q, r, _ = sorted_factors(h)
         y_tilde = (q.conj().T @ y)[None]
         cl = det.kbest_detect(r, y_tilde, 256, qpsk, expand=4)
-        hard = det.ml_bruteforce(r, y_tilde, qpsk)[0]
+        hard = exhaustive_search(r, y_tilde, qpsk)[0]
         assert np.array_equal(cl.symbols[0, 0], hard[0])
 
 
@@ -566,7 +563,7 @@ def test_sr_never_beats_exhaustive_search(qpsk):
         q, r, _ = sorted_factors(h)
         y_tilde = (q.conj().T @ y)[None]
         sr = det.sr_kbest_detect(r, y_tilde, params, qpsk)
-        metric = det.ml_bruteforce(r, y_tilde, qpsk)[2]
+        metric = exhaustive_search(r, y_tilde, qpsk)[1]
         assert sr.metrics[0, 0] >= metric[0] - 1e-9
 
 
@@ -797,9 +794,7 @@ def test_batched_searches_equal_row_by_row(qpsk, qam16, n_vec, m, use_qpsk, k, z
         assert np.allclose(os_.metrics[t], one.metrics[0], rtol=1e-12, atol=1e-12)
 
 
-ENTRY_POINTS = (
-    "osic_detect", "kbest_detect", "sr_kbest_detect", "ml_bruteforce", "equalizer_llrs",
-)
+ENTRY_POINTS = ("osic_detect", "kbest_detect", "sr_kbest_detect", "equalizer_llrs")
 
 
 @pytest.mark.parametrize("name", ENTRY_POINTS)
@@ -818,7 +813,6 @@ def test_entry_points_take_blocks_only(qam16, name):
         "osic_detect": (lambda v: listed(det.osic_detect(r, v, qam16)), 3),
         "kbest_detect": (lambda v: listed(det.kbest_detect(r, v, 4, qam16)), 3),
         "sr_kbest_detect": (lambda v: listed(det.sr_kbest_detect(r, v, params, qam16)), 3),
-        "ml_bruteforce": (lambda v: det.ml_bruteforce(h, v, qam16), 6),
         "equalizer_llrs": (
             lambda v: (det.equalizer_llrs(v, np.ones(3), np.full(3, 0.1), qam16),), 3
         ),
@@ -829,7 +823,7 @@ def test_entry_points_take_blocks_only(qam16, name):
         assert isinstance(out, np.ndarray) and out.shape[0] == 1
 
 
-def test_batched_apply_and_llrs_equal_row_by_row(qam16, monkeypatch):
+def test_batched_apply_and_llrs_equal_row_by_row(qam16):
     rng = np.random.default_rng(28)
     h = crandn(rng, 8, 3)
     r_uu = random_pd(rng, 8)
@@ -846,42 +840,22 @@ def test_batched_apply_and_llrs_equal_row_by_row(qam16, monkeypatch):
         assert np.allclose(y_tilde[t], (y[t, None] @ rotate.T)[0], rtol=0, atol=1e-12)
         assert np.array_equal(llr[t], det.logmap_llrs(cands.symbols[t], cands.metrics[t], qam16))
         assert np.array_equal(eq[t], det.equalizer_llrs(x_eq[t, None], bias, noise, qam16)[0])
-    # 4096 candidates in chunks of 64, scored 12 at a time for 5 vectors, so
-    # a row's minimum can fall in any chunk; at y = 0 the candidates x and
-    # -x tie exactly, and they lie in different chunks
-    monkeypatch.setattr(det, "_ML_CHUNK", 64)
-    y[4] = 0.0
-    hard, llr, metric = det.ml_bruteforce(h, y, qam16)
-    for t in range(5):
-        one_hard, one_llr, one_metric = det.ml_bruteforce(h, y[t, None], qam16)
-        assert np.array_equal(hard[t], one_hard[0])
-        assert np.array_equal(llr[t], one_llr[0])
-        assert np.isclose(metric[t], one_metric[0], rtol=1e-12, atol=1e-12)
-    every = (np.arange(4096)[:, None] // np.array([256, 16, 1])) % 16
-    dist = np.sum(np.abs(qam16.points[every] @ h.T) ** 2, axis=1)
-    assert np.array_equal(hard[4], every[np.argmin(dist)])  # lowest index wins
 
 
-def test_hard_only_paths_match_soft(qam16):
-    rng = np.random.default_rng(31)
-    h = crandn(rng, 6, 2)
-    y = h @ qam16.points[rng.integers(0, 16, (2, 7))] + 0.4 * crandn(rng, 6, 7)
-    y = y.T
-    pairs = (
-        (det.ml_bruteforce(h, y, qam16), det.ml_bruteforce(h, y, qam16, soft=False)),
-        (det.ml_bruteforce(h, y[:1], qam16), det.ml_bruteforce(h, y[:1], qam16, soft=False)),
-    )
-    for soft, hard in pairs:
-        assert hard[1] is None and soft[1] is not None
-        assert np.array_equal(hard[0], soft[0])
-        assert np.array_equal(hard[2], soft[2])
+# --- maximum likelihood ---------------------------------------------------------
 
 
-# --- brute-force ML -------------------------------------------------------------
+def ml_detect(h, y_block, cons):
+    """Hard decisions of the ``ml`` detector on the rows of ``y_block``, as
+    ``mudet.bench`` composes it."""
+    n_rx, n_users = h.shape
+    cfg = bench.ScenarioConfig(n_rx=n_rx, n_users=n_users)
+    know = bench._TrialKnowledge(h_hat=h, r_uu=np.eye(n_rx), sigma_det=1.0, sigma_i2=0.0)
+    return bench._detect_uses(cfg, "ml", cons, know, y_block, coded=False)
 
 
 def test_ml_single_user_nearest_point(qpsk):
-    hard = det.ml_bruteforce(np.array([[1.0]]), np.array([[0.9 + 0.1j]]), qpsk)[0]
+    hard = ml_detect(np.array([[1.0]]), np.array([[0.9 + 0.1j]]), qpsk)
     assert np.isclose(qpsk.points[hard[0, 0]], (1 + 1j) / np.sqrt(2))
 
 
@@ -889,7 +863,7 @@ def test_ml_noiseless(qam16):
     rng = np.random.default_rng(15)
     h = crandn(rng, 5, 3)
     idx = rng.integers(0, 16, 3)
-    hard = det.ml_bruteforce(h, (h @ qam16.points[idx])[None], qam16)[0]
+    hard = ml_detect(h, (h @ qam16.points[idx])[None], qam16)
     assert np.array_equal(hard[0], idx)
 
 
@@ -904,14 +878,22 @@ def test_ml_double_loop_oracle(qam16):
             m = float(np.sum(np.abs(y - h @ x) ** 2))
             if best is None or m < best[0]:
                 best = (m, [i, j])
-    hard, _, metric = det.ml_bruteforce(h, y[None], qam16)
+    hard = ml_detect(h, y[None], qam16)
     assert list(hard[0]) == best[1]
-    assert abs(metric[0] - best[0]) < 1e-12
 
 
-def test_ml_guard(qam16):
-    with pytest.raises(SearchSpaceTooLargeError):
-        det.ml_bruteforce(np.eye(6), np.zeros((1, 6)), qam16)
+def test_ml_exact_tie_returns_a_minimum(qam16):
+    # at y = 0 every x ties exactly with -x (and with 1j x): ml takes
+    # kbest_detect's tie rule, not the lexicographically smallest vector,
+    # but what it returns must attain the minimum metric
+    rng = np.random.default_rng(35)
+    h = crandn(rng, 6, 3)
+    y = np.zeros((2, 6), dtype=complex)
+    y[1] = crandn(rng, 6)
+    hard = ml_detect(h, y, qam16)
+    _, best = exhaustive_search(h, y, qam16)
+    metric = np.sum(np.abs(y - qam16.points[hard] @ h.T) ** 2, axis=1)
+    assert np.allclose(metric, best, rtol=1e-12, atol=0)
 
 
 # --- robust chain ---------------------------------------------------------------
@@ -1048,8 +1030,8 @@ def test_whitening_preserves_ml_argmin(qam16):
         h = crandn(rng, 5, 2)
         y = h @ qam16.points[rng.integers(0, 16, 2)] + 0.4 * crandn(rng, 5)
         w = inv_sqrt(0.16 * np.eye(5))
-        a = det.ml_bruteforce(h, y[None], qam16)[0]
-        b = det.ml_bruteforce(w @ h, (w @ y)[None], qam16)[0]
+        a = exhaustive_search(h, y[None], qam16)[0]
+        b = exhaustive_search(w @ h, (w @ y)[None], qam16)[0]
         assert np.array_equal(a, b)
 
 
@@ -1065,7 +1047,7 @@ def test_robust_full_search_matches_whitened_ml(qam16):
         x = qam16.points[rng.integers(0, 16, (8, 2))]
         y = x @ h.T + crandn(rng, 8, 1) @ g.T + np.sqrt(0.3) * crandn(rng, 8, 6)
         w = inv_sqrt(r_uu)
-        hard = det.ml_bruteforce(w @ h, y @ w.T, qam16, soft=False)[0]
+        hard = exhaustive_search(w @ h, y @ w.T, qam16)[0]
         assert np.array_equal(robust_detect(h, r_uu, y, qam16, coded=False, params=full), hard)
 
 
@@ -1136,7 +1118,7 @@ def test_robust_llrs_match_bruteforce_logmap(qpsk):
     # so the list LLRs must equal exhaustive log-MAP on the whitened model
     assert qpsk.size**3 == bench.SOFT_LIST_WIDTH
     rng = np.random.default_rng(26)
-    every = np.stack(np.meshgrid(*[np.arange(4)] * 3, indexing="ij"), -1).reshape(-1, 3)
+    every = every_vector(qpsk, 3)
     bits = qpsk.bit_patterns[every].reshape(every.shape[0], -1)
     for _ in range(30):
         h = crandn(rng, 6, 3)

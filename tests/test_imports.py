@@ -34,3 +34,21 @@ def test_unused_import_is_caught():
     source = "from .numkit import as_complex_matrix, cholesky\n\ncholesky(1)\n"
     assert unused_imports(source) == [(1, "as_complex_matrix")]
     assert unused_imports("import numpy as np\n__all__ = ['np']\n") == []
+
+
+def names_read(source: str) -> set:
+    """Every bare name and attribute name a module reads."""
+    tree = ast.parse(source)
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | {
+        node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+    }
+
+
+def test_every_error_class_is_named_by_another_module():
+    # an exception class no other module raises, catches or subclasses is dead
+    errors = ast.parse((SRC / "errors.py").read_text(encoding="utf-8"))
+    classes = [node.name for node in errors.body if isinstance(node, ast.ClassDef)]
+    named = set().union(
+        *(names_read(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py") if p.name != "errors.py")
+    )
+    assert classes and [name for name in classes if name not in named] == []
