@@ -224,28 +224,28 @@ def apply_channel(
     s_interf: np.ndarray,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Received vectors ``x h^T + s g^T + n`` with fresh noise from ``rng``.
+    """Received block ``x h^T + s g^T + n`` with fresh noise from ``rng``.
 
-    ``x`` is one vector of user symbols or a ``(B, n_users)`` block of them,
-    and ``s_interf`` holds the matching ``n_interferers`` symbols per vector;
-    the result is ``(n_rx,)`` or ``(B, n_rx)``. The noise draw is consumed
-    even at ``sigma_n2 == 0`` so generator consumption does not depend on
-    the noise power.
+    ``x`` is a ``(B, n_users)`` block of user symbols (one vector is
+    ``x[None]``) and ``s_interf`` the ``(B, n_interferers)`` block of
+    interferer symbols; the result is ``(B, n_rx)``. The noise draw is
+    consumed even at ``sigma_n2 == 0`` so generator consumption does not
+    depend on the noise power.
     """
     x = np.asarray(x, dtype=complex)
     s_interf = np.asarray(s_interf, dtype=complex)
     n_rx, n_users = real.h.shape
     n_interf = real.g.shape[1]
-    if x.ndim not in (1, 2) or x.shape[-1] != n_users:
-        raise DimensionMismatchError(f"x rows need {n_users} entries, got shape {x.shape}")
-    if s_interf.shape != x.shape[:-1] + (n_interf,):
+    if x.ndim != 2 or x.shape[1] != n_users:
+        raise DimensionMismatchError(f"x must be a (B, {n_users}) block, got shape {x.shape}")
+    if s_interf.shape != (x.shape[0], n_interf):
         raise DimensionMismatchError(
             f"s_interf has shape {s_interf.shape}, channel has {n_interf} interferers"
         )
     y = x @ real.h.T
     if n_interf:
         y = y + s_interf @ real.g.T
-    noise = complex_randn(rng, *x.shape[:-1], n_rx)
+    noise = complex_randn(rng, x.shape[0], n_rx)
     return y + np.sqrt(real.sigma_n2) * noise
 
 
@@ -275,24 +275,25 @@ def estimate_channel(pilot_users, pilot_symbols, y_pilots, n_users: int) -> Chan
     return ChannelEstimate(h_hat=h_hat, error_var=error_var)
 
 
-def estimate_covariance(residuals) -> np.ndarray:
+def estimate_covariance(residuals, floor: float = 0.0) -> np.ndarray:
     """Sample interference+noise covariance with diagonal loading.
 
     ``residuals`` holds reference-signal residuals ``y - h_hat * x``, one
-    per row, ``(n_samples, n_rx)``. Returns the Hermitian ``(n_rx, n_rx)``
-    estimate with ``COV_LOADING_REL * trace / n_rx`` added to its diagonal
-    after averaging, which keeps it positive definite even with fewer
-    samples than antennas.
+    per row, ``(n_samples, n_rx)``; a 1-D input raises. Returns the
+    Hermitian ``(n_rx, n_rx)`` estimate with ``COV_LOADING_REL * trace /
+    n_rx``, or ``floor`` if that is larger, added to its diagonal after
+    averaging. That keeps it positive definite even with fewer samples than
+    antennas, and a ``floor > 0`` even when every residual is 0.
     """
     res = np.asarray(residuals, dtype=complex)
-    if res.ndim == 1:
-        res = res[None, :]
+    if res.ndim != 2:
+        raise DimensionMismatchError(f"residuals must be (n_samples, n_rx), got ndim={res.ndim}")
     if res.shape[0] == 0:
         raise EmptySampleSetError("no residual samples")
     t, n_rx = res.shape
     r_uu = (res.T @ res.conj()) / t
     r_uu = 0.5 * (r_uu + r_uu.conj().T)
-    loading = COV_LOADING_REL * float(np.real(np.trace(r_uu))) / n_rx
+    loading = max(COV_LOADING_REL * float(np.real(np.trace(r_uu))) / n_rx, floor)
     r_uu = r_uu + loading * np.eye(n_rx)
     try:
         cholesky(r_uu)

@@ -113,6 +113,12 @@ _INTERFERER = _CONSTELLATIONS["qam16"]
 # Monte-Carlo noise; widths 16 and 32 fall short of it.
 SOFT_LIST_WIDTH = 64
 
+# Decoder-input clip on every detector's LLR stream (coded path). A bit with
+# no hypothesis in a candidate list reads +/-30 (LLR_MAX), which is
+# over-confident for min-sum; every LLR of osic's one-candidate list is such
+# a bit.
+LLR_CLIP = 8.0
+
 # Most symbol vectors the ml detector may search: a scenario with more
 # rejects ml, and ml searches the uses of a trial in row chunks whose
 # hypotheses number at most this many together, which bounds its memory.
@@ -145,13 +151,6 @@ class ScenarioConfig:
     interferer_power_ratio: float = 1.0
     sr_params: SrKBestParams = field(default_factory=SrKBestParams.default_16_4)
     kbest_k: int = 16
-    # children per K-best parent; None expands every constellation point
-    kbest_expand: int | None = None
-    # decoder-input clip on every detector's LLR stream (coded path). A bit
-    # with no hypothesis in a candidate list reads +/-30 (LLR_MAX), which is
-    # over-confident for min-sum; every LLR of osic's one-candidate list is
-    # such a bit
-    llr_clip: float = 8.0
 
     def __post_init__(self):
         if self.n_users < 1 or self.n_rx < self.n_users:
@@ -205,10 +204,6 @@ class ScenarioConfig:
         if self.kbest_k < 1:
             raise ConfigValidationError("kbest.k", "must be >= 1")
         cons_size = _CONSTELLATIONS[self.constellation].size
-        if self.kbest_expand is not None and not 1 <= self.kbest_expand <= cons_size:
-            raise ConfigValidationError("kbest.expand", "must be in [1, constellation size]")
-        if not self.llr_clip > 0:
-            raise ConfigValidationError("llr_clip", "must be > 0")
         if "ml" in self.detectors and cons_size**self.n_users > ML_GUARD:
             raise ConfigValidationError(
                 "detectors", "ml is infeasible at this scale; drop it or shrink n_users"
@@ -327,8 +322,6 @@ _KEYS = {
     "sr.v": ("v", _int_list),
     "sr.q": ("q", _int_list),
     "kbest.k": ("kbest_k", int),
-    "kbest.expand": ("kbest_expand", int),
-    "llr_clip": ("llr_clip", float),
 }
 
 # keys whose value is a comma list; an empty value is the empty list, so a
@@ -425,7 +418,9 @@ class _TrialKnowledge:
 def _acquire_knowledge(cfg, channel, rng) -> _TrialKnowledge:
     """The receiver's view of the channel: the truth under ``ideal``; under
     ``ls_pilot``, a least-squares ``h_hat`` from ``pilot_count`` slots per
-    user, then the covariance of ``covariance_samples`` more slots' residuals."""
+    user, then the covariance of ``covariance_samples`` more slots' residuals,
+    loaded at least to the detectors' noise floor, since noise-free residuals
+    can all be 0."""
     sigma_det = max(channel.sigma_n2, cfg.noise_floor())
     n_rx = cfg.n_rx
     if cfg.ce_mode == "ideal":
@@ -435,7 +430,7 @@ def _acquire_knowledge(cfg, channel, rng) -> _TrialKnowledge:
         users, symbols, y = _reference_slots(cfg, channel, rng, cfg.pilot_count * cfg.n_users)
         h_hat = estimate_channel(users, symbols, y, cfg.n_users).h_hat
         users, symbols, y = _reference_slots(cfg, channel, rng, cfg.covariance_samples)
-        r_uu = estimate_covariance((y - h_hat[:, users] * symbols).T)
+        r_uu = estimate_covariance((y - h_hat[:, users] * symbols).T, cfg.noise_floor())
     sigma_i2 = max(float(r_uu.trace().real) / n_rx - sigma_det, 0.0)
     return _TrialKnowledge(h_hat=h_hat, r_uu=r_uu, sigma_det=sigma_det, sigma_i2=sigma_i2)
 
@@ -513,9 +508,7 @@ def _detect_uses(cfg, name: str, cons, know: _TrialKnowledge, y_block, coded: bo
         if name == "osic":
             cands = osic_detect(sq.r, y_tilde, cons)
         elif name == "kbest":
-            cands = kbest_detect(
-                sq.r, y_tilde, cfg.kbest_k, cons, cfg.kbest_expand, best_only=not coded
-            )
+            cands = kbest_detect(sq.r, y_tilde, cfg.kbest_k, cons, best_only=not coded)
         elif robust and coded:
             cands = kbest_detect(sq.r, y_tilde, SOFT_LIST_WIDTH, cons)
         else:
@@ -589,7 +582,7 @@ def _run_trial(cfg, det_name: str, code, snr_db: float, rng) -> tuple[int, int]:
     if not cfg.coded:
         rx_bits = cons.indices_to_bits(out).reshape(n_uses, bits_per_use)
         return tx_bits.size, int(np.count_nonzero(rx_bits != tx_bits))
-    llr_stream = np.clip(out.reshape(-1)[: code.n], -cfg.llr_clip, cfg.llr_clip)
+    llr_stream = np.clip(out.reshape(-1)[: code.n], -LLR_CLIP, LLR_CLIP)
     decoded, _, _ = fec.decode_min_sum(code, llr_stream)
     return code.k, int(np.sum(decoded != message))
 

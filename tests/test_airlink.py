@@ -16,6 +16,7 @@ from mudet.errors import (
     DimensionMismatchError,
     EmptySampleSetError,
     InsufficientPilotsError,
+    NotPositiveDefiniteError,
 )
 from mudet.numkit import cholesky
 
@@ -175,8 +176,8 @@ def test_apply_channel_identity_noiseless():
     cfg = ChannelConfig(n_rx=3, n_users=3)
     real = generate_channel(cfg, np.random.default_rng(0), 0.0)
     real = type(real)(h=np.eye(3, dtype=complex), g=real.g, sigma_n2=0.0)
-    x = np.array([1 + 1j, -1 + 0j, 0.5j])
-    y = apply_channel(real, x, np.zeros(0), np.random.default_rng(1))
+    x = np.array([[1 + 1j, -1 + 0j, 0.5j]])
+    y = apply_channel(real, x, np.zeros((1, 0)), np.random.default_rng(1))
     assert np.allclose(y, x)
 
 
@@ -184,9 +185,7 @@ def test_apply_channel_noise_variance():
     cfg = ChannelConfig(n_rx=4, n_users=1)
     real = generate_channel(cfg, np.random.default_rng(5), 0.25)
     rng = np.random.default_rng(6)
-    samples = np.stack(
-        [apply_channel(real, np.zeros(1), np.zeros(0), rng) for _ in range(10000)]
-    )
+    samples = apply_channel(real, np.zeros((10000, 1)), np.zeros((10000, 0)), rng)
     assert abs(np.mean(np.abs(samples) ** 2) - 0.25) < 0.25 * 0.05
 
 
@@ -194,12 +193,12 @@ def test_apply_channel_recomputation_oracle():
     cfg = ChannelConfig(n_rx=5, n_users=2, n_interferers=1)
     real = generate_channel(cfg, np.random.default_rng(7), 0.4)
     rng = np.random.default_rng(8)
-    x = crandn(np.random.default_rng(9), 2)
-    s = crandn(np.random.default_rng(10), 1)
+    x = crandn(np.random.default_rng(9), 1, 2)
+    s = crandn(np.random.default_rng(10), 1, 1)
     y = apply_channel(real, x, s, rng)
     # replay the same noise draw with a cloned generator
-    noise = complex_randn(np.random.default_rng(8), 5)
-    expected = real.h @ x + real.g @ s + np.sqrt(0.4) * noise
+    noise = complex_randn(np.random.default_rng(8), 1, 5)
+    expected = x @ real.h.T + s @ real.g.T + np.sqrt(0.4) * noise
     assert np.allclose(y, expected)
 
 
@@ -233,6 +232,10 @@ def test_apply_channel_dimension_mismatch():
         apply_channel(real, np.zeros(3), np.zeros(0), np.random.default_rng(1))
     with pytest.raises(DimensionMismatchError):
         apply_channel(real, np.zeros((4, 2)), np.zeros(0), np.random.default_rng(1))
+    # one vector is a (1, n_users) block; a 1-D input raises, as every
+    # detectors entry point does
+    with pytest.raises(DimensionMismatchError):
+        apply_channel(real, np.zeros(2), np.zeros(0), np.random.default_rng(1))
 
 
 # --- channel estimation ---------------------------------------------------------
@@ -326,3 +329,20 @@ def test_covariance_hermitian_pd_always():
 def test_covariance_empty_raises():
     with pytest.raises(EmptySampleSetError):
         estimate_covariance(np.zeros((0, 4)))
+
+
+def test_covariance_takes_a_block_only():
+    with pytest.raises(DimensionMismatchError):
+        estimate_covariance(crandn(np.random.default_rng(7), 4))
+    with pytest.raises(DimensionMismatchError):
+        estimate_covariance(np.zeros((2, 3, 4)))
+
+
+def test_covariance_loading_floor():
+    # noise-free residuals can all be 0; the floor keeps the estimate PD
+    with pytest.raises(NotPositiveDefiniteError):
+        estimate_covariance(np.zeros((5, 3)))
+    assert np.array_equal(estimate_covariance(np.zeros((5, 3)), 1e-12), 1e-12 * np.eye(3))
+    # a floor below the relative loading changes nothing
+    res = crandn(np.random.default_rng(8), 6, 3)
+    assert np.array_equal(estimate_covariance(res, 1e-12), estimate_covariance(res))

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import io
+import itertools
 import math
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import pytest
 from mudet import airlink, bench, numkit
 from mudet import detectors as det
 from mudet.cli import main as cli_main
-from mudet.errors import ConfigParseError, ConfigValidationError
+from mudet.errors import ConfigError, ConfigParseError, ConfigValidationError
 
 from conftest import crandn, csv_bytes, every_vector, exhaustive_search
 
@@ -57,7 +58,6 @@ OUT_OF_RANGE_CONFIGS = [
     ("n_interferers = 1\ninterferer_power_ratio = inf\n", "interferer_power_ratio"),
     ("n_interferers = 1\ninterferer_power_ratio = 1e20\nsnr_db = 10\n", "interferer_power_ratio"),
     ("n_interferers = 1\ninterferer_power_ratio = 1e300\nsnr_db = 10\n", "interferer_power_ratio"),
-    ("coded = true\nllr_clip = nan\n", "llr_clip"),
     ("snr_db = nan\n", "snr_db"),
     ("snr_db = 4,-inf\n", "snr_db"),
     ("snr_db = -4000\n", "snr_db"),
@@ -178,17 +178,14 @@ def test_noise_floor_moves_no_finite_snr_and_no_interferer_free_scenario():
             assert s == math.inf or cfg.noise_floor() <= noise
 
 
-@pytest.mark.parametrize("kind", airlink.CONSTELLATION_KINDS)
-def test_kbest_expand_is_bounded_by_the_constellation_size(kind):
-    size = airlink.build_constellation(kind).size
-    for expand in (1, 5, size, size + 1):
-        text = f"constellation = {kind}\nkbest.expand = {expand}\n"
-        if expand <= size:
-            assert bench.parse_config(text).kbest_expand == expand
-        else:
-            with pytest.raises(ConfigValidationError) as err:
-                bench.parse_config(text)
-            assert err.value.key == "kbest.expand"
+@pytest.mark.parametrize("key", ["kbest.expand", "llr_clip"])
+def test_kbest_expand_and_llr_clip_are_unknown_keys(key):
+    # plain K-best expands every constellation point, and the decoder input
+    # is clipped at the constant bench.LLR_CLIP
+    with pytest.raises(ConfigValidationError) as err:
+        bench.parse_config(f"{key} = 4\n")
+    assert err.value.key == key
+    assert len(bench._KEYS) == 21
 
 
 def test_large_array_config_accepted():
@@ -227,7 +224,7 @@ def test_snr_spec_forms():
 
 def test_qpsk_alone_runs_with_default_search_widths():
     cfg = bench.parse_config("constellation = qpsk\n")
-    assert cfg.constellation == "qpsk" and cfg.kbest_expand is None
+    assert cfg.constellation == "qpsk"
     tiny = dataclasses.replace(
         cfg, snr_grid_db=(10.0,), trials_per_point=2, symbols_per_trial=3
     )
@@ -325,11 +322,26 @@ detectors = mrc,mmse-irc,osic,kbest,sr-kbest,robust-sr-kbest,ml
 """
 
 
+# One antenna, one user, LS estimates: with no noise and no interferers
+# every covariance residual can be exactly 0, so the covariance loading
+# must be floored at the detectors' noise floor.
+NOISELESS_LS_PILOT_1X1 = """
+n_rx = 1
+n_users = 1
+ce_mode = ls_pilot
+snr_db = inf
+trials_per_point = 20
+symbols_per_trial = 2
+detectors = mrc,mmse-irc,osic,kbest,sr-kbest,robust-sr-kbest,ml
+"""
+
+
 def test_noiseless_trials_are_error_free():
-    records = bench.run_scenario(bench.parse_config(NOISELESS_ALL))
-    assert len(records) == 7
-    for rec in records:
-        assert rec.ber == 0.0 and rec.bit_errors == 0
+    for text in (NOISELESS_ALL, NOISELESS_LS_PILOT_1X1):
+        records = bench.run_scenario(bench.parse_config(text))
+        assert len(records) == 7
+        for rec in records:
+            assert rec.ber == 0.0 and rec.bit_errors == 0
 
 
 def test_uncoded_bit_conservation():
@@ -358,6 +370,47 @@ def test_run_determinism_byte_identical():
     a = csv_bytes(bench.run_scenario(cfg))
     b = csv_bytes(bench.run_scenario(cfg))
     assert a == b
+
+
+# Edge scenarios: tiny and square arrays, interferers beyond the degrees of
+# freedom, correlation near 1, one or two covariance samples, extreme SNR.
+# Every array shape, interferer count, CE mode and SNR meets every other;
+# correlation, constellation and coding take turns. The 1 x 1 noise-free
+# LS-pilot scenarios, whose covariance residuals can all be 0, run in every
+# combination.
+EDGE_SHAPES = [(1, 1), (2, 2), (3, 3), (4, 1)]
+EDGE_CE = [("ideal", 168), ("ls_pilot", 1), ("ls_pilot", 2)]
+EDGE_SNRS = [-20.0, 60.0, math.inf]
+EDGE_TURNS = list(itertools.product([0.0, 0.999999], ["qpsk", "qam16"], [False, True]))
+
+
+def _edge_scenarios():
+    grid = itertools.product(EDGE_SHAPES, [0, 1, 5], EDGE_CE, EDGE_SNRS)
+    for i, (shape, n_int, ce, snr) in enumerate(grid):
+        yield shape, n_int, ce, snr, EDGE_TURNS[i % len(EDGE_TURNS)]
+    for ce, turn in itertools.product(EDGE_CE[1:], EDGE_TURNS):
+        yield (1, 1), 0, ce, math.inf, turn
+
+
+def test_edge_scenarios_run_or_raise_config_error():
+    failed = []
+    for (n_rx, n_users), n_int, (ce_mode, samples), snr, (rho, kind, coded) in _edge_scenarios():
+        params = dict(
+            n_rx=n_rx, n_users=n_users, n_interferers=n_int, rx_correlation=rho,
+            ce_mode=ce_mode, covariance_samples=samples, snr_grid_db=(snr,),
+            constellation=kind, coded=coded,
+        )
+        try:
+            records = bench.run_scenario(bench.ScenarioConfig(
+                trials_per_point=2, symbols_per_trial=3, detectors=bench.DETECTOR_NAMES, **params
+            ))
+        except ConfigError:
+            continue
+        except Exception as exc:  # every other escape is a failure
+            failed.append(f"{params}: {exc!r}")
+            continue
+        failed += [f"{params}: ber {rec.ber}" for rec in records if not 0 <= rec.ber <= 1]
+    assert failed == []
 
 
 def test_detector_subset_invariance():
