@@ -2,14 +2,19 @@
 
 Reproducibility contract
 ------------------------
-Every trial owns a counter-based random stream::
+Every (SNR, trial) cell owns a counter-based random stream::
 
     Generator(Philox(key=[master_seed, 0],
-                     counter=[trial_index, snr_index, detector_index, 0]))
+                     counter=[0, trial_index, snr_index, 0]))
 
-``detector_index`` is the detector's position in :data:`DETECTOR_NAMES`
-(not in the scenario's detector list) and ``snr_index`` its position in
-the ascending SNR grid, so results are bit-identical no matter how trials
+with ``snr_index`` the SNR's position in the ascending grid. Philox
+advances only counter word 0 as it draws, so the trial and SNR indices
+in words 1 and 2 keep every cell's stream apart from every other's (the
+counter-as-key layout of Salmon et al., "Parallel random numbers: as easy
+as 1, 2, 3", SC 2011). Every detector of a cell draws the same stream and
+so sees the same channel, estimates, data and noise: common random
+numbers, which pair the detectors' error counts cell by cell. No detector
+draws from the stream, so results are bit-identical no matter how trials
 are ordered, parallelized, or which detector subset runs. Inside a trial
 the stream is consumed in a fixed documented order:
 
@@ -389,10 +394,16 @@ class _PhiloxKey(ISeedSequence):
 def trial_stream(
     master_seed: int, detector_index: int, snr_index: int, trial_index: int
 ) -> np.random.Generator:
-    """Counter-based per-trial stream; see the module docstring."""
+    """Counter-based stream of one (SNR, trial) cell; see the module docstring.
+
+    ``detector_index`` does not enter the stream: every detector of a cell
+    draws the same one. :func:`run_scenario` still passes it, since
+    ``perfbench/tracer.py`` wraps this function and keys each trial by
+    ``(detector_index, snr_index, trial_index)``.
+    """
     bits = np.random.Philox(
         _PhiloxKey(np.array([master_seed, 0], dtype=np.uint64)),
-        counter=np.array([trial_index, snr_index, detector_index, 0], dtype=np.uint64),
+        counter=np.array([0, trial_index, snr_index, 0], dtype=np.uint64),
     )
     return np.random.Generator(bits)
 

@@ -268,9 +268,68 @@ def test_trial_stream_reproducible_and_distinct():
     a = bench.trial_stream(1, 0, 0, 0).standard_normal(4)
     b = bench.trial_stream(1, 0, 0, 0).standard_normal(4)
     assert np.array_equal(a, b)
-    for other in [(1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1), (2, 0, 0, 0)]:
+    # paired: every detector of a cell draws the cell's stream
+    for det_index in range(len(bench.DETECTOR_NAMES)):
+        assert np.array_equal(a, bench.trial_stream(1, det_index, 0, 0).standard_normal(4))
+    for other in [(1, 0, 1, 0), (1, 0, 0, 1), (2, 0, 0, 0)]:
         c = bench.trial_stream(*other).standard_normal(4)
         assert not np.array_equal(a, c)
+
+
+def _shares_a_window(a, b, width=8):
+    """Whether two raw output sequences have a run of ``width`` in common."""
+    wa = np.lib.stride_tricks.sliding_window_view(a, width)
+    wb = np.lib.stride_tricks.sliding_window_view(b, width)
+    return len(np.unique(np.concatenate((wa, wb)), axis=0)) < len(wa) + len(wb)
+
+
+@pytest.mark.parametrize(
+    "cell, neighbour",
+    [((1, 0, 0), (1, 0, 1)), ((7, 2, 5), (7, 2, 6)), ((1, 0, 0), (1, 1, 0)),
+     ((7, 2, 5), (7, 3, 5))],
+    ids=["trial-0-1", "trial-5-6", "snr-0-1", "snr-2-3"],
+)
+def test_adjacent_cells_streams_do_not_overlap(cell, neighbour):
+    # Philox advances counter word 0 once per four outputs, so a trial index
+    # in word 0 would make trial t + 1's stream trial t's shifted by four
+    n = 10**5
+    raw = [bench.trial_stream(seed, 0, snr, trial).bit_generator.random_raw(n)
+           for seed, snr, trial in (cell, neighbour)]
+    assert not _shares_a_window(*raw)
+    # the check itself sees a shifted copy
+    assert _shares_a_window(raw[0][4:], raw[0][:-4])
+
+
+def test_every_detector_of_a_cell_reads_the_same_channel(monkeypatch):
+    # each trial's channel matrix and received block, in the order run
+    seen = []
+    draw, send = bench.generate_channel, bench.apply_channel
+
+    def generate_channel(*args):
+        real = draw(*args)
+        seen.append([real.h])
+        return real
+
+    def apply_channel(*args):
+        y = send(*args)
+        seen[-1].append(y)
+        return y
+
+    monkeypatch.setattr(bench, "generate_channel", generate_channel)
+    monkeypatch.setattr(bench, "apply_channel", apply_channel)
+    cfg = bench.parse_config(
+        "n_interferers = 1\nce_mode = ls_pilot\nsnr_db = 4,8\ntrials_per_point = 3\n"
+        "symbols_per_trial = 4\ndetectors = mrc,osic,robust-sr-kbest,ml\n"
+    )
+    bench.run_scenario(cfg)
+    cells = len(cfg.snr_grid_db) * cfg.trials_per_point
+    assert len(seen) == len(cfg.detectors) * cells
+    assert all(len(trial) == 2 for trial in seen)
+    # run_scenario runs detector by detector, then SNR, then trial
+    for cell in range(cells):
+        for other in seen[cell + cells :: cells]:
+            assert all(np.array_equal(a, b) for a, b in zip(seen[cell], other))
+    assert not np.array_equal(seen[0][0], seen[1][0])
 
 
 
@@ -289,7 +348,7 @@ def test_trial_stream_is_the_keyed_philox_stream():
     for seed, det_index, snr_index, trial in cases:
         keyed = np.random.Generator(np.random.Philox(
             key=np.array([seed, 0], dtype=np.uint64),
-            counter=np.array([trial, snr_index, det_index, 0], dtype=np.uint64),
+            counter=np.array([0, trial, snr_index, 0], dtype=np.uint64),
         ))
         stream = bench.trial_stream(seed, det_index, snr_index, trial)
         assert _philox_state(stream) == _philox_state(keyed)
@@ -423,14 +482,11 @@ def test_detector_subset_invariance():
 
 
 # Frozen records of small scenarios that run every detector: SHA-256 of
-# csv_bytes. The uncoded digest was recorded with a per-vector search loop;
-# the coded LS-pilot digest was re-recorded when kbest and sr-kbest began
-# to score their lists by list log-MAP on the likelihood (only their rows
-# moved), and again when ml's max-log LLRs over unscaled distances became
-# list log-MAP over every hypothesis (only its rows moved). Batching a
-# search over the uses of a trial, or any other change to a detector's
-# arithmetic or tie rule that moves a decision or an LLR enough to flip a
-# bit, shows here.
+# csv_bytes. All three were re-recorded when each (SNR, trial) cell got its
+# own random stream, shared by the cell's detectors: with the trial index in
+# Philox counter word 0, trial t + 1's stream was trial t's shifted by four
+# outputs. Any change to a detector's arithmetic or tie rule that moves a
+# decision or an LLR enough to flip a bit shows here.
 GOLDEN_UNCODED = """
 n_rx = 8
 n_users = 3
@@ -445,8 +501,7 @@ master_seed = 7
 """
 
 # The zero-interferer draw path: no interferer symbols are drawn for the
-# pilot, covariance or data slots. Recorded before the data block moved onto
-# airlink.apply_channel.
+# pilot, covariance or data slots.
 GOLDEN_NO_INTERFERERS = """
 n_rx = 8
 n_users = 3
@@ -483,9 +538,9 @@ master_seed = 7
 @pytest.mark.parametrize(
     "text, digest",
     [
-        (GOLDEN_UNCODED, "86c0c48d41d9c5eb7582652ad7efbcb017d74cbd20c1a97deb832924b89ac80b"),
-        (GOLDEN_CODED, "81e20f8a76b41d830a1a1d0f9e2f84adbf95697bc0ac9efd3943cc0702296050"),
-        (GOLDEN_NO_INTERFERERS, "06a54108bee0b0b972427a06fe8dc9b4ed5caa9f70420f8dad9a00e3edd385b4"),
+        (GOLDEN_UNCODED, "1d6ed68fc1bfa0ccff1c8e243aaec88c58016d28e10e50e2f82a497dde434716"),
+        (GOLDEN_CODED, "571d7dde41a58ac7526c19829a82aa95da7bd340bdd6ee09794a7c04163774fc"),
+        (GOLDEN_NO_INTERFERERS, "32297467882ad6df8ed60f81d68cd147fa2b271a16fd667204cbd25d17cf6e79"),
     ],
     ids=["uncoded", "coded-ls-pilot", "uncoded-no-interferers"],
 )
