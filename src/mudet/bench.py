@@ -7,16 +7,12 @@ Every (SNR, trial) cell owns a counter-based random stream::
     Generator(Philox(key=[master_seed, 0],
                      counter=[0, trial_index, snr_index, 0]))
 
-with ``snr_index`` the SNR's position in the ascending grid. Philox
-advances only counter word 0 as it draws, so the trial and SNR indices
-in words 1 and 2 keep every cell's stream apart from every other's (the
-counter-as-key layout of Salmon et al., "Parallel random numbers: as easy
-as 1, 2, 3", SC 2011). Every detector of a cell draws the same stream and
-so sees the same channel, estimates, data and noise: common random
-numbers, which pair the detectors' error counts cell by cell. No detector
-draws from the stream, so results are bit-identical no matter how trials
-are ordered, parallelized, or which detector subset runs. Inside a trial
-the stream is consumed in a fixed documented order:
+``snr_index`` is the SNR's position in the ascending grid. Philox advances
+only counter word 0, so no cell's stream runs into another's (Salmon et
+al., SC 2011). Every detector of a cell sees the same draws (common random
+numbers) and none draws from the stream, so results are bit-identical no
+matter how trials are ordered, parallelized, or which detector subset
+runs. Inside a trial the stream is consumed in a fixed documented order:
 
 1. user channel matrix, then interferer matrix;
 2. (``ls_pilot`` only) pilot symbols, pilot interferer symbols, pilot
@@ -395,12 +391,7 @@ def trial_stream(
     master_seed: int, detector_index: int, snr_index: int, trial_index: int
 ) -> np.random.Generator:
     """Counter-based stream of one (SNR, trial) cell; see the module docstring.
-
-    ``detector_index`` does not enter the stream: every detector of a cell
-    draws the same one. :func:`run_scenario` still passes it, since
-    ``perfbench/tracer.py`` wraps this function and keys each trial by
-    ``(detector_index, snr_index, trial_index)``.
-    """
+    ``detector_index`` does not enter it; ``perfbench/tracer.py`` keys trials by it."""
     bits = np.random.Philox(
         _PhiloxKey(np.array([master_seed, 0], dtype=np.uint64)),
         counter=np.array([0, trial_index, snr_index, 0], dtype=np.uint64),
@@ -430,8 +421,7 @@ def _acquire_knowledge(cfg, channel, rng) -> _TrialKnowledge:
     """The receiver's view of the channel: the truth under ``ideal``; under
     ``ls_pilot``, a least-squares ``h_hat`` from ``pilot_count`` slots per
     user, then the covariance of ``covariance_samples`` more slots' residuals,
-    loaded at least to the detectors' noise floor, since noise-free residuals
-    can all be 0."""
+    loaded at least to the noise floor (noise-free residuals can all be 0)."""
     sigma_det = max(channel.sigma_n2, cfg.noise_floor())
     n_rx = cfg.n_rx
     if cfg.ce_mode == "ideal":
