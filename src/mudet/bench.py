@@ -121,9 +121,9 @@ SOFT_LIST_WIDTH = 64
 LLR_CLIP = 8.0
 
 # Most symbol vectors the ml detector may search: a scenario with more
-# rejects ml, and ml searches the uses of a trial in row chunks whose
-# hypotheses number at most this many together, which bounds its memory.
-# It is the 16 x 4 QAM16 space.
+# rejects ml. Every tree search takes the uses of a trial in row chunks
+# whose list entries number at most this many together, which bounds its
+# memory. It is the 16 x 4 QAM16 space.
 ML_GUARD = 2**16
 
 
@@ -164,6 +164,9 @@ class ScenarioConfig:
             raise ConfigValidationError("snr_db", "SNR grid must be non-empty")
         if any(math.isnan(s) or s == -math.inf for s in self.snr_grid_db):
             raise ConfigValidationError("snr_db", "SNR values must be numbers above -inf")
+        if len(set(self.snr_grid_db)) < len(self.snr_grid_db):
+            # each copy would draw its own snr_index stream and record
+            raise ConfigValidationError("snr_db", "an SNR is named twice")
         try:
             top_noise = snr_to_noise_power(min(self.snr_grid_db), self.n_users)
         except OverflowError:
@@ -460,21 +463,30 @@ def _detect_uses(cfg, name: str, cons, know: _TrialKnowledge, y_block, coded: bo
     their best candidate (``best_only``). Coded, every list becomes LLRs by
     list log-MAP (:func:`logmap_llrs`) on its likelihood, and every K-best
     list, hard or soft, comes from :func:`kbest_detect` and its one tie rule.
-    ``ml`` is such a K-best search, wide enough to be exhaustive
-    (:func:`_ml_uses`).
+    ``ml`` is such a K-best search, of width ``size**n_users``, so it cuts
+    no path: uncoded its best leaf is the exhaustive minimum (tied minima go
+    by :func:`kbest_detect`'s rule), and coded its list holds every
+    hypothesis.
 
     Every tree search runs on one plan ``(rotate, sq)``: the sorted QR
     ``sq`` of one channel matrix and the rotation that one product
-    ``y @ rotate.T`` applies to every use. ``osic``, ``kbest`` and
-    ``sr-kbest`` plan on the MMSE-extended channel (:func:`build_extended`).
+    ``y @ rotate.T`` applies to every use. ``kbest``, ``sr-kbest`` and
+    ``ml`` plan on the plain channel, ``sq = sorted_qr(h_hat)`` and
+    ``rotate = sq.q'``, so their metric is ``||y - h_hat x||^2`` up to a
+    per-vector constant, and their LLRs read it over the
+    noise-plus-interference power ``sigma_det + sigma_i2``. ``osic`` plans
+    on the MMSE-extended channel (:func:`build_extended`); its
+    one-candidate list gives every bit ``+/- LLR_MAX`` whatever its metric.
     The robust detector plans on the whitened channel
     (:func:`robust_plan`), where the noise is white with unit variance. Its
     hard decisions come from the sorting-reduced search and its LLRs from a
-    full-expansion :func:`kbest_detect` of width ``SOFT_LIST_WIDTH``, both
-    on ``(sq.r, y_tilde)``. The search metric there is the whitened
-    log-likelihood ``||w (y - h_hat x)||^2`` itself, so its list metrics go
-    to :func:`logmap_llrs` as they are. The other lists' extended-model
-    metrics are turned into negative log-likelihoods first.
+    full-expansion :func:`kbest_detect` of width ``SOFT_LIST_WIDTH``; the
+    whitened metric ``||w (y - h_hat x)||^2`` is a negative log-likelihood
+    as it is.
+
+    Every tree search takes the uses in chunks of ``ML_GUARD // width``
+    rows, ``width`` being its list width, which bounds its memory at any
+    block size; a block of one chunk is searched and returned whole.
     """
     h_hat, r_uu, sigma_det = know.h_hat, know.r_uu, know.sigma_det
 
@@ -497,62 +509,42 @@ def _detect_uses(cfg, name: str, cons, know: _TrialKnowledge, y_block, coded: bo
         robust = name == "robust-sr-kbest"
         if robust:
             rotate, sq = robust_plan(h_hat, r_uu)
-        elif name == "ml":
+        elif name == "osic":
+            rotate, sq = build_extended(h_hat, sigma_det, know.sigma_i2)
+        else:
             sq = sorted_qr(h_hat)
             rotate = sq.q.conj().T
-        else:
-            rotate, sq = build_extended(h_hat, sigma_det, know.sigma_i2)
         # rows checked before the product, which warns on an inf entry
         y_tilde = as_complex_matrix(y_block, "y_block") @ rotate.T
-        if name == "ml":
-            return _ml_uses(sq, y_tilde, cons, coded, sigma_det + know.sigma_i2)
         if name == "osic":
-            cands = osic_detect(sq.r, y_tilde, cons)
+            width = 1
         elif name == "kbest":
-            cands = kbest_detect(sq.r, y_tilde, cfg.kbest_k, cons, best_only=not coded)
-        elif robust and coded:
-            cands = kbest_detect(sq.r, y_tilde, SOFT_LIST_WIDTH, cons)
+            width = cfg.kbest_k
+        elif name == "ml":
+            width = cons.size**cfg.n_users
         else:
-            cands = sr_kbest_detect(sq.r, y_tilde, cfg.sr_params, cons, best_only=not coded)
-        cands = cands.permuted(sq.perm)
-        if not coded:
-            return cands.symbols[:, 0]
-        if robust:
-            return logmap_llrs(cands.symbols, cands.metrics, cons)
-        # the extended metric is ||y - H x||^2 + sigma2 ||x||^2 up to a
-        # per-vector constant; dropping the prior term leaves the likelihood
-        sigma2 = sigma_det + know.sigma_i2
-        energy = (np.abs(cons.points[cands.symbols]) ** 2).sum(axis=-1)
-        return logmap_llrs(cands.symbols, cands.metrics / sigma2 - energy, cons)
+            width = SOFT_LIST_WIDTH if robust and coded else cfg.sr_params.k
+        # the whitened metric is a negative log-likelihood as it is; the
+        # others are squared distances at the noise-plus-interference power
+        sigma2 = 1.0 if robust else sigma_det + know.sigma_i2
+        step = max(1, ML_GUARD // width)
+        out = []
+        for start in range(0, y_tilde.shape[0], step):
+            rows = y_tilde[start : start + step]
+            if name == "osic":
+                cands = osic_detect(sq.r, rows, cons)
+            elif name in ("kbest", "ml") or (robust and coded):
+                cands = kbest_detect(sq.r, rows, width, cons, best_only=not coded)
+            else:
+                cands = sr_kbest_detect(sq.r, rows, cfg.sr_params, cons, best_only=not coded)
+            cands = cands.permuted(sq.perm)
+            if coded:
+                out.append(logmap_llrs(cands.symbols, cands.metrics / sigma2, cons))
+            else:
+                out.append(cands.symbols[:, 0])
+        return out[0] if len(out) == 1 else np.concatenate(out)
 
     raise ValueError(f"unknown detector {name!r}")
-
-
-def _ml_uses(sq, y_tilde, cons, coded: bool, sigma2: float):
-    """Maximum likelihood on the plain channel as a full-width K-best.
-
-    ``sq`` is the sorted QR of ``h_hat`` and ``y_tilde = y @ sq.q.conj()``,
-    so ``||y_tilde - sq.r x||^2`` is ``||y - h_hat x||^2`` up to a
-    per-vector constant. A :func:`kbest_detect` of width ``size**m`` cuts
-    no path. Uncoded, its best leaf (``best_only``) is the exhaustive
-    minimum; tied minima go by :func:`kbest_detect`'s rule, not to the
-    lexicographically smallest vector. Coded, its list holds every
-    hypothesis, and list log-MAP over it, with the metrics divided by the
-    noise-plus-interference power ``sigma2``, is exact. The rows go
-    through in chunks of ``ML_GUARD // size**m``, so the hypotheses of one
-    chunk number at most ``ML_GUARD``.
-    """
-    full = cons.size ** sq.r.shape[0]
-    step = ML_GUARD // full
-    out = []
-    for start in range(0, y_tilde.shape[0], step):
-        rows = y_tilde[start : start + step]
-        cands = kbest_detect(sq.r, rows, full, cons, best_only=not coded).permuted(sq.perm)
-        if coded:
-            out.append(logmap_llrs(cands.symbols, cands.metrics / sigma2, cons))
-        else:
-            out.append(cands.symbols[:, 0])
-    return np.concatenate(out)
 
 
 def _run_trial(cfg, det_name: str, code, snr_db: float, rng) -> tuple[int, int]:

@@ -9,6 +9,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mudet import airlink, bench, numkit
 from mudet import detectors as det
@@ -472,6 +474,64 @@ def test_edge_scenarios_run_or_raise_config_error():
     assert failed == []
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    n_users=st.integers(1, 3),
+    extra_rx=st.integers(0, 3),
+    n_interferers=st.integers(0, 5),
+    rx_correlation=st.one_of(st.sampled_from([0.0, 0.999999]), st.floats(0.0, 1.0)),
+    interferer_power_ratio=st.one_of(st.floats(1e-3, 1e3), st.sampled_from([1e8, 1e16])),
+    snrs=st.lists(
+        st.sampled_from([-20.0, 0.0, 7.5, 60.0, math.inf]), min_size=1, max_size=2, unique=True
+    ),
+    constellation=st.sampled_from(["qpsk", "qam16"]),
+    coded=st.booleans(),
+    ce=st.sampled_from([("ideal", 168), ("ls_pilot", 1), ("ls_pilot", 2), ("ls_pilot", 9)]),
+    trials=st.integers(1, 2),
+    symbols=st.integers(1, 3),
+    detectors=st.lists(st.sampled_from(bench.DETECTOR_NAMES), min_size=1, unique=True),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_tiny_scenarios_keep_the_run_contract(
+    n_users, extra_rx, n_interferers, rx_correlation, interferer_power_ratio, snrs,
+    constellation, coded, ce, trials, symbols, detectors, seed,
+):
+    # only ConfigError escapes; every cell counts 0 <= errors <= bits over
+    # the bits its trials carry; a rerun gives the same bytes, and so does
+    # every detector of a subset run in another order
+    try:
+        cfg = bench.ScenarioConfig(
+            n_rx=n_users + extra_rx, n_users=n_users, n_interferers=n_interferers,
+            rx_correlation=rx_correlation, interferer_power_ratio=interferer_power_ratio,
+            snr_grid_db=tuple(snrs), constellation=constellation, coded=coded,
+            ce_mode=ce[0], covariance_samples=ce[1], pilot_count=1, trials_per_point=trials,
+            symbols_per_trial=symbols, detectors=tuple(detectors), master_seed=seed,
+        )
+        records = bench.run_scenario(cfg)
+    except ConfigError:
+        return
+    bits_per_symbol = 2 if constellation == "qpsk" else 4
+    per_trial = 144 if coded else symbols * n_users * bits_per_symbol
+    assert len(records) == len(detectors) * len(snrs)
+    for rec in records:
+        assert rec.bits == trials * per_trial
+        assert 0 <= rec.bit_errors <= rec.bits
+    assert csv_bytes(bench.run_scenario(cfg)) == csv_bytes(records)
+    subset = dataclasses.replace(cfg, detectors=tuple(detectors[::-2]))
+    by_cell = {(r.detector, r.snr_db): bench.format_record(r) for r in records}
+    for rec in bench.run_scenario(subset):
+        assert bench.format_record(rec) == by_cell[rec.detector, rec.snr_db]
+
+
+def test_repeated_snr_is_rejected():
+    # each copy of an SNR would draw its own snr_index streams and record
+    # the one cell twice, with different counts
+    for grid in [(4.0, 4.0), (0.0, -0.0), (math.inf, 8.0, math.inf)]:
+        with pytest.raises(ConfigValidationError) as err:
+            bench.ScenarioConfig(snr_grid_db=grid, detectors=("mmse-irc",))
+        assert err.value.key == "snr_db"
+
+
 def test_detector_subset_invariance():
     # removing detectors from the list must not change the draws of the rest
     base = "snr_db = 6\ntrials_per_point = 2\nsymbols_per_trial = 4\n"
@@ -482,11 +542,10 @@ def test_detector_subset_invariance():
 
 
 # Frozen records of small scenarios that run every detector: SHA-256 of
-# csv_bytes. All three were re-recorded when each (SNR, trial) cell got its
-# own random stream, shared by the cell's detectors: with the trial index in
-# Philox counter word 0, trial t + 1's stream was trial t's shifted by four
-# outputs. Any change to a detector's arithmetic or tie rule that moves a
-# decision or an LLR enough to flip a bit shows here.
+# csv_bytes. All three were last re-recorded when kbest and sr-kbest moved
+# from the MMSE-extended channel to the plain one, sorted_qr(h_hat); only
+# their rows changed. Any change to a detector's arithmetic or tie rule
+# that moves a decision or an LLR enough to flip a bit shows here.
 GOLDEN_UNCODED = """
 n_rx = 8
 n_users = 3
@@ -538,9 +597,9 @@ master_seed = 7
 @pytest.mark.parametrize(
     "text, digest",
     [
-        (GOLDEN_UNCODED, "1d6ed68fc1bfa0ccff1c8e243aaec88c58016d28e10e50e2f82a497dde434716"),
-        (GOLDEN_CODED, "571d7dde41a58ac7526c19829a82aa95da7bd340bdd6ee09794a7c04163774fc"),
-        (GOLDEN_NO_INTERFERERS, "32297467882ad6df8ed60f81d68cd147fa2b271a16fd667204cbd25d17cf6e79"),
+        (GOLDEN_UNCODED, "ce55548fad314bdbd967af28149397ab370ad367e5aa5ce45f4cc176e6e89252"),
+        (GOLDEN_CODED, "647a50f041fc277bd79f4c146f45708f11f2e94b240b9eb496c07a785007024e"),
+        (GOLDEN_NO_INTERFERERS, "74fc94409d4a0a5f60a933d767f97348f5ba4ee9ce0c60f13d7b248fe2b730eb"),
     ],
     ids=["uncoded", "coded-ls-pilot", "uncoded-no-interferers"],
 )
@@ -606,7 +665,9 @@ def test_workload_sorted_qrs_take_the_gram_order(monkeypatch, workload):
 
 def test_hard_only_uses_permute_the_best_candidate_like_the_whole_list(qam16):
     # each tree search's uncoded output is the best candidate of the list in
-    # user order; ties, repeated sorted-QR norms and strided rows included
+    # user order, on its own plan (osic extended, kbest and sr-kbest plain,
+    # robust whitened); ties, repeated sorted-QR norms and strided rows
+    # included
     rng = np.random.default_rng(61)
     cfg = bench.ScenarioConfig(n_rx=8, n_users=4)
     for trial in range(30):
@@ -621,13 +682,16 @@ def test_hard_only_uses_permute_the_best_candidate_like_the_whole_list(qam16):
         )
         y[2] = 0.0
         y = np.asfortranarray(y) if trial % 2 else y
-        rotate, sq = det.build_extended(h, know.sigma_det, know.sigma_i2)
-        y_tilde = y @ rotate.T
+        ext_rotate, ext = det.build_extended(h, know.sigma_det, know.sigma_i2)
+        plain = numkit.sorted_qr(h)
+        y_plain = y @ plain.q.conj()
         robust_rotate, robust = det.robust_plan(h, r_uu)
         lists = {
-            "osic": (det.osic_detect(sq.r, y_tilde, qam16), sq.perm),
-            "kbest": (det.kbest_detect(sq.r, y_tilde, cfg.kbest_k, qam16), sq.perm),
-            "sr-kbest": (det.sr_kbest_detect(sq.r, y_tilde, cfg.sr_params, qam16), sq.perm),
+            "osic": (det.osic_detect(ext.r, y @ ext_rotate.T, qam16), ext.perm),
+            "kbest": (det.kbest_detect(plain.r, y_plain, cfg.kbest_k, qam16), plain.perm),
+            "sr-kbest": (
+                det.sr_kbest_detect(plain.r, y_plain, cfg.sr_params, qam16), plain.perm
+            ),
             "robust-sr-kbest": (
                 det.sr_kbest_detect(robust.r, y @ robust_rotate.T, cfg.sr_params, qam16),
                 robust.perm,
@@ -636,6 +700,107 @@ def test_hard_only_uses_permute_the_best_candidate_like_the_whole_list(qam16):
         for name, (cands, perm) in lists.items():
             hard = bench._detect_uses(cfg, name, qam16, know, y, coded=False)
             assert np.array_equal(hard, cands.permuted(perm).symbols[:, 0]), name
+
+
+def _spy(calls, name, func):
+    def wrapper(*args, **kwargs):
+        out = func(*args, **kwargs)
+        calls.append((name, args, out))
+        return out
+    return wrapper
+
+
+@pytest.mark.parametrize("coded", [False, True], ids=["uncoded", "coded"])
+@pytest.mark.parametrize("name", ["osic", "kbest", "sr-kbest", "ml"])
+def test_plain_lists_plan_on_the_sorted_qr_of_h_hat(qam16, monkeypatch, name, coded):
+    # kbest, sr-kbest and ml search ||y - h_hat x||^2 on sorted_qr(h_hat)
+    # and its rotation, and their LLRs read the metrics over sigma_det +
+    # sigma_i2; only osic plans on the MMSE extension
+    calls = []
+    for fname, module in [
+        ("sorted_qr", numkit), ("build_extended", det), ("osic_detect", det),
+        ("kbest_detect", det), ("sr_kbest_detect", det), ("logmap_llrs", det),
+    ]:
+        monkeypatch.setattr(bench, fname, _spy(calls, fname, getattr(module, fname)))
+    rng = np.random.default_rng(2801)
+    cfg = bench.ScenarioConfig(n_rx=8, n_users=3)
+    h = crandn(rng, 8, 3)
+    know = bench._TrialKnowledge(h_hat=h, r_uu=np.eye(8), sigma_det=0.5, sigma_i2=0.3)
+    y = qam16.points[rng.integers(0, 16, (5, 3))] @ h.T + 0.6 * crandn(rng, 5, 8)
+    bench._detect_uses(cfg, name, qam16, know, y, coded)
+    plans = [(fname, args) for fname, args, _ in calls if fname in ("sorted_qr", "build_extended")]
+    if name == "osic":
+        assert plans == [("build_extended", (h, 0.5, 0.3))]
+        sq = det.build_extended(h, 0.5, 0.3)[1]
+    else:
+        assert len(plans) == 1 and plans[0][0] == "sorted_qr" and plans[0][1][0] is h
+        sq = numkit.sorted_qr(h)
+        (search,) = [c for c in calls if c[0].endswith("_detect")]
+        assert np.array_equal(search[1][0], sq.r)
+        assert np.array_equal(search[1][1], y @ sq.q.conj())
+    if coded and name != "osic":
+        (llr,) = [c for c in calls if c[0] == "logmap_llrs"]
+        assert np.array_equal(llr[1][1], search[2].metrics / 0.8)
+
+
+@pytest.mark.parametrize(
+    "name, coded, width",
+    [
+        ("osic", False, 1), ("osic", True, 1), ("kbest", False, 16), ("kbest", True, 16),
+        ("sr-kbest", False, 16), ("sr-kbest", True, 16), ("robust-sr-kbest", False, 16),
+        ("robust-sr-kbest", True, bench.SOFT_LIST_WIDTH), ("ml", False, 256), ("ml", True, 256),
+    ],
+)
+def test_chunked_searches_match_the_whole_block(qam16, monkeypatch, name, coded, width):
+    # every tree search takes its rows in chunks of ML_GUARD // width; each
+    # row is searched as it would be alone, so the chunks move no output bit
+    rng = np.random.default_rng(2802)
+    cfg = bench.ScenarioConfig(n_rx=6, n_users=2)
+    h = crandn(rng, 6, 2)
+    g = crandn(rng, 6, 2)
+    know = bench._TrialKnowledge(
+        h_hat=h, r_uu=g @ g.conj().T + 0.4 * np.eye(6), sigma_det=0.4, sigma_i2=0.2
+    )
+    y = qam16.points[rng.integers(0, 16, (10, 2))] @ h.T + 0.6 * crandn(rng, 10, 6)
+    y[4] = 0.0
+    whole = bench._detect_uses(cfg, name, qam16, know, y, coded)
+    calls = []
+    for fname in ("osic_detect", "kbest_detect", "sr_kbest_detect"):
+        monkeypatch.setattr(bench, fname, _spy(calls, fname, getattr(det, fname)))
+    monkeypatch.setattr(bench, "ML_GUARD", 3 * width)
+    chunked = bench._detect_uses(cfg, name, qam16, know, y, coded)
+    assert [args[1].shape[0] for _, args, _ in calls] == [3, 3, 3, 1]
+    assert np.array_equal(chunked, whole)
+
+
+def test_kbest_wider_than_the_guard_searches_row_by_row():
+    # a kbest.k above ML_GUARD takes one row per chunk; 2 x 2 QAM16 has 256
+    # hypotheses, so any k >= 16 gives the same best leaf
+    base = "n_rx = 2\nn_users = 2\nsnr_db = 6\ntrials_per_point = 2\nsymbols_per_trial = 3\n"
+    base += "detectors = kbest\n"
+    wide = bench.run_scenario(bench.parse_config(base + f"kbest.k = {2 * bench.ML_GUARD}\n"))
+    narrow = bench.run_scenario(bench.parse_config(base + "kbest.k = 16\n"))
+    assert csv_bytes(wide) == csv_bytes(narrow)
+
+
+@pytest.mark.parametrize("name", ["kbest", "sr-kbest"])
+def test_tree_search_memory_is_bounded_at_any_block_size(qam16, name):
+    # 20,000 uses of 16 x 4 QAM16 searched as one block peaked at 94 (kbest)
+    # and 103 MiB (sr-kbest); in chunks of ML_GUARD // 16 rows about 21-26
+    rng = np.random.default_rng(2803)
+    cfg = bench.ScenarioConfig()
+    h = crandn(rng, 16, 4)
+    know = bench._TrialKnowledge(h_hat=h, r_uu=np.eye(16), sigma_det=0.5, sigma_i2=0.0)
+    y = qam16.points[rng.integers(0, 16, (20_000, 4))] @ h.T + 0.7 * crandn(rng, 20_000, 16)
+    for coded in (False, True):
+        tracemalloc.start()
+        try:
+            out = bench._detect_uses(cfg, name, qam16, know, y, coded)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (20_000, 16 if coded else 4)
+        assert peak < 40 * 2**20
 
 
 @pytest.mark.parametrize("name", ["osic", "kbest", "sr-kbest", "robust-sr-kbest", "ml"])
@@ -669,8 +834,7 @@ def _exhaustive_logmap(h, y, sigma2, cons):
 @pytest.mark.parametrize("kind, k", [("qpsk", 16), ("qam16", 256)])
 def test_coded_kbest_llrs_are_exhaustive_logmap(kind, k):
     # a list of every hypothesis gives exact log-MAP on the likelihood of
-    # y = H x + noise of power sigma_det + sigma_i2; QPSK vectors all carry
-    # the same energy, so only QAM16 shows the extended model's prior term
+    # y = H x + noise of power sigma_det + sigma_i2
     cons = airlink.build_constellation(kind)
     rng = np.random.default_rng(63)
     cfg = bench.ScenarioConfig(n_rx=6, n_users=2, constellation=kind, kbest_k=k)
