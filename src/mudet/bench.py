@@ -337,7 +337,7 @@ def parse_config(text: str) -> ScenarioConfig:
     """Parse ``key=value`` lines (``#`` comments) into a validated config.
 
     Omitted keys take the documented desk-scale defaults; an empty file is
-    a valid scenario.
+    a valid scenario. A key set twice raises, naming both lines.
     """
     raw: dict[str, tuple[str, int]] = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -353,6 +353,9 @@ def parse_config(text: str) -> ScenarioConfig:
             raise ConfigParseError(line_no, "empty key or value")
         if key not in _KEYS:
             raise ConfigValidationError(key, "unknown configuration key")
+        if key in raw:
+            first = raw[key][1]
+            raise ConfigParseError(line_no, f"{key} is set twice (lines {first} and {line_no})")
         raw[key] = (value, line_no)
 
     values: dict = {}

@@ -27,16 +27,16 @@ rotated input ``y_tilde``, every row is searched exactly as it would be
 alone: each selection along the last axis
 returns what a stable sort of that row would, so ties resolve the same way
 at any batch size. Every selection of a search (the per-parent ranking of
-a partial-expansion or scheduled layer, each survivor and pool cut, and
-the final order) goes through :func:`_smallest`: a large input is ranked
+a scheduled layer, each survivor and pool cut, and the final order) goes
+through :func:`_smallest`: a large input is ranked
 by one value sort of packed (metric, index) keys, and the stable argsort
 decides when two of the kept metrics lie within a few ulps of each other.
 Rows of ``_PARTITION_MIN`` entries or more (the 1024-child cuts of a
 width-64 QAM16 soft list) are partitioned in place at the cut and only
 their head is sorted: the packed keys are unique, so the head holds the
-same keys in the same order as a full sort. A full-expansion K-best
-layer cuts its unsorted children, so its ties go to the lower survivor
-index, then to the lower constellation index. A
+same keys in the same order as a full sort. A K-best layer expands every
+survivor and cuts its unsorted children, so its ties go to the lower
+survivor index, then to the lower constellation index. A
 scheduled sorting-reduced layer gathers only the children its schedule
 reads. With ``best_only=True`` the K-best and sorting-reduced searches
 return ``full[:, :1]`` of their list, bit for bit, without building the
@@ -346,45 +346,34 @@ def _best_leaf(r, y_tilde, symbols, metrics, cons):
     return CandidateList(symbols=out[:, None], metrics=low[:, None])
 
 
-def _kbest_step(r, y_tilde, layer, symbols, metrics, cons, expand, keep):
-    """One breadth-first layer: expand each parent, keep the best sorted.
+def _kbest_step(r, y_tilde, layer, symbols, metrics, cons, keep):
+    """One breadth-first layer: expand each parent fully, keep the best sorted.
 
     ``symbols (B, K, m)`` and ``metrics (B, K)`` in, the ``keep`` best
-    children of each row out. Only a partial expansion sorts each parent's
-    children; a full one cuts the unsorted children directly.
+    children of each row out. The unsorted children are cut directly.
     """
     n_vec, _, m = symbols.shape
     inc = _layer_increments(r, y_tilde, layer, symbols, cons)
-    full = expand == cons.size
-    if not full:
-        order = _smallest(inc, expand)
-        inc = np.take_along_axis(inc, order, axis=-1)
     inc += metrics[:, :, None]
     flat = inc.reshape(n_vec, -1)
-    # flat index of each kept child; its parent's flat index is that // expand
+    # flat index of each kept child; its parent's flat index is that // size
     child = _smallest(flat, keep) + np.arange(n_vec)[:, None] * flat.shape[1]
-    parent = child // expand
+    parent = child // cons.size
     out = symbols.reshape(-1, m).take(parent, axis=0)
-    out[:, :, layer] = child - parent * expand if full else order.take(child)
+    out[:, :, layer] = child - parent * cons.size
     return out, flat.take(child)
 
 
 def kbest_detect(
-    r, y_tilde, k: int, cons: Constellation, expand: int | None = None,
-    best_only: bool = False,
+    r, y_tilde, k: int, cons: Constellation, *, best_only: bool = False
 ) -> CandidateList:
     """Breadth-first K-best search on an upper-triangular system.
 
-    The root layer enumerates every constellation point; from the second
-    layer on, each survivor spawns its ``expand`` best children in
-    Schnorr-Euchner order (ascending per-layer distance) and the ``k``
-    smallest accumulated distances survive. The returned list is sorted
-    ascending by metric. Ties in a layer go to the lower survivor index
-    (its position in the previous layer's sorted list), then to the lower
-    constellation index. With ``expand`` below the constellation size the
-    children of one survivor are ranked by per-layer distance first, then
-    by constellation index, and a tie between two of them goes to that
-    rank; with full expansion no child is ranked before the cut, so two
+    Each layer expands every survivor into every constellation point, and
+    the ``k`` smallest accumulated distances survive. The returned list is
+    sorted ascending by metric. Ties in a layer go to the lower survivor
+    index (its position in the previous layer's sorted list), then to the
+    lower constellation index; no child is ranked before the cut, so two
     children of one survivor whose accumulated metrics round to the same
     value go to the lower constellation index even when their per-layer
     distances differ. Each row of ``y_tilde (B, m)`` is searched against
@@ -397,19 +386,14 @@ def kbest_detect(
     """
     r, y_tilde = _triangular_system(r, y_tilde)
     m = r.shape[0]
-    if expand is None:
-        expand = cons.size
-    if not 1 <= expand <= cons.size:
-        raise ValueError("expand must be in [1, constellation size]")
     if k < 1:
         raise ValueError("k must be >= 1")
     n_vec = y_tilde.shape[0]
     symbols = np.zeros((n_vec, 1, m), dtype=np.int64)
     metrics = np.zeros((n_vec, 1))
     for layer in range(m - 1, -1, -1):
-        eff = cons.size if layer == m - 1 else expand
         keep = 1 if best_only and layer == 0 else k
-        symbols, metrics = _kbest_step(r, y_tilde, layer, symbols, metrics, cons, eff, keep)
+        symbols, metrics = _kbest_step(r, y_tilde, layer, symbols, metrics, cons, keep)
     return CandidateList(symbols=symbols, metrics=metrics)
 
 
@@ -474,9 +458,8 @@ def sr_kbest_detect(
     for layer in range(m - 1, -1, -1):
         last = best_only and layer == 0
         if symbols.shape[1] < params.k:
-            symbols, metrics = _kbest_step(
-                r, y_tilde, layer, symbols, metrics, cons, cons.size, 1 if last else params.k
-            )
+            keep = 1 if last else params.k
+            symbols, metrics = _kbest_step(r, y_tilde, layer, symbols, metrics, cons, keep)
             continue
         if last:
             reach = params.leaf_parents
@@ -494,8 +477,9 @@ def osic_detect(r, y_tilde, cons: Constellation) -> CandidateList:
 
     Starts at the last (strongest) layer of the sorted triangular system,
     slices each residual to the nearest constellation point and cancels
-    it: the list of :func:`kbest_detect` with ``k = 1`` and ``expand = 1``,
-    one candidate in layer order with its squared distance. Searches the
+    it: the list of :func:`kbest_detect` with ``k = 1`` (the best child of
+    the one survivor is the nearest point to its residual), one candidate
+    in layer order with its squared distance. Searches the
     rows of ``y_tilde (B, m)`` as :func:`kbest_detect` does.
     """
     r, y_tilde = _triangular_system(r, y_tilde)

@@ -89,7 +89,8 @@ master_seed = {MASTER_SEED}
 """
 
 # C12: the coded sorting-reduced search stays near full-sort K-best, both
-# scoring their lists by list log-MAP on the extended model's likelihood.
+# planning on the sorted QR of the channel estimate, sorted_qr(h_hat), and
+# scoring their lists by list log-MAP on metrics / (sigma_det + sigma_i2).
 # The 1.25 bound was fixed before the first run on this seed.
 CODED_SR_SCENARIO = f"""
 n_rx = 16
@@ -148,7 +149,7 @@ def test_c01_kbest_matches_ml_exactly():
         h = complex_randn(rng, 8, 2)
         y = h @ QAM16.points[rng.integers(0, 16, 2)] + 0.35 * complex_randn(rng, 8)
         sq = sorted_qr(h)
-        cl = det.kbest_detect(sq.r, (sq.q.conj().T @ y)[None], 256, QAM16, expand=16)
+        cl = det.kbest_detect(sq.r, (sq.q.conj().T @ y)[None], 256, QAM16)
         cl = cl.permuted(sq.perm)
         hard = exhaustive_search(h, y[None], QAM16)[0]
         if not np.array_equal(cl.symbols[0, 0], hard[0]):
@@ -283,7 +284,7 @@ def test_c07_osic_equals_kbest_k1():
         rotate, sq = det.build_extended(h, 0.09, 0.0)
         y_tilde = y[None] @ rotate.T
         osic = det.osic_detect(sq.r, y_tilde, QAM16)
-        kb = det.kbest_detect(sq.r, y_tilde, 1, QAM16, expand=1)
+        kb = det.kbest_detect(sq.r, y_tilde, 1, QAM16)
         if not np.array_equal(osic.symbols, kb.symbols):
             mismatches += 1
     _report("C7 OSIC = K-best(1)", mismatches == 0, f"{1000 - mismatches}/1000 identical")

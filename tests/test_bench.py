@@ -39,6 +39,15 @@ def test_comments_and_blank_lines():
 BAD_SNR_RANGES = ["0:inf:1", "-inf:0:1", "1e308:1.7e308:1e-300", "0:1e300:1", "0:10000:1"]
 
 
+def test_key_set_twice_is_a_parse_error():
+    # a second value must not silently replace the first
+    with pytest.raises(ConfigParseError, match=r"n_rx is set twice \(lines 1 and 3\)") as err:
+        bench.parse_config("n_rx = 8\nn_users = 2\nn_rx = 16\n")
+    assert err.value.line_no == 3
+    with pytest.raises(ConfigParseError, match="sr.q is set twice"):
+        bench.parse_config("sr.q =\n# again\nsr.q = 1\n")
+
+
 def test_parse_error_carries_line_number():
     with pytest.raises(ConfigParseError) as err:
         bench.parse_config("n_rx = 8\nnot a pair\n")
@@ -127,13 +136,13 @@ def test_lowest_accepted_snr_runs_every_detector(extra):
 
 @pytest.mark.parametrize(
     "extra",
-    ["", "snr_db = inf\n", "coded = true\nce_mode = ls_pilot\n"],
+    ["snr_db = 10\n", "snr_db = inf\n", "snr_db = 10\ncoded = true\nce_mode = ls_pilot\n"],
     ids=["uncoded", "noiseless", "coded"],
 )
 def test_largest_accepted_interferer_power_runs_every_detector(extra):
     # run under the suite's RuntimeWarning-as-error filter, as above
     text = (
-        "n_rx = 4\nn_users = 2\nn_interferers = 1\nrx_correlation = 0.5\nsnr_db = 10\n"
+        "n_rx = 4\nn_users = 2\nn_interferers = 1\nrx_correlation = 0.5\n"
         f"detectors = {','.join(bench.DETECTOR_NAMES)}\n"
         "trials_per_point = 3\nsymbols_per_trial = 2\n" + extra
     )

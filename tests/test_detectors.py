@@ -169,7 +169,7 @@ def test_osic_equals_kbest_k1(qam16):
         y = h @ qam16.points[rng.integers(0, 16, 4)] + 0.3 * crandn(rng, 8)
         sq, y_tilde = extended_triangle(h, y[None], 0.09)
         out = det.osic_detect(sq.r, y_tilde, qam16)
-        cl = det.kbest_detect(sq.r, y_tilde, 1, qam16, expand=1)
+        cl = det.kbest_detect(sq.r, y_tilde, 1, qam16)
         assert np.array_equal(out.symbols, cl.symbols)
         assert np.isclose(out.metrics[0, 0], cl.metrics[0, 0], rtol=1e-12, atol=1e-12)
 
@@ -180,7 +180,7 @@ def test_osic_equals_kbest_k1(qam16):
 def test_kbest_identity_channel_is_slicing(qam16):
     rng = np.random.default_rng(8)
     y = crandn(rng, 4)
-    cl = det.kbest_detect(np.eye(4), y[None], 1, qam16, expand=1)
+    cl = det.kbest_detect(np.eye(4), y[None], 1, qam16)
     assert np.array_equal(cl.symbols[0, 0], qam16.nearest(y))
 
 
@@ -191,7 +191,7 @@ def test_kbest_exhaustive_equals_ml(qam16):
         y = h @ qam16.points[rng.integers(0, 16, 2)] + 0.2 * crandn(rng, 4)
         q, r, _ = sorted_factors(h)
         y_tilde = (q.conj().T @ y)[None]
-        cl = det.kbest_detect(r, y_tilde, 256, qam16, expand=16)
+        cl = det.kbest_detect(r, y_tilde, 256, qam16)
         hard, metric = exhaustive_search(r, y_tilde, qam16)
         assert np.array_equal(cl.symbols[0, 0], hard[0])
         assert abs(cl.metrics[0, 0] - metric[0]) < 1e-9
@@ -204,7 +204,7 @@ def test_kbest_exhaustive_equals_ml_qpsk_four_users(qpsk):
         y = h @ qpsk.points[rng.integers(0, 4, 4)] + 0.3 * crandn(rng, 6)
         q, r, _ = sorted_factors(h)
         y_tilde = (q.conj().T @ y)[None]
-        cl = det.kbest_detect(r, y_tilde, 256, qpsk, expand=4)
+        cl = det.kbest_detect(r, y_tilde, 256, qpsk)
         hard = exhaustive_search(r, y_tilde, qpsk)[0]
         assert np.array_equal(cl.symbols[0, 0], hard[0])
 
@@ -225,8 +225,18 @@ def test_kbest_output_sorted(qam16):
     h = crandn(rng, 6, 3)
     y = crandn(rng, 6)
     q, r, _ = sorted_factors(h)
-    cl = det.kbest_detect(r, (q.conj().T @ y)[None], 16, qam16, expand=4)
+    cl = det.kbest_detect(r, (q.conj().T @ y)[None], 16, qam16)
     assert cl.metrics.shape == (1, 16) and np.all(np.diff(cl.metrics[0]) >= 0)
+
+
+def test_kbest_takes_best_only_by_keyword(qam16):
+    # every child is expanded; a stale positional expand must not turn on
+    # best_only
+    r = np.eye(2, dtype=complex)
+    with pytest.raises(TypeError):
+        det.kbest_detect(r, np.zeros((1, 2), dtype=complex), 16, qam16, 4)
+    with pytest.raises(TypeError):
+        det.kbest_detect(r, np.zeros((1, 2), dtype=complex), 16, qam16, expand=4)
 
 
 def _smallest_input(family, shape, rng):
@@ -398,23 +408,6 @@ def test_full_expansion_matches_sorted_children(qpsk, qam16, k):
         assert np.array_equal(cl.metrics, metrics)
 
 
-@pytest.mark.parametrize("zero_rows", [False, True])
-def test_partial_expansion_matches_sorted_children(qpsk, qam16, zero_rows):
-    # 60 rows: the per-parent ranking and the cut are large enough for keys
-    rng = np.random.default_rng(43)
-    for cons, m, expand in ((qam16, 4, 4), (qam16, 5, 2), (qpsk, 6, 3)):
-        h = crandn(rng, m + 2, m)
-        q, r, _ = sorted_factors(h)
-        x = cons.points[rng.integers(0, cons.size, (60, m))]
-        y_tilde = (x @ h.T + 0.5 * crandn(rng, 60, m + 2)) @ q.conj()
-        if zero_rows:
-            y_tilde[::5] = 0.0
-        cl = det.kbest_detect(r, y_tilde, 16, cons, expand)
-        symbols, metrics = _sorted_children_kbest(r, y_tilde, 16, cons, expand)
-        assert np.array_equal(cl.symbols, symbols)
-        assert np.array_equal(cl.metrics, metrics)
-
-
 @pytest.mark.parametrize("k", [1, 3, 16, 40, 64])
 def test_full_expansion_tie_rule(qpsk, qam16, k):
     # y = 0: every layer is full of exact ties, at the cut as well
@@ -549,9 +542,9 @@ def test_sr_degenerate_reduces_to_kbest(qam16, qpsk):
             q, r, _ = sorted_factors(h)
             y_tilde = (q.conj().T @ y)[None]
             a = det.sr_kbest_detect(r, y_tilde, degen, cons)
-            b = det.kbest_detect(r, y_tilde, k, cons, expand=1)
-            assert np.array_equal(a.symbols, b.symbols)
-            assert np.allclose(a.metrics, b.metrics)
+            symbols, metrics = _sorted_children_kbest(r, y_tilde, k, cons, expand=1)
+            assert np.array_equal(a.symbols, symbols)
+            assert np.allclose(a.metrics, metrics)
 
 
 def test_sr_never_beats_exhaustive_search(qpsk):
@@ -580,9 +573,9 @@ def test_sr_dominance_and_equality_rate_vs_kbest(qam16):
         q, r, _ = sorted_factors(h)
         y_tilde = (q.conj().T @ y)[None]
         sr = det.sr_kbest_detect(r, y_tilde, params, qam16)
-        kb = det.kbest_detect(r, y_tilde, 16, qam16, expand=4)
-        assert sr.metrics[0, 0] >= kb.metrics[0, 0] - 1e-9
-        if abs(sr.metrics[0, 0] - kb.metrics[0, 0]) < 1e-9:
+        kb = _sorted_children_kbest(r, y_tilde, 16, qam16, expand=4)[1]
+        assert sr.metrics[0, 0] >= kb[0, 0] - 1e-9
+        if abs(sr.metrics[0, 0] - kb[0, 0]) < 1e-9:
             equal += 1
     assert equal >= 0.9 * n_trials
 
@@ -718,9 +711,6 @@ LEAF_SEARCHES = {
     "kbest-full": lambda r, y, cons, best_only: det.kbest_detect(
         r, y, 16, cons, best_only=best_only
     ),
-    "kbest-partial": lambda r, y, cons, best_only: det.kbest_detect(
-        r, y, 16, cons, expand=2, best_only=best_only
-    ),
     **{
         f"sr-{name}": (
             lambda r, y, cons, best_only, params=params: det.sr_kbest_detect(
@@ -776,14 +766,13 @@ def test_batched_searches_equal_row_by_row(qpsk, qam16, n_vec, m, use_qpsk, k, z
     rotate, sq = det.build_extended(h, 0.25, 0.0)
     y_tilde = y @ rotate.T
     params = det.SrKBestParams.default_16_4()
-    expand = min(4, cons.size)
-    kb = det.kbest_detect(sq.r, y_tilde, k, cons, expand)
+    kb = det.kbest_detect(sq.r, y_tilde, k, cons)
     sr = det.sr_kbest_detect(sq.r, y_tilde, params, cons)
     os_ = det.osic_detect(sq.r, y_tilde, cons)
     assert kb.symbols.shape[0] == sr.symbols.shape[0] == os_.symbols.shape[0] == n_vec
     for t in range(n_vec):
         row = y_tilde[t, None]
-        one = det.kbest_detect(sq.r, row, k, cons, expand)
+        one = det.kbest_detect(sq.r, row, k, cons)
         assert np.array_equal(kb.symbols[t], one.symbols[0])
         assert np.array_equal(kb.metrics[t], one.metrics[0])
         one = det.sr_kbest_detect(sq.r, row, params, cons)
