@@ -249,28 +249,27 @@ def apply_channel(
     return y + np.sqrt(real.sigma_n2) * noise
 
 
-def estimate_channel(pilot_users, pilot_symbols, y_pilots, n_users: int) -> ChannelEstimate:
-    """Least-squares channel estimate from per-user orthogonal (time-division) pilots.
+def estimate_channel(x_pilots, y_pilots) -> ChannelEstimate:
+    """Least-squares channel estimate from orthogonal (time-division) pilots.
 
-    ``pilot_users[t]`` names the single user of ``range(n_users)`` that
-    transmits the known symbol ``pilot_symbols[t]`` in slot ``t``, and
-    ``y_pilots[:, t]`` is the received vector. Each user's column is the
-    least-squares fit over its own slots; ``error_var`` is the mean
-    per-antenna residual power over all pilot slots.
+    ``x_pilots`` is the ``(T, n_users)`` block of known pilot symbols, one
+    non-zero entry per slot (the one user that sounds in it), and
+    ``y_pilots`` the ``(T, n_rx)`` received rows, as :func:`apply_channel`
+    returns them. Each user's column is the least-squares fit over its own
+    slots, ``y^T x^* / sum |x|^2``; ``error_var`` is the mean per-antenna
+    residual power over all pilot slots.
     """
-    pilot_users = np.asarray(pilot_users)
-    pilot_symbols = np.asarray(pilot_symbols, dtype=complex)
-    y_pilots = as_complex_matrix(y_pilots, "y_pilots")
-    if y_pilots.shape[1] != pilot_users.size or pilot_symbols.shape != pilot_users.shape:
-        raise DimensionMismatchError("need one pilot user, symbol and y_pilots column per slot")
-    h_hat = np.zeros((y_pilots.shape[0], n_users), dtype=complex)
-    for u in range(n_users):
-        slots = np.flatnonzero(pilot_users == u)
-        if slots.size == 0:
-            raise InsufficientPilotsError(f"user {u} has no pilot observations")
-        s = pilot_symbols[slots]
-        h_hat[:, u] = (y_pilots[:, slots] @ s.conj()) / np.sum(np.abs(s) ** 2)
-    resid = y_pilots - h_hat[:, pilot_users] * pilot_symbols
+    x = as_complex_matrix(x_pilots, "x_pilots")
+    y = as_complex_matrix(y_pilots, "y_pilots")
+    if y.shape[0] != x.shape[0]:
+        raise DimensionMismatchError("need one x_pilots row per y_pilots row")
+    if np.any(np.count_nonzero(x, axis=1) > 1):
+        raise ValueError("a pilot slot has two sounding users")
+    energy = np.sum(np.abs(x) ** 2, axis=0)
+    if not energy.all():
+        raise InsufficientPilotsError(f"user {energy.argmin()} has no pilot observations")
+    h_hat = (y.T @ x.conj()) / energy
+    resid = y - x @ h_hat.T
     error_var = float(np.mean(np.abs(resid) ** 2))
     return ChannelEstimate(h_hat=h_hat, error_var=error_var)
 
@@ -278,7 +277,7 @@ def estimate_channel(pilot_users, pilot_symbols, y_pilots, n_users: int) -> Chan
 def estimate_covariance(residuals, floor: float = 0.0) -> np.ndarray:
     """Sample interference+noise covariance with diagonal loading.
 
-    ``residuals`` holds reference-signal residuals ``y - h_hat * x``, one
+    ``residuals`` holds reference-signal residuals ``y - x h_hat^T``, one
     per row, ``(n_samples, n_rx)``; a 1-D input raises. Returns the
     Hermitian ``(n_rx, n_rx)`` estimate with ``COV_LOADING_REL * trace /
     n_rx``, or ``floor`` if that is larger, added to its diagonal after

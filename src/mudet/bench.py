@@ -19,6 +19,10 @@ runs. Inside a trial the stream is consumed in a fixed documented order:
    noise; covariance-slot symbols, interferer symbols, noise;
 3. data bits (or the coded message), interferer data symbols, data noise.
 
+Every received block, pilot, covariance or data, is formed by
+:func:`~mudet.airlink.apply_channel`, which draws its noise as one
+``(slots, n_rx)`` block.
+
 SNR definition
 --------------
 ``snr_db`` is the expected per-receive-antenna power of the target users
@@ -56,7 +60,6 @@ from .airlink import (
     ChannelConfig,
     apply_channel,
     build_constellation,
-    complex_randn,
     estimate_channel,
     estimate_covariance,
     generate_channel,
@@ -434,25 +437,28 @@ def _acquire_knowledge(cfg, channel, rng) -> _TrialKnowledge:
         h_hat = channel.h
         r_uu = channel.g @ channel.g.conj().T + sigma_det * np.eye(n_rx)
     else:
-        users, symbols, y = _reference_slots(cfg, channel, rng, cfg.pilot_count * cfg.n_users)
-        h_hat = estimate_channel(users, symbols, y, cfg.n_users).h_hat
-        users, symbols, y = _reference_slots(cfg, channel, rng, cfg.covariance_samples)
-        r_uu = estimate_covariance((y - h_hat[:, users] * symbols).T, cfg.noise_floor())
+        x, y = _reference_slots(cfg, channel, rng, cfg.pilot_count * cfg.n_users)
+        h_hat = estimate_channel(x, y).h_hat
+        x, y = _reference_slots(cfg, channel, rng, cfg.covariance_samples)
+        r_uu = estimate_covariance(y - x @ h_hat.T, cfg.noise_floor())
     sigma_i2 = max(float(r_uu.trace().real) / n_rx - sigma_det, 0.0)
     return _TrialKnowledge(h_hat=h_hat, r_uu=r_uu, sigma_det=sigma_det, sigma_i2=sigma_i2)
 
 
+def _interference(cfg, rng, n_slots):
+    """``(n_slots, n_interferers)`` QAM16 interferer symbols; with no
+    interferers the draw is empty and takes nothing from the stream."""
+    return _INTERFERER.points[rng.integers(0, _INTERFERER.size, (n_slots, cfg.n_interferers))]
+
+
 def _reference_slots(cfg, channel, rng, n_slots):
-    """``(users, symbols, y (n_rx, n_slots))`` of round-robin slots: one user
-    sends a QPSK symbol per slot, under QAM16 interferers and noise."""
-    users = np.arange(n_slots) % cfg.n_users
-    symbols = _PILOT.points[rng.integers(0, _PILOT.size, n_slots)]
-    y = channel.h[:, users] * symbols
-    if cfg.n_interferers:
-        draw = rng.integers(0, _INTERFERER.size, (n_slots, cfg.n_interferers))
-        y = y + channel.g @ _INTERFERER.points[draw].T
-    y = y + np.sqrt(channel.sigma_n2) * complex_randn(rng, cfg.n_rx, n_slots)
-    return users, symbols, y
+    """``(x, y)`` of round-robin reference slots: row ``t`` of the ``(n_slots,
+    n_users)`` block ``x`` holds one QPSK symbol, user ``t % n_users``'s, and
+    ``y`` is its ``(n_slots, n_rx)`` reception under interferers and noise."""
+    x = np.zeros((n_slots, cfg.n_users), dtype=complex)
+    slots = np.arange(n_slots)
+    x[slots, slots % cfg.n_users] = _PILOT.points[rng.integers(0, _PILOT.size, n_slots)]
+    return x, apply_channel(channel, x, _interference(cfg, rng, n_slots), rng)
 
 
 def _detect_uses(cfg, name: str, cons, know: _TrialKnowledge, y_block, coded: bool):
@@ -569,9 +575,7 @@ def _run_trial(cfg, det_name: str, code, snr_db: float, rng) -> tuple[int, int]:
         tx_bits = rng.integers(0, 2, (n_uses, bits_per_use), dtype=np.uint8)
 
     tx_idx = cons.bits_to_indices(tx_bits.reshape(n_uses, cfg.n_users, cons.bits_per_symbol))
-    # with no interferers the draw is empty and takes nothing from the stream
-    s_i = _INTERFERER.points[rng.integers(0, _INTERFERER.size, (n_uses, cfg.n_interferers))]
-    y_block = apply_channel(channel, cons.points[tx_idx], s_i, rng)
+    y_block = apply_channel(channel, cons.points[tx_idx], _interference(cfg, rng, n_uses), rng)
 
     out = _detect_uses(cfg, det_name, cons, know, y_block, cfg.coded)
 

@@ -242,20 +242,20 @@ def test_apply_channel_dimension_mismatch():
 
 
 def _pilot_block(real, pilots_per_user, rng):
+    """Round-robin QPSK pilots, one user per slot, received through apply_channel."""
     n_users = real.h.shape[1]
     n_slots = pilots_per_user * n_users
-    users = np.arange(n_slots) % n_users
-    symbols = np.exp(2j * np.pi * rng.integers(0, 4, n_slots) / 4)
-    y = real.h[:, users] * symbols
-    y = y + np.sqrt(real.sigma_n2) * complex_randn(rng, real.h.shape[0], n_slots)
-    return users, symbols, y
+    slots = np.arange(n_slots)
+    x = np.zeros((n_slots, n_users), dtype=complex)
+    x[slots, slots % n_users] = np.exp(2j * np.pi * rng.integers(0, 4, n_slots) / 4)
+    return x, apply_channel(real, x, np.zeros((n_slots, real.g.shape[1])), rng)
 
 
 def test_estimate_channel_noiseless_ls_exact():
     cfg = ChannelConfig(n_rx=6, n_users=3)
     real = generate_channel(cfg, np.random.default_rng(1), 0.0)
-    users, symbols, y = _pilot_block(real, 3, np.random.default_rng(2))
-    est = estimate_channel(users, symbols, y, 3)
+    x, y = _pilot_block(real, 3, np.random.default_rng(2))
+    est = estimate_channel(x, y)
     assert np.linalg.norm(est.h_hat - real.h) < 1e-10
 
 
@@ -268,8 +268,7 @@ def test_estimate_channel_error_variance_scaling():
         errs = []
         for _ in range(4000):
             real = generate_channel(cfg, rng, sigma_n2)
-            users, symbols, y = _pilot_block(real, pilots, rng)
-            est = estimate_channel(users, symbols, y, 2)
+            est = estimate_channel(*_pilot_block(real, pilots, rng))
             errs.append(np.mean(np.abs(est.h_hat - real.h) ** 2))
         measured = float(np.mean(errs))
         assert abs(measured - sigma_n2 / pilots) <= 0.1 * sigma_n2 / pilots
@@ -278,20 +277,33 @@ def test_estimate_channel_error_variance_scaling():
 def test_estimate_channel_insufficient_pilots():
     cfg = ChannelConfig(n_rx=4, n_users=3)
     real = generate_channel(cfg, np.random.default_rng(3), 0.1)
-    users = np.array([0, 1, 0, 1])  # user 2 never sounds
-    symbols = np.ones(4, dtype=complex)
-    y = real.h[:, users] * symbols
-    with pytest.raises(InsufficientPilotsError):
-        estimate_channel(users, symbols, y, 3)
+    x = np.zeros((4, 3), dtype=complex)
+    x[[0, 1, 2, 3], [0, 1, 0, 1]] = 1.0  # user 2 never sounds
+    y = apply_channel(real, x, np.zeros((4, 0)), np.random.default_rng(4))
+    with pytest.raises(InsufficientPilotsError, match="user 2"):
+        estimate_channel(x, y)
+
+
+def test_estimate_channel_rejects_a_slot_with_two_users():
+    cfg = ChannelConfig(n_rx=4, n_users=2)
+    real = generate_channel(cfg, np.random.default_rng(5), 0.1)
+    x, y = _pilot_block(real, 2, np.random.default_rng(6))
+    x[1, 0] = 1.0  # user 0 sounds in user 1's slot too
+    with pytest.raises(ValueError, match="two sounding users"):
+        estimate_channel(x, y)
 
 
 def test_estimate_channel_dimension_mismatch():
-    users = np.array([0, 1, 0, 1])
+    x = np.zeros((4, 2), dtype=complex)
+    x[[0, 1, 2, 3], [0, 1, 0, 1]] = 1.0
     y = np.zeros((4, 4), dtype=complex)
     with pytest.raises(DimensionMismatchError):
-        estimate_channel(users, np.ones(3), y, 2)
-    with pytest.raises(DimensionMismatchError):
-        estimate_channel(users, np.ones(4), y[:, :3], 2)
+        estimate_channel(x[:3], y)
+    # slots are rows: one vector is a (1, .) block, and a 1-D input raises
+    with pytest.raises(ValueError, match="2-D"):
+        estimate_channel(x[:, 0], y)
+    with pytest.raises(ValueError, match="2-D"):
+        estimate_channel(x, y[:, 0])
 
 
 # --- covariance estimation -------------------------------------------------------

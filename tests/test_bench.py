@@ -311,8 +311,22 @@ def test_adjacent_cells_streams_do_not_overlap(cell, neighbour):
     assert _shares_a_window(raw[0][4:], raw[0][:-4])
 
 
+@pytest.mark.parametrize("n_interferers", [0, 2])
+def test_reference_slots_are_apply_channel_rows(n_interferers):
+    # round-robin QPSK pilots, one user per slot, then the interferer draw
+    # (empty without interferers), then apply_channel's (n_slots, n_rx) noise
+    cfg = bench.parse_config(f"n_rx = 6\nn_users = 3\nn_interferers = {n_interferers}\n")
+    channel = airlink.generate_channel(cfg.channel, np.random.default_rng(3), 0.2)
+    x, y = bench._reference_slots(cfg, channel, np.random.default_rng(4), 7)
+    replay = np.random.default_rng(4)
+    pilots = bench._PILOT.points[replay.integers(0, 4, 7)]
+    assert np.array_equal(x, pilots[:, None] * (np.arange(7)[:, None] % 3 == np.arange(3)))
+    s_i = bench._INTERFERER.points[replay.integers(0, 16, (7, n_interferers))]
+    assert np.array_equal(y, airlink.apply_channel(channel, x, s_i, replay))
+
+
 def test_every_detector_of_a_cell_reads_the_same_channel(monkeypatch):
-    # each trial's channel matrix and received block, in the order run
+    # each trial's channel matrix and received blocks, in the order run
     seen = []
     draw, send = bench.generate_channel, bench.apply_channel
 
@@ -335,7 +349,8 @@ def test_every_detector_of_a_cell_reads_the_same_channel(monkeypatch):
     bench.run_scenario(cfg)
     cells = len(cfg.snr_grid_db) * cfg.trials_per_point
     assert len(seen) == len(cfg.detectors) * cells
-    assert all(len(trial) == 2 for trial in seen)
+    # pilot, covariance and data slots are all received through apply_channel
+    assert all(len(trial) == 4 for trial in seen)
     # run_scenario runs detector by detector, then SNR, then trial
     for cell in range(cells):
         for other in seen[cell + cells :: cells]:
@@ -551,10 +566,12 @@ def test_detector_subset_invariance():
 
 
 # Frozen records of small scenarios that run every detector: SHA-256 of
-# csv_bytes. All three were last re-recorded when kbest and sr-kbest moved
-# from the MMSE-extended channel to the plain one, sorted_qr(h_hat); only
-# their rows changed. Any change to a detector's arithmetic or tie rule
-# that moves a decision or an LLR enough to flip a bit shows here.
+# csv_bytes. All three were re-recorded when kbest and sr-kbest moved from
+# the MMSE-extended channel to the plain one, sorted_qr(h_hat). The two
+# ls_pilot ones moved again when the pilot and covariance slots went
+# through apply_channel, which draws their noise as (n_slots, n_rx) rows.
+# Any change to a detector's arithmetic or tie rule that moves a decision
+# or an LLR enough to flip a bit shows here.
 GOLDEN_UNCODED = """
 n_rx = 8
 n_users = 3
@@ -607,8 +624,8 @@ master_seed = 7
     "text, digest",
     [
         (GOLDEN_UNCODED, "ce55548fad314bdbd967af28149397ab370ad367e5aa5ce45f4cc176e6e89252"),
-        (GOLDEN_CODED, "647a50f041fc277bd79f4c146f45708f11f2e94b240b9eb496c07a785007024e"),
-        (GOLDEN_NO_INTERFERERS, "74fc94409d4a0a5f60a933d767f97348f5ba4ee9ce0c60f13d7b248fe2b730eb"),
+        (GOLDEN_CODED, "1a20d94180dc7afdc37257d0e675ea79d94338a78a62f4029537374e43d916c8"),
+        (GOLDEN_NO_INTERFERERS, "43daad6cb8f18f4567a0d9f46840cf4ac64fce71fb68ddddff5a58110e074779"),
     ],
     ids=["uncoded", "coded-ls-pilot", "uncoded-no-interferers"],
 )
