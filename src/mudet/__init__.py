@@ -8,9 +8,9 @@ airlink
     Constellations, correlated channel with interferers, pilot channel
     estimation, interference+noise covariance estimation.
 detectors
-    Linear MMSE/IRC/MRC, sorted-QR OSIC, K-best and sorting-reduced
-    K-best tree searches, and the interference-whitening robust
-    detector chain.
+    Linear MMSE (white-noise and IRC), sorted-QR OSIC, K-best and
+    sorting-reduced K-best tree searches, and the interference-whitening
+    robust detector chain.
 fec
     Seeded (288, 144) regular LDPC code with normalized min-sum decoding.
 bench

@@ -163,14 +163,6 @@ class ChannelRealization:
     sigma_n2: float
 
 
-@dataclass(frozen=True)
-class ChannelEstimate:
-    """Least-squares user channel estimate with its mean residual power."""
-
-    h_hat: np.ndarray
-    error_var: float
-
-
 @lru_cache(maxsize=16)
 def rx_correlation_root(n_rx: int, rho: float) -> np.ndarray:
     """Lower Cholesky factor of the exponential antenna correlation matrix.
@@ -249,15 +241,15 @@ def apply_channel(
     return y + np.sqrt(real.sigma_n2) * noise
 
 
-def estimate_channel(x_pilots, y_pilots) -> ChannelEstimate:
+def estimate_channel(x_pilots, y_pilots) -> np.ndarray:
     """Least-squares channel estimate from orthogonal (time-division) pilots.
 
     ``x_pilots`` is the ``(T, n_users)`` block of known pilot symbols, one
     non-zero entry per slot (the one user that sounds in it), and
     ``y_pilots`` the ``(T, n_rx)`` received rows, as :func:`apply_channel`
     returns them. Each user's column is the least-squares fit over its own
-    slots, ``y^T x^* / sum |x|^2``; ``error_var`` is the mean per-antenna
-    residual power over all pilot slots.
+    slots, ``y^T x^* / sum |x|^2``. Returns the ``(n_rx, n_users)`` estimate
+    ``h_hat``.
     """
     x = as_complex_matrix(x_pilots, "x_pilots")
     y = as_complex_matrix(y_pilots, "y_pilots")
@@ -268,10 +260,7 @@ def estimate_channel(x_pilots, y_pilots) -> ChannelEstimate:
     energy = np.sum(np.abs(x) ** 2, axis=0)
     if not energy.all():
         raise InsufficientPilotsError(f"user {energy.argmin()} has no pilot observations")
-    h_hat = (y.T @ x.conj()) / energy
-    resid = y - x @ h_hat.T
-    error_var = float(np.mean(np.abs(resid) ** 2))
-    return ChannelEstimate(h_hat=h_hat, error_var=error_var)
+    return (y.T @ x.conj()) / energy
 
 
 def estimate_covariance(residuals, floor: float = 0.0) -> np.ndarray:

@@ -124,9 +124,10 @@ SOFT_LIST_WIDTH = 64
 LLR_CLIP = 8.0
 
 # Most symbol vectors the ml detector may search: a scenario with more
-# rejects ml. Every tree search takes the uses of a trial in row chunks
-# whose list entries number at most this many together, which bounds its
-# memory. It is the 16 x 4 QAM16 space.
+# rejects ml, and a kbest.k or sr.k above it is rejected too. Every tree
+# search takes the uses of a trial in row chunks whose list entries number
+# at most this many together, which bounds its memory. It is the 16 x 4
+# QAM16 space.
 ML_GUARD = 2**16
 
 
@@ -208,8 +209,10 @@ class ScenarioConfig:
                 "interferer_power_ratio",
                 f"interference-to-noise ratio over the array exceeds {MAX_ARRAY_INR:g}",
             )
-        if self.kbest_k < 1:
-            raise ConfigValidationError("kbest.k", "must be >= 1")
+        if not 1 <= self.kbest_k <= ML_GUARD:
+            raise ConfigValidationError("kbest.k", f"must be in [1, {ML_GUARD}]")
+        if self.sr_params.k > ML_GUARD:
+            raise ConfigValidationError("sr.k", f"must be <= {ML_GUARD}")
         cons_size = _CONSTELLATIONS[self.constellation].size
         if "ml" in self.detectors and cons_size**self.n_users > ML_GUARD:
             raise ConfigValidationError(
@@ -438,7 +441,7 @@ def _acquire_knowledge(cfg, channel, rng) -> _TrialKnowledge:
         r_uu = channel.g @ channel.g.conj().T + sigma_det * np.eye(n_rx)
     else:
         x, y = _reference_slots(cfg, channel, rng, cfg.pilot_count * cfg.n_users)
-        h_hat = estimate_channel(x, y).h_hat
+        h_hat = estimate_channel(x, y)
         x, y = _reference_slots(cfg, channel, rng, cfg.covariance_samples)
         r_uu = estimate_covariance(y - x @ h_hat.T, cfg.noise_floor())
     sigma_i2 = max(float(r_uu.trace().real) / n_rx - sigma_det, 0.0)
@@ -477,6 +480,12 @@ def _detect_uses(cfg, name: str, cons, know: _TrialKnowledge, y_block, coded: bo
     by :func:`kbest_detect`'s rule), and coded its list holds every
     hypothesis.
 
+    ``mrc`` and ``mmse-irc`` are the MMSE weights ``W`` of
+    :func:`linear_weights` at ``R = sigma_det I`` and ``R = r_uu``: ``mrc`` is
+    not the matched filter ``h_hat' y / ||h_hat||^2``, but keeps the name
+    every CSV carries. Uncoded they slice ``x_eq / g``, ``g = diag(W h_hat)``;
+    coded they score each point at ``g`` with residual power ``g (1 - g)``.
+
     Every tree search runs on one plan ``(rotate, sq)``: the sorted QR
     ``sq`` of one channel matrix and the rotation that one product
     ``y @ rotate.T`` applies to every use. ``kbest``, ``sr-kbest`` and
@@ -501,18 +510,14 @@ def _detect_uses(cfg, name: str, cons, know: _TrialKnowledge, y_block, coded: bo
 
     if name in ("mrc", "mmse-irc"):
         if name == "mrc":
-            w = linear_weights(h_hat, h_hat, sigma_det)
+            w = linear_weights(h_hat, h_hat / sigma_det)
         else:
-            w = mmse_irc_weights(h_hat, r_uu, sigma_det)
+            w = mmse_irc_weights(h_hat, r_uu)
         x_eq = y_block @ w.T
+        gain = np.diag(w @ h_hat).real
         if not coded:
-            return cons.nearest(x_eq)
-        r_model = sigma_det * np.eye(cfg.n_rx) if name == "mrc" else r_uu
-        gain = w @ h_hat
-        bias = np.diag(gain)
-        inter = np.sum(np.abs(gain) ** 2, axis=1) - np.abs(bias) ** 2
-        noise = np.real(np.diag(w @ r_model @ w.conj().T))
-        return equalizer_llrs(x_eq, bias, inter + noise, cons)
+            return cons.nearest(x_eq / gain)
+        return equalizer_llrs(x_eq, gain, gain * (1 - gain), cons)
 
     if name in ("osic", "kbest", "sr-kbest", "robust-sr-kbest", "ml"):
         robust = name == "robust-sr-kbest"
@@ -536,7 +541,7 @@ def _detect_uses(cfg, name: str, cons, know: _TrialKnowledge, y_block, coded: bo
         # the whitened metric is a negative log-likelihood as it is; the
         # others are squared distances at the noise-plus-interference power
         sigma2 = 1.0 if robust else sigma_det + know.sigma_i2
-        step = max(1, ML_GUARD // width)
+        step = ML_GUARD // width
         out = []
         for start in range(0, y_tilde.shape[0], step):
             rows = y_tilde[start : start + step]

@@ -1,10 +1,11 @@
 """Multi-user uplink detectors.
 
-Linear detection (the weight matrices of multi-user MMSE with
-interference rejection and of white-noise MRC), three tree searches on an
-upper-triangular system (ordered successive interference cancellation,
-breadth-first K-best, and its sorting-reduced variant driven by a
-``(k, s, p, v, q)`` schedule), and the interference-whitening plan
+Linear detection (one MMSE weight formula, :func:`linear_weights`, for
+multi-user MMSE with interference rejection and for the white-noise MMSE
+that ``mrc`` computes), three tree searches on an upper-triangular
+system (ordered successive interference cancellation, breadth-first
+K-best, and its sorting-reduced variant driven by a ``(k, s, p, v, q)``
+schedule), and the interference-whitening plan
 (:func:`robust_plan`) that puts the tree search on the whitened
 likelihood, robust to spatially coloured interference. A detector is
 composed from these parts in ``mudet.bench``: a plan per channel, a
@@ -186,21 +187,24 @@ class SrKBestParams:
 # linear detectors
 
 
-def linear_weights(h_hat, z, sigma_n2: float) -> np.ndarray:
-    """Weight matrix ``(sigma_n2 I + H' Z)^-1 Z'`` of a regularized linear
-    detector: ``Z = R_uu^-1 H`` gives MMSE-IRC, ``Z = H`` white-noise MRC."""
-    gram = sigma_n2 * np.eye(h_hat.shape[1]) + h_hat.conj().T @ z
+def linear_weights(h_hat, z) -> np.ndarray:
+    """MMSE weights ``W = (I + H' Z)^-1 Z'`` of unit-energy symbols, ``Z = R^-1
+    H`` for the noise-plus-interference covariance ``R`` (``Z = H / sigma``
+    for ``R = sigma I``). The gain ``g = diag(W H)`` is real in ``[0, 1)``, and
+    user ``k``'s residual power, ``sum_{j != k} |(W H)_kj|^2 + (W R W')_kk``,
+    is ``g_k (1 - g_k)`` (the unbiased-MMSE SINR identity)."""
+    gram = np.eye(h_hat.shape[1]) + h_hat.conj().T @ z
     gram = 0.5 * (gram + gram.conj().T)
     return solve_hermitian(gram, z.conj().T)
 
 
-def mmse_irc_weights(h_hat, r_uu, sigma_n2: float) -> np.ndarray:
-    """Weight matrix ``(sigma_n2 I + H' R_uu^-1 H)^-1 H' R_uu^-1``."""
+def mmse_irc_weights(h_hat, r_uu) -> np.ndarray:
+    """Weight matrix ``(I + H' R_uu^-1 H)^-1 H' R_uu^-1``."""
     h_hat = as_complex_matrix(h_hat, "h_hat")
     n_rx, n_users = h_hat.shape
     if n_rx < n_users:
         raise DimensionMismatchError("need n_rx >= n_users")
-    return linear_weights(h_hat, solve_hermitian(r_uu, h_hat), sigma_n2)
+    return linear_weights(h_hat, solve_hermitian(r_uu, h_hat))
 
 
 # ---------------------------------------------------------------------------

@@ -255,8 +255,8 @@ def test_estimate_channel_noiseless_ls_exact():
     cfg = ChannelConfig(n_rx=6, n_users=3)
     real = generate_channel(cfg, np.random.default_rng(1), 0.0)
     x, y = _pilot_block(real, 3, np.random.default_rng(2))
-    est = estimate_channel(x, y)
-    assert np.linalg.norm(est.h_hat - real.h) < 1e-10
+    h_hat = estimate_channel(x, y)
+    assert np.linalg.norm(h_hat - real.h) < 1e-10
 
 
 def test_estimate_channel_error_variance_scaling():
@@ -268,8 +268,8 @@ def test_estimate_channel_error_variance_scaling():
         errs = []
         for _ in range(4000):
             real = generate_channel(cfg, rng, sigma_n2)
-            est = estimate_channel(*_pilot_block(real, pilots, rng))
-            errs.append(np.mean(np.abs(est.h_hat - real.h) ** 2))
+            h_hat = estimate_channel(*_pilot_block(real, pilots, rng))
+            errs.append(np.mean(np.abs(h_hat - real.h) ** 2))
         measured = float(np.mean(errs))
         assert abs(measured - sigma_n2 / pilots) <= 0.1 * sigma_n2 / pilots
 

@@ -570,8 +570,11 @@ def test_detector_subset_invariance():
 # the MMSE-extended channel to the plain one, sorted_qr(h_hat). The two
 # ls_pilot ones moved again when the pilot and covariance slots went
 # through apply_channel, which draws their noise as (n_slots, n_rx) rows.
-# Any change to a detector's arithmetic or tie rule that moves a decision
-# or an LLR enough to flip a bit shows here.
+# All three moved once more, in their mrc and mmse-irc rows only, when both
+# linear detectors took the unit-prior MMSE weights and began to slice the
+# unbiased estimate x_eq / diag(W h_hat). Any change to a detector's
+# arithmetic or tie rule that moves a decision or an LLR enough to flip a
+# bit shows here.
 GOLDEN_UNCODED = """
 n_rx = 8
 n_users = 3
@@ -623,9 +626,9 @@ master_seed = 7
 @pytest.mark.parametrize(
     "text, digest",
     [
-        (GOLDEN_UNCODED, "ce55548fad314bdbd967af28149397ab370ad367e5aa5ce45f4cc176e6e89252"),
-        (GOLDEN_CODED, "1a20d94180dc7afdc37257d0e675ea79d94338a78a62f4029537374e43d916c8"),
-        (GOLDEN_NO_INTERFERERS, "43daad6cb8f18f4567a0d9f46840cf4ac64fce71fb68ddddff5a58110e074779"),
+        (GOLDEN_UNCODED, "d1bc3571d5a85be7391634833059dc45d96cb501c7bb7c56bf0217487473e001"),
+        (GOLDEN_CODED, "3cb44fd4cbff50256dc1271139cb6376be396063d912966a47e7087d4f9c3f7c"),
+        (GOLDEN_NO_INTERFERERS, "e4eef4a6ea21353f2a7b777f6b91cdaa81816d84704aec9487873aa7de211904"),
     ],
     ids=["uncoded", "coded-ls-pilot", "uncoded-no-interferers"],
 )
@@ -799,14 +802,20 @@ def test_chunked_searches_match_the_whole_block(qam16, monkeypatch, name, coded,
     assert np.array_equal(chunked, whole)
 
 
-def test_kbest_wider_than_the_guard_searches_row_by_row():
-    # a kbest.k above ML_GUARD takes one row per chunk; 2 x 2 QAM16 has 256
-    # hypotheses, so any k >= 16 gives the same best leaf
-    base = "n_rx = 2\nn_users = 2\nsnr_db = 6\ntrials_per_point = 2\nsymbols_per_trial = 3\n"
-    base += "detectors = kbest\n"
-    wide = bench.run_scenario(bench.parse_config(base + f"kbest.k = {2 * bench.ML_GUARD}\n"))
-    narrow = bench.run_scenario(bench.parse_config(base + "kbest.k = 16\n"))
-    assert csv_bytes(wide) == csv_bytes(narrow)
+def test_list_width_above_the_guard_is_rejected():
+    # one row of a wider list alone would hold more than ML_GUARD entries, so
+    # its row chunks could not bound the search's memory; nothing is run
+    base = "n_users = 8\ndetectors = kbest,sr-kbest\n"
+    assert bench.parse_config(base + f"kbest.k = {bench.ML_GUARD}\n").kbest_k == bench.ML_GUARD
+    for k in (bench.ML_GUARD + 1, 10**8):
+        with pytest.raises(ConfigValidationError) as err:
+            bench.parse_config(base + f"kbest.k = {k}\n")
+        assert err.value.key == "kbest.k"
+    k = bench.ML_GUARD + 1
+    wide = det.SrKBestParams(k=k, s=0, p=[1] * k, v=[0] * k, q=[])
+    with pytest.raises(ConfigValidationError) as err:
+        bench.ScenarioConfig(sr_params=wide)
+    assert err.value.key == "sr.k"
 
 
 @pytest.mark.parametrize("name", ["kbest", "sr-kbest"])
@@ -953,6 +962,44 @@ def test_coded_osic_llrs_are_hard():
     llr = bench._detect_uses(cfg, "osic", qam16, know, y, coded=True)
     assert llr.shape == (7, 12)
     assert np.array_equal(np.abs(llr), np.full((7, 12), det.LLR_MAX))
+
+
+@pytest.mark.parametrize("name", ["mrc", "mmse-irc"])
+def test_linear_detectors_slice_the_unbiased_estimate(qam16, name):
+    # one user, h = 1 and noise power 1: the MMSE estimate of a noise-free
+    # QAM16 corner is half of it, nearer an inner point; x_eq / gain is it
+    cfg = bench.ScenarioConfig(n_rx=1, n_users=1)
+    h = np.ones((1, 1), dtype=complex)
+    know = bench._TrialKnowledge(h_hat=h, r_uu=np.eye(1), sigma_det=1.0, sigma_i2=0.0)
+    corner = int(np.argmax(np.abs(qam16.points)))
+    y = qam16.points[[[corner]]]
+    assert qam16.nearest(y / 2)[0, 0] != corner
+    assert bench._detect_uses(cfg, name, qam16, know, y, coded=False).tolist() == [[corner]]
+
+
+@pytest.mark.parametrize("name", ["mrc", "mmse-irc"])
+def test_coded_linear_llrs_score_the_explicit_residual_power(qam16, name):
+    # W = (I + H' R^-1 H)^-1 H' R^-1 by explicit inverses, R = r_uu for
+    # mmse-irc and sigma_det I for mrc; each user is scored at the gain
+    # (W H)_kk with the residual power sum_{j != k} |(W H)_kj|^2 + (W R W')_kk
+    cfg = bench.ScenarioConfig(n_rx=8, n_users=3)
+    rng = np.random.default_rng(3104)
+    for _ in range(20):
+        h = crandn(rng, 8, 3)
+        b = crandn(rng, 8, 8)
+        r_uu = b @ b.conj().T + 0.1 * np.eye(8)
+        know = bench._TrialKnowledge(h_hat=h, r_uu=r_uu, sigma_det=0.4, sigma_i2=0.0)
+        r = r_uu if name == "mmse-irc" else 0.4 * np.eye(8)
+        ri = np.linalg.inv(r)
+        w = np.linalg.inv(np.eye(3) + h.conj().T @ ri @ h) @ h.conj().T @ ri
+        g = w @ h
+        gain = np.diag(g)
+        inter = (np.abs(g) ** 2).sum(axis=1) - np.abs(gain) ** 2
+        residual = inter + np.diag(w @ r @ w.conj().T).real
+        y = qam16.points[rng.integers(0, 16, (5, 3))] @ h.T + crandn(rng, 5, 8) @ b.T
+        want = det.equalizer_llrs(y @ w.T, gain, residual, qam16)
+        llr = bench._detect_uses(cfg, name, qam16, know, y, coded=True)
+        assert np.allclose(llr, want, rtol=1e-9, atol=1e-9)
 
 
 def test_scenario_channel_config_is_built_once():

@@ -27,7 +27,7 @@ def random_pd(rng, n, floor=0.1):
 def one_user_wiener(h, r_uu, y):
     """Wiener estimate of one unit-power user: the one row of the MMSE-IRC
     weights, ``h' R_uu^-1 / (1 + h' R_uu^-1 h)`` by Sherman-Morrison."""
-    return complex(det.mmse_irc_weights(np.asarray(h, dtype=complex)[:, None], r_uu, 1.0)[0] @ y)
+    return complex(det.mmse_irc_weights(np.asarray(h, dtype=complex)[:, None], r_uu)[0] @ y)
 
 
 def test_mmse_irc_single_user_hand_cases():
@@ -49,17 +49,18 @@ def test_mmse_irc_single_user_sherman_morrison_equivalence():
 
 
 def test_mmse_irc_identity_case():
-    w = det.mmse_irc_weights(np.eye(2), np.eye(2), 1.0)
+    w = det.mmse_irc_weights(np.eye(2), np.eye(2))
     assert np.allclose(w, 0.5 * np.eye(2))
     assert np.allclose(w @ np.array([2.0, 4.0]), [1.0, 2.0])
 
 
 def test_mmse_irc_reduces_to_mrc_for_white_covariance():
+    # mrc's weights, linear_weights(h, h / sigma), are mmse-irc's at R = sigma I
     rng = np.random.default_rng(1)
     h = crandn(rng, 6, 3)
     y = crandn(rng, 6)
-    x_irc = det.mmse_irc_weights(h, np.eye(6), 0.3) @ y
-    x_mrc = det.linear_weights(h, h, 0.3) @ y
+    x_irc = det.mmse_irc_weights(h, 0.3 * np.eye(6)) @ y
+    x_mrc = det.linear_weights(h, h / 0.3) @ y
     assert np.allclose(x_irc, x_mrc)
 
 
@@ -69,23 +70,25 @@ def test_mmse_irc_matches_independent_solver():
         h = crandn(rng, 8, 3)
         r_uu = random_pd(rng, 8)
         y = crandn(rng, 8)
-        x = det.mmse_irc_weights(h, r_uu, 0.5) @ y
+        x = det.mmse_irc_weights(h, r_uu) @ y
         ri = np.linalg.inv(r_uu)
-        ref = np.linalg.solve(0.5 * np.eye(3) + h.conj().T @ ri @ h, h.conj().T @ ri @ y)
+        ref = np.linalg.solve(np.eye(3) + h.conj().T @ ri @ h, h.conj().T @ ri @ y)
         assert np.linalg.norm(x - ref) <= 1e-9 * max(1.0, np.linalg.norm(ref))
 
 
 def test_mrc_white_cases():
-    # white-noise MRC: linear_weights with Z = H
+    # mrc's white-noise MMSE: linear_weights with Z = H / sigma_n2
     def mrc(h, sigma_n2, y):
-        return det.linear_weights(h, h, sigma_n2) @ y
+        return det.linear_weights(h, h / sigma_n2) @ y
 
     y = np.array([1.0 + 1j, 2.0])
     assert np.allclose(mrc(np.eye(2), 0.5, y), y / 1.5)
     rng = np.random.default_rng(3)
     h = crandn(rng, 4, 4)
     x = crandn(rng, 4)
-    sol = mrc(h, 0.0, h @ x)
+    # Z = H / sigma_n2 takes no sigma_n2 = 0 (the detectors never see less
+    # than bench.NOISELESS_FLOOR), so the noiseless limit is a small sigma_n2
+    sol = mrc(h, 1e-12, h @ x)
     assert np.linalg.norm(sol - x) <= 1e-9 * np.linalg.norm(x)
     # ridge oracle
     h = crandn(rng, 6, 2)
