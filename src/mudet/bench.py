@@ -67,7 +67,6 @@ from .airlink import (
 from .detectors import (
     SrKBestParams,
     build_extended,
-    equalizer_llrs,
     kbest_detect,
     linear_weights,
     logmap_llrs,
@@ -468,12 +467,13 @@ def _detect_uses(cfg, name: str, cons, know: _TrialKnowledge, y_block, coded: bo
     """Run one detector over every use of a trial in one batched call.
 
     Returns hard decisions ``(n_uses, n_users)`` when uncoded and LLRs
-    ``(n_uses, n_users * bits_per_symbol)`` when coded. Every use shares
-    the trial's channel knowledge, so each detector factorizes once and
-    searches all uses together; every tree-search list is mapped back to
-    user order. Uncoded, the K-best and sorting-reduced searches return only
-    their best candidate (``best_only``). Coded, every list becomes LLRs by
-    list log-MAP (:func:`logmap_llrs`) on its likelihood, and every K-best
+    ``(n_uses, n_users * bits_per_symbol)`` when coded; a 1-D or non-finite
+    block raises ``ValueError``. Every use shares the trial's channel
+    knowledge, so each detector factorizes once and searches all uses
+    together; every tree-search list is mapped back to user order. Uncoded,
+    the K-best and sorting-reduced searches return only their best candidate
+    (``best_only``). Coded, every detector's list becomes LLRs by list
+    log-MAP (:func:`logmap_llrs`) on its likelihood, and every K-best
     list, hard or soft, comes from :func:`kbest_detect` and its one tie rule.
     ``ml`` is such a K-best search, of width ``size**n_users``, so it cuts
     no path: uncoded its best leaf is the exhaustive minimum (tied minima go
@@ -484,7 +484,8 @@ def _detect_uses(cfg, name: str, cons, know: _TrialKnowledge, y_block, coded: bo
     :func:`linear_weights` at ``R = sigma_det I`` and ``R = r_uu``: ``mrc`` is
     not the matched filter ``h_hat' y / ||h_hat||^2``, but keeps the name
     every CSV carries. Uncoded they slice ``x_eq / g``, ``g = diag(W h_hat)``;
-    coded they score each point at ``g`` with residual power ``g (1 - g)``.
+    coded, each user's list is every point ``s``, at the metric ``|x_eq -
+    g s|^2 / (g (1 - g))`` of its residual power ``g (1 - g)``.
 
     Every tree search runs on one plan ``(rotate, sq)``: the sorted QR
     ``sq`` of one channel matrix and the rotation that one product
@@ -507,6 +508,8 @@ def _detect_uses(cfg, name: str, cons, know: _TrialKnowledge, y_block, coded: bo
     block size; a block of one chunk is searched and returned whole.
     """
     h_hat, r_uu, sigma_det = know.h_hat, know.r_uu, know.sigma_det
+    # rows checked before the product, which warns on an inf entry
+    y_block = as_complex_matrix(y_block, "y_block")
 
     if name in ("mrc", "mmse-irc"):
         if name == "mrc":
@@ -517,7 +520,11 @@ def _detect_uses(cfg, name: str, cons, know: _TrialKnowledge, y_block, coded: bo
         gain = np.diag(w @ h_hat).real
         if not coded:
             return cons.nearest(x_eq / gain)
-        return equalizer_llrs(x_eq, gain, gain * (1 - gain), cons)
+        # every point is each user's list; the floor guards a gain of 0 or 1
+        dist = np.abs(x_eq[:, :, None] - gain[:, None] * cons.points) ** 2
+        dist = dist / np.maximum(gain * (1 - gain), 1e-30)[:, None]
+        symbols = np.broadcast_to(np.arange(cons.size)[:, None], dist.shape + (1,))
+        return logmap_llrs(symbols, dist, cons).reshape(len(x_eq), -1)
 
     if name in ("osic", "kbest", "sr-kbest", "robust-sr-kbest", "ml"):
         robust = name == "robust-sr-kbest"
@@ -528,8 +535,7 @@ def _detect_uses(cfg, name: str, cons, know: _TrialKnowledge, y_block, coded: bo
         else:
             sq = sorted_qr(h_hat)
             rotate = sq.q.conj().T
-        # rows checked before the product, which warns on an inf entry
-        y_tilde = as_complex_matrix(y_block, "y_block") @ rotate.T
+        y_tilde = y_block @ rotate.T
         if name == "osic":
             width = 1
         elif name == "kbest":

@@ -39,7 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_config(args):
     try:
-        text = Path(args.config).read_text(encoding="utf-8")
+        text = Path(args.config).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
     cfg = parse_config(text)

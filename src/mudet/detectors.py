@@ -13,21 +13,20 @@ rotation of the received vectors, one search and, on the coded path,
 LLRs. The maximum-likelihood detector is composed the same way, as a
 K-best search wide enough to keep every path.
 
-LLR convention: positive favours bit 0. Magnitudes are clamped to
-``LLR_MAX`` so a missing bit hypothesis in a candidate list stays finite
-for the decoder.
+LLR convention: positive favours bit 0. Every coded detector's LLRs come
+from :func:`logmap_llrs` (over a tree search's list, or every point of
+each user for the linear detectors), clamped to ``LLR_MAX`` so a missing
+bit hypothesis in a list stays finite for the decoder.
 
 Batching: the tree searches (:func:`osic_detect`, :func:`kbest_detect`,
-:func:`sr_kbest_detect`) and :func:`equalizer_llrs` take a ``(B, ...)``
-block of received vectors that share one channel factorization, and
-nothing else: a 1-D input raises ``ValueError`` (one vector is the block
-``y[None]``). Every output carries the leading ``B`` axis. The plans,
-:func:`build_extended` and :func:`robust_plan`, take no received
-vectors. Given its
-rotated input ``y_tilde``, every row is searched exactly as it would be
-alone: each selection along the last axis
-returns what a stable sort of that row would, so ties resolve the same way
-at any batch size. Every selection of a search (the per-parent ranking of
+:func:`sr_kbest_detect`) take a ``(B, ...)`` block of received vectors
+that share one channel factorization, and nothing else: a 1-D input
+raises ``ValueError`` (one vector is the block ``y[None]``). Every output
+carries the leading ``B`` axis. The plans, :func:`build_extended` and
+:func:`robust_plan`, take no received vectors. Given its rotated input
+``y_tilde``, every row is searched exactly as it would be alone: each
+selection along the last axis returns what a stable sort of that row
+would, so ties resolve the same way at any batch size. Every selection of a search (the per-parent ranking of
 a scheduled layer, each survivor and pool cut, and the final order) goes
 through :func:`_smallest`: a large input is ranked
 by one value sort of packed (metric, index) keys, and the stable argsort
@@ -551,23 +550,3 @@ def logmap_llrs(symbols, metrics, cons: Constellation) -> np.ndarray:
         llr = np.log(sum0) - np.log(sum1)
     return np.clip(llr, -LLR_MAX, LLR_MAX)
 
-
-def equalizer_llrs(x_eq, bias, noise_var, cons: Constellation) -> np.ndarray:
-    """Per-user max-log LLRs for a linear equalizer output.
-
-    ``x_eq[m]`` is modelled as ``bias[m] * x[m]`` plus residual noise of
-    power ``noise_var[m]``; the per-symbol distances are scaled by the
-    residual power so the LLRs are decoder-calibrated. Same sign
-    convention and clamp as :func:`logmap_llrs`. ``x_eq (B, n_users)``
-    gives one row of LLRs per equalized vector.
-    """
-    bias = np.asarray(bias, dtype=complex)
-    x_eq = _rows(x_eq, bias.size, "x_eq")
-    noise_var = np.maximum(np.asarray(noise_var, dtype=float), 1e-30)
-    d = np.abs(x_eq[:, :, None] - bias[:, None] * cons.points) ** 2
-    d = d / noise_var[:, None]
-    llr = np.empty(x_eq.shape + (cons.bits_per_symbol,))
-    for b in range(cons.bits_per_symbol):
-        mask1 = cons.bit_patterns[:, b] == 1
-        llr[..., b] = d[..., mask1].min(axis=-1) - d[..., ~mask1].min(axis=-1)
-    return np.clip(llr.reshape(x_eq.shape[0], -1), -LLR_MAX, LLR_MAX)

@@ -1,11 +1,13 @@
 import dataclasses
 import hashlib
+import importlib.util
 import io
 import itertools
 import math
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -572,7 +574,9 @@ def test_detector_subset_invariance():
 # through apply_channel, which draws their noise as (n_slots, n_rx) rows.
 # All three moved once more, in their mrc and mmse-irc rows only, when both
 # linear detectors took the unit-prior MMSE weights and began to slice the
-# unbiased estimate x_eq / diag(W h_hat). Any change to a detector's
+# unbiased estimate x_eq / diag(W h_hat). The coded one moved again, in its
+# mrc and mmse-irc rows only, when their LLRs became list log-MAP over each
+# user's points (logmap_llrs) in place of max-log. Any change to a detector's
 # arithmetic or tie rule that moves a decision or an LLR enough to flip a
 # bit shows here.
 GOLDEN_UNCODED = """
@@ -627,7 +631,7 @@ master_seed = 7
     "text, digest",
     [
         (GOLDEN_UNCODED, "d1bc3571d5a85be7391634833059dc45d96cb501c7bb7c56bf0217487473e001"),
-        (GOLDEN_CODED, "3cb44fd4cbff50256dc1271139cb6376be396063d912966a47e7087d4f9c3f7c"),
+        (GOLDEN_CODED, "8ffe35871c7d7f0dc811144cb9e2621e891726a1f7381faf7f99d41905f6d61e"),
         (GOLDEN_NO_INTERFERERS, "e4eef4a6ea21353f2a7b777f6b91cdaa81816d84704aec9487873aa7de211904"),
     ],
     ids=["uncoded", "coded-ls-pilot", "uncoded-no-interferers"],
@@ -673,6 +677,15 @@ detectors = mmse-irc,robust-sr-kbest
 }
 
 
+def _smoke_pins():
+    """``.github/smoke_pins.py``, loaded by path: it is not a package."""
+    path = Path(__file__).resolve().parents[1] / ".github" / "smoke_pins.py"
+    spec = importlib.util.spec_from_file_location("smoke_pins", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 @pytest.mark.parametrize("workload", sorted(WORKLOAD_SCENARIOS))
 def test_workload_sorted_qrs_take_the_gram_order(monkeypatch, workload):
     # the modified Gram-Schmidt fallback of numkit.sorted_qr is for
@@ -688,8 +701,11 @@ def test_workload_sorted_qrs_take_the_gram_order(monkeypatch, workload):
     monkeypatch.setattr(numkit, "_gram_order", counting("sorted_qr", numkit._gram_order))
     monkeypatch.setattr(numkit, "_sorted_mgs", counting("fallback", numkit._sorted_mgs))
     text, expected_calls = WORKLOAD_SCENARIOS[workload]
-    bench.run_scenario(bench.parse_config(_WORKLOAD_COMMON + text))
+    records = bench.run_scenario(bench.parse_config(_WORKLOAD_COMMON + text))
     assert calls == {"sorted_qr": expected_calls, "fallback": 0}
+    # the records are the ones CI's smoke run pins, read from its one table
+    want = _smoke_pins().PINS[workload]["csv_sha256"]
+    assert hashlib.sha256(csv_bytes(records)).hexdigest() == want
 
 
 def test_hard_only_uses_permute_the_best_candidate_like_the_whole_list(qam16):
@@ -838,10 +854,11 @@ def test_tree_search_memory_is_bounded_at_any_block_size(qam16, name):
         assert peak < 40 * 2**20
 
 
-@pytest.mark.parametrize("name", ["osic", "kbest", "sr-kbest", "robust-sr-kbest", "ml"])
-def test_tree_search_uses_validate_their_rows(qam16, name):
-    # the plans take no received vectors: _detect_uses checks the rows
-    # before it rotates them
+@pytest.mark.parametrize("name", bench.DETECTOR_NAMES)
+def test_uses_validate_their_rows(qam16, name):
+    # every detector, the linear ones too: the plans and weights take no
+    # received vectors, so _detect_uses checks the rows once, before any
+    # product with them
     rng = np.random.default_rng(71)
     cfg = bench.ScenarioConfig(n_rx=8, n_users=4)
     h = (rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))) / np.sqrt(2)
@@ -980,8 +997,9 @@ def test_linear_detectors_slice_the_unbiased_estimate(qam16, name):
 @pytest.mark.parametrize("name", ["mrc", "mmse-irc"])
 def test_coded_linear_llrs_score_the_explicit_residual_power(qam16, name):
     # W = (I + H' R^-1 H)^-1 H' R^-1 by explicit inverses, R = r_uu for
-    # mmse-irc and sigma_det I for mrc; each user is scored at the gain
-    # (W H)_kk with the residual power sum_{j != k} |(W H)_kj|^2 + (W R W')_kk
+    # mmse-irc and sigma_det I for mrc; each user's LLRs are log-MAP over the
+    # 16 points, each scored at the gain (W H)_kk with the residual power
+    # sum_{j != k} |(W H)_kj|^2 + (W R W')_kk, by a log-sum-exp per bit
     cfg = bench.ScenarioConfig(n_rx=8, n_users=3)
     rng = np.random.default_rng(3104)
     for _ in range(20):
@@ -997,7 +1015,12 @@ def test_coded_linear_llrs_score_the_explicit_residual_power(qam16, name):
         inter = (np.abs(g) ** 2).sum(axis=1) - np.abs(gain) ** 2
         residual = inter + np.diag(w @ r @ w.conj().T).real
         y = qam16.points[rng.integers(0, 16, (5, 3))] @ h.T + crandn(rng, 5, 8) @ b.T
-        want = det.equalizer_llrs(y @ w.T, gain, residual, qam16)
+        x_eq = y @ w.T
+        nll = np.abs(x_eq[:, :, None] - gain[:, None] * qam16.points) ** 2 / residual[:, None]
+        bits = qam16.bit_patterns.T[None, None] == 1  # (1, 1, 4, 16)
+        lse = [np.logaddexp.reduce(np.where(m, -nll[:, :, None], -np.inf), axis=-1)
+               for m in (~bits, bits)]
+        want = np.clip(lse[0] - lse[1], -det.LLR_MAX, det.LLR_MAX).reshape(5, 12)
         llr = bench._detect_uses(cfg, name, qam16, know, y, coded=True)
         assert np.allclose(llr, want, rtol=1e-9, atol=1e-9)
 
@@ -1165,6 +1188,18 @@ def test_cli_non_utf8_config_is_config_error(tmp_path, capsys):
     rc = cli_main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv")])
     assert rc == 1
     assert "config error: cannot read config" in capsys.readouterr().err
+
+
+def test_cli_utf8_config_with_byte_order_mark_runs(tmp_path):
+    # as saved by editors that mark UTF-8 files; the records are the plain file's
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_text(CLI_CFG.lstrip(), encoding="utf-8")
+    marked.write_text(CLI_CFG.lstrip(), encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbfn_rx = 8")
+    for cfg in (plain, marked):
+        assert cli_main(["simulate", "--config", str(cfg),
+                         "--out", str(tmp_path / f"{cfg.stem}.csv")]) == 0
+    assert (tmp_path / "plain.csv").read_bytes() == (tmp_path / "marked.csv").read_bytes()
 
 
 def test_cli_invalid_config_is_config_error(tmp_path, capsys):

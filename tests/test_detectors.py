@@ -786,7 +786,7 @@ def test_batched_searches_equal_row_by_row(qpsk, qam16, n_vec, m, use_qpsk, k, z
         assert np.allclose(os_.metrics[t], one.metrics[0], rtol=1e-12, atol=1e-12)
 
 
-ENTRY_POINTS = ("osic_detect", "kbest_detect", "sr_kbest_detect", "equalizer_llrs")
+ENTRY_POINTS = ("osic_detect", "kbest_detect", "sr_kbest_detect")
 
 
 @pytest.mark.parametrize("name", ENTRY_POINTS)
@@ -805,9 +805,6 @@ def test_entry_points_take_blocks_only(qam16, name):
         "osic_detect": (lambda v: listed(det.osic_detect(r, v, qam16)), 3),
         "kbest_detect": (lambda v: listed(det.kbest_detect(r, v, 4, qam16)), 3),
         "sr_kbest_detect": (lambda v: listed(det.sr_kbest_detect(r, v, params, qam16)), 3),
-        "equalizer_llrs": (
-            lambda v: (det.equalizer_llrs(v, np.ones(3), np.full(3, 0.1), qam16),), 3
-        ),
     }[name]
     with pytest.raises(ValueError, match=rf"\(B, {width}\) block, got ndim=1"):
         call(y[:width])
@@ -824,14 +821,9 @@ def test_batched_apply_and_llrs_equal_row_by_row(qam16):
     y_tilde = y @ rotate.T
     cands = det.sr_kbest_detect(sq.r, y_tilde, det.SrKBestParams.default_16_4(), qam16)
     llr = det.logmap_llrs(cands.symbols, cands.metrics, qam16)
-    x_eq = 1.3 * crandn(rng, 5, 3)
-    bias = np.array([0.9, 1.0, 1.1])
-    noise = np.array([0.1, 0.2, 0.3])
-    eq = det.equalizer_llrs(x_eq, bias, noise, qam16)
     for t in range(5):
         assert np.allclose(y_tilde[t], (y[t, None] @ rotate.T)[0], rtol=0, atol=1e-12)
         assert np.array_equal(llr[t], det.logmap_llrs(cands.symbols[t], cands.metrics[t], qam16))
-        assert np.array_equal(eq[t], det.equalizer_llrs(x_eq[t, None], bias, noise, qam16)[0])
 
 
 # --- maximum likelihood ---------------------------------------------------------
@@ -1164,10 +1156,16 @@ def test_robust_soft_llrs_rejects_non_finite_row(qam16):
             robust_detect(h, np.eye(16), y_block, qam16, coded=True)
 
 
-def test_equalizer_llrs_signs_at_high_snr(qam16):
+def test_coded_linear_llrs_signs_at_high_snr(qam16):
+    # every bit's LLR favours the sent bit, in the user-major layout the
+    # decoder reads
     rng = np.random.default_rng(23)
-    idx = rng.integers(0, 16, 50)
-    x_eq = qam16.points[idx] + 0.01 * crandn(rng, 50)
-    llr = det.equalizer_llrs(x_eq[None], np.ones(50), np.full(50, 1e-4), qam16)
-    bits = qam16.bit_patterns[idx].ravel()
-    assert llr.shape == (1, bits.size) and np.all((llr[0] > 0) == (bits == 0))
+    cfg = bench.ScenarioConfig(n_rx=16, n_users=4)
+    h = crandn(rng, 16, 4)
+    know = bench._TrialKnowledge(h_hat=h, r_uu=1e-4 * np.eye(16), sigma_det=1e-4, sigma_i2=0.0)
+    idx = rng.integers(0, 16, (50, 4))
+    y = qam16.points[idx] @ h.T + 0.01 * crandn(rng, 50, 16)
+    bits = qam16.bit_patterns[idx].reshape(50, -1)
+    for name in ("mrc", "mmse-irc"):
+        llr = bench._detect_uses(cfg, name, qam16, know, y, coded=True)
+        assert llr.shape == bits.shape and np.all((llr > 0) == (bits == 0))
