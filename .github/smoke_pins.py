@@ -34,9 +34,16 @@ Why each value is pinned:
   per tree-search plan.
 - ``numkit.sorted_qr.calls``: the sorted QRs must run through the name the
   tracer's plan stage reads.
-- ``detectors.robust_plan.calls``, ``detectors.build_extended.calls``: the
-  tree-search plans must run through the names the tracer wraps, or the
-  plan stage loses them.
+- ``detectors.build_extended.calls``: osic's plan must run through the
+  name the tracer wraps, or the plan stage loses it.
+- ``numkit.inv_sqrt.calls`` and the ``plan`` stages of ``mmse-irc`` and
+  ``robust-sr-kbest``: both whiten by the covariance ``r_uu`` through
+  ``detectors.whiten``, whose ``inv_sqrt`` is the name the tracer's plan
+  stage reads, once per trial each (24 + 24 trials on uncoded-long, 300 +
+  300 on uncoded-short, 120 + 120 on coded-lspilot). These pins replace
+  ``detectors.robust_plan.calls``, which read 0 once the robust plan was
+  composed from ``whiten`` and ``sorted_qr`` in ``bench._detect_uses``;
+  one exact gate swapped for another.
 - the search-entry calls and the ``search`` stages: the tree searches (on
   coded-lspilot, the robust soft list through ``bench.kbest_detect``) must
   run through the entry points the tracer wraps, or their search stage
@@ -56,7 +63,7 @@ PINS = {
     "uncoded-long": {
         "csv_sha256": "1273eaeb62ff355ad9ba38dc1bf69c8aac86b453343a92d6da9b4c72dabc767c",
         "numkit.sorted_qr.calls": 96,
-        "detectors.robust_plan.calls": 24,
+        "numkit.inv_sqrt.calls": 48,
         "detectors.build_extended.calls": 24,
         "detectors.kbest_detect.calls": 24,
         "detectors.sr_kbest_detect.calls": 48,
@@ -64,7 +71,7 @@ PINS = {
     "uncoded-short": {
         "csv_sha256": "d05c0b387d19d8b276cee41f129faa32381b01f1a87832691d78707b2737acc7",
         "numkit.sorted_qr.calls": 600,
-        "detectors.robust_plan.calls": 300,
+        "numkit.inv_sqrt.calls": 600,
         "detectors.build_extended.calls": 300,
         "detectors.osic_detect.calls": 300,
         "detectors.sr_kbest_detect.calls": 300,
@@ -72,7 +79,7 @@ PINS = {
     "coded-lspilot": {
         "csv_sha256": "7355778357783d5e417e90ecf614108046fd658791f4fcf6b97d5bb758dc30c9",
         "numkit.sorted_qr.calls": 120,
-        "detectors.robust_plan.calls": 120,
+        "numkit.inv_sqrt.calls": 240,
         "detectors.build_extended.calls": 0,
         "detectors.kbest_detect.calls": 120,
         "airlink.estimate_channel.calls": 240,
@@ -85,9 +92,17 @@ PINS = {
 
 # stages that must read more than 0 us per vector
 POSITIVE = {
-    "uncoded-long": ["kbest.search", "sr-kbest.search", "robust-sr-kbest.search"],
-    "uncoded-short": ["osic.search", "robust-sr-kbest.search"],
-    "coded-lspilot": ["robust-sr-kbest.estimate", "robust-sr-kbest.search"],
+    "uncoded-long": [
+        "kbest.search", "sr-kbest.search", "robust-sr-kbest.search",
+        "mmse-irc.plan", "robust-sr-kbest.plan",
+    ],
+    "uncoded-short": [
+        "osic.search", "robust-sr-kbest.search", "mmse-irc.plan", "robust-sr-kbest.plan",
+    ],
+    "coded-lspilot": [
+        "robust-sr-kbest.estimate", "robust-sr-kbest.search",
+        "mmse-irc.plan", "robust-sr-kbest.plan",
+    ],
 }
 
 

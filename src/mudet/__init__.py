@@ -8,9 +8,8 @@ airlink
     Constellations, correlated channel with interferers, pilot channel
     estimation, interference+noise covariance estimation.
 detectors
-    Linear MMSE (white-noise and IRC), sorted-QR OSIC, K-best and
-    sorting-reduced K-best tree searches, and the interference-whitening
-    robust detector chain.
+    Whitening by each detector's noise model, linear MMSE (white-noise and
+    IRC), sorted-QR OSIC, K-best and sorting-reduced K-best tree searches.
 fec
     Seeded (288, 144) regular LDPC code with normalized min-sum decoding.
 bench

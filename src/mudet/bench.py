@@ -70,10 +70,9 @@ from .detectors import (
     kbest_detect,
     linear_weights,
     logmap_llrs,
-    mmse_irc_weights,
     osic_detect,
-    robust_plan,
     sr_kbest_detect,
+    whiten,
 )
 from .errors import ConfigParseError, ConfigValidationError
 from .numkit import as_complex_matrix, sorted_qr
@@ -469,55 +468,53 @@ def _detect_uses(cfg, name: str, cons, know: _TrialKnowledge, y_block, coded: bo
     Returns hard decisions ``(n_uses, n_users)`` when uncoded and LLRs
     ``(n_uses, n_users * bits_per_symbol)`` when coded; a 1-D or non-finite
     block raises ``ValueError``. Every use shares the trial's channel
-    knowledge, so each detector factorizes once and searches all uses
-    together; every tree-search list is mapped back to user order. Uncoded,
-    the K-best and sorting-reduced searches return only their best candidate
-    (``best_only``). Coded, every detector's list becomes LLRs by list
-    log-MAP (:func:`logmap_llrs`) on its likelihood, and every K-best
-    list, hard or soft, comes from :func:`kbest_detect` and its one tie rule.
-    ``ml`` is such a K-best search, of width ``size**n_users``, so it cuts
-    no path: uncoded its best leaf is the exhaustive minimum (tied minima go
-    by :func:`kbest_detect`'s rule), and coded its list holds every
-    hypothesis.
+    knowledge, so each detector plans once and searches all uses together.
 
-    ``mrc`` and ``mmse-irc`` are the MMSE weights ``W`` of
-    :func:`linear_weights` at ``R = sigma_det I`` and ``R = r_uu``: ``mrc`` is
-    not the matched filter ``h_hat' y / ||h_hat||^2``, but keeps the name
-    every CSV carries. Uncoded they slice ``x_eq / g``, ``g = diag(W h_hat)``;
-    coded, each user's list is every point ``s``, at the metric ``|x_eq -
-    g s|^2 / (g (1 - g))`` of its residual power ``g (1 - g)``.
+    Each detector's noise model is chosen here and nowhere else: ``r_uu``
+    for ``mmse-irc`` and ``robust-sr-kbest``, ``sigma_det`` for ``mrc``,
+    and ``sigma_det + sigma_i2`` for ``osic``, ``kbest``, ``sr-kbest`` and
+    ``ml``. :func:`whiten` turns it into a filter ``w`` and the whitened
+    channel ``hw = w h_hat``, so ``mmse-irc`` differs from ``mrc``, and
+    ``robust-sr-kbest`` from ``sr-kbest``, only in that model.
 
-    Every tree search runs on one plan ``(rotate, sq)``: the sorted QR
-    ``sq`` of one channel matrix and the rotation that one product
-    ``y @ rotate.T`` applies to every use. ``kbest``, ``sr-kbest`` and
-    ``ml`` plan on the plain channel, ``sq = sorted_qr(h_hat)`` and
-    ``rotate = sq.q'``, so their metric is ``||y - h_hat x||^2`` up to a
-    per-vector constant, and their LLRs read it over the
-    noise-plus-interference power ``sigma_det + sigma_i2``. ``osic`` plans
-    on the MMSE-extended channel (:func:`build_extended`); its
-    one-candidate list gives every bit ``+/- LLR_MAX`` whatever its metric.
-    The robust detector plans on the whitened channel
-    (:func:`robust_plan`), where the noise is white with unit variance. Its
-    hard decisions come from the sorting-reduced search and its LLRs from a
-    full-expansion :func:`kbest_detect` of width ``SOFT_LIST_WIDTH``; the
-    whitened metric ``||w (y - h_hat x)||^2`` is a negative log-likelihood
-    as it is.
+    ``mrc`` and ``mmse-irc`` take the MMSE weights ``W = np.dot(
+    linear_weights(hw), w)`` (``mrc`` is not the matched filter, but keeps
+    the name every CSV carries). Uncoded they slice ``x_eq / g``, ``g =
+    diag(W h_hat)``; coded, each user's list is every point ``s`` at the
+    metric ``|x_eq - g s|^2 / (g (1 - g))``, ``g (1 - g)`` being its
+    residual power.
 
-    Every tree search takes the uses in chunks of ``ML_GUARD // width``
-    rows, ``width`` being its list width, which bounds its memory at any
-    block size; a block of one chunk is searched and returned whole.
+    Every tree search runs on the sorted QR ``sq`` of ``hw`` (``osic``: of
+    its MMSE extension, :func:`build_extended`), onto which ``y @
+    np.dot(sq.q[:n_rx]', w).T`` rotates every use, so its metric is the
+    whitened ``||w (y - h_hat x)||^2``, a negative log-likelihood up to a
+    per-vector constant. Uncoded, the K-best and sorting-reduced searches
+    return only their best candidate (``best_only``); coded, every list
+    becomes LLRs by list log-MAP (:func:`logmap_llrs`), and ``osic``'s one
+    candidate gives every bit ``+/- LLR_MAX``. Every K-best list comes from
+    :func:`kbest_detect` and its one tie rule: ``ml``'s, of width
+    ``size**n_users``, which cuts no path, and the robust detector's coded
+    list, of width ``SOFT_LIST_WIDTH``. Every tree search takes the uses in
+    chunks of ``ML_GUARD // width`` rows, ``width`` being its list width,
+    which bounds its memory at any block size.
     """
-    h_hat, r_uu, sigma_det = know.h_hat, know.r_uu, know.sigma_det
+    h_hat = know.h_hat
     # rows checked before the product, which warns on an inf entry
     y_block = as_complex_matrix(y_block, "y_block")
+    if name in ("mmse-irc", "robust-sr-kbest"):
+        noise = know.r_uu
+    elif name == "mrc":
+        noise = know.sigma_det
+    elif name in DETECTOR_NAMES:
+        noise = know.sigma_det + know.sigma_i2
+    else:
+        raise ValueError(f"unknown detector {name!r}")
+    w, hw = whiten(h_hat, noise)
 
     if name in ("mrc", "mmse-irc"):
-        if name == "mrc":
-            w = linear_weights(h_hat, h_hat / sigma_det)
-        else:
-            w = mmse_irc_weights(h_hat, r_uu)
-        x_eq = y_block @ w.T
-        gain = np.diag(w @ h_hat).real
+        weights = np.dot(linear_weights(hw), w)
+        x_eq = y_block @ weights.T
+        gain = np.diag(weights @ h_hat).real
         if not coded:
             return cons.nearest(x_eq / gain)
         # every point is each user's list; the floor guards a gain of 0 or 1
@@ -526,45 +523,33 @@ def _detect_uses(cfg, name: str, cons, know: _TrialKnowledge, y_block, coded: bo
         symbols = np.broadcast_to(np.arange(cons.size)[:, None], dist.shape + (1,))
         return logmap_llrs(symbols, dist, cons).reshape(len(x_eq), -1)
 
-    if name in ("osic", "kbest", "sr-kbest", "robust-sr-kbest", "ml"):
-        robust = name == "robust-sr-kbest"
-        if robust:
-            rotate, sq = robust_plan(h_hat, r_uu)
-        elif name == "osic":
-            rotate, sq = build_extended(h_hat, sigma_det, know.sigma_i2)
-        else:
-            sq = sorted_qr(h_hat)
-            rotate = sq.q.conj().T
-        y_tilde = y_block @ rotate.T
+    sq = build_extended(hw) if name == "osic" else sorted_qr(hw)
+    y_tilde = y_block @ np.dot(sq.q[: h_hat.shape[0]].conj().T, w).T
+    robust = name == "robust-sr-kbest"
+    if name == "osic":
+        width = 1
+    elif name == "kbest":
+        width = cfg.kbest_k
+    elif name == "ml":
+        width = cons.size**cfg.n_users
+    else:
+        width = SOFT_LIST_WIDTH if robust and coded else cfg.sr_params.k
+    step = ML_GUARD // width
+    out = []
+    for start in range(0, y_tilde.shape[0], step):
+        rows = y_tilde[start : start + step]
         if name == "osic":
-            width = 1
-        elif name == "kbest":
-            width = cfg.kbest_k
-        elif name == "ml":
-            width = cons.size**cfg.n_users
+            cands = osic_detect(sq.r, rows, cons)
+        elif name in ("kbest", "ml") or (robust and coded):
+            cands = kbest_detect(sq.r, rows, width, cons, best_only=not coded)
         else:
-            width = SOFT_LIST_WIDTH if robust and coded else cfg.sr_params.k
-        # the whitened metric is a negative log-likelihood as it is; the
-        # others are squared distances at the noise-plus-interference power
-        sigma2 = 1.0 if robust else sigma_det + know.sigma_i2
-        step = ML_GUARD // width
-        out = []
-        for start in range(0, y_tilde.shape[0], step):
-            rows = y_tilde[start : start + step]
-            if name == "osic":
-                cands = osic_detect(sq.r, rows, cons)
-            elif name in ("kbest", "ml") or (robust and coded):
-                cands = kbest_detect(sq.r, rows, width, cons, best_only=not coded)
-            else:
-                cands = sr_kbest_detect(sq.r, rows, cfg.sr_params, cons, best_only=not coded)
-            cands = cands.permuted(sq.perm)
-            if coded:
-                out.append(logmap_llrs(cands.symbols, cands.metrics / sigma2, cons))
-            else:
-                out.append(cands.symbols[:, 0])
-        return out[0] if len(out) == 1 else np.concatenate(out)
-
-    raise ValueError(f"unknown detector {name!r}")
+            cands = sr_kbest_detect(sq.r, rows, cfg.sr_params, cons, best_only=not coded)
+        cands = cands.permuted(sq.perm)
+        if coded:
+            out.append(logmap_llrs(cands.symbols, cands.metrics, cons))
+        else:
+            out.append(cands.symbols[:, 0])
+    return out[0] if len(out) == 1 else np.concatenate(out)
 
 
 def _run_trial(cfg, det_name: str, code, snr_db: float, rng) -> tuple[int, int]:

@@ -3,10 +3,11 @@
 ``mudet simulate --config scenario.cfg --out results.csv`` runs a BER
 sweep and writes the CSV (and optionally plot-friendly blocks). Flags
 override the corresponding config keys. Exit codes: 0 success, 1 config
-error, 2 runtime error.
+error, 2 runtime error (an unwritable output path exits before the sweep).
 """
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -56,6 +57,14 @@ def _load_config(args):
     return cfg
 
 
+def _check_writable(path) -> None:
+    """Open ``path`` for appending and close it; a file this creates is removed."""
+    existed = os.path.lexists(path)
+    open(path, "a", encoding="utf-8").close()
+    if not existed:
+        os.remove(path)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -64,6 +73,8 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     try:
+        for path in filter(None, (args.out, args.plot)):
+            _check_writable(path)
         records = run_scenario(cfg)
         write_csv(records, args.out)
         if args.plot:

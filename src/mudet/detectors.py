@@ -1,17 +1,12 @@
 """Multi-user uplink detectors.
 
-Linear detection (one MMSE weight formula, :func:`linear_weights`, for
-multi-user MMSE with interference rejection and for the white-noise MMSE
-that ``mrc`` computes), three tree searches on an upper-triangular
-system (ordered successive interference cancellation, breadth-first
+Whitening (:func:`whiten`: a noise model as one filter ``w`` and the
+whitened channel ``w h_hat``), one MMSE weight formula
+(:func:`linear_weights`), and three tree searches on an upper-triangular
+system: ordered successive interference cancellation, breadth-first
 K-best, and its sorting-reduced variant driven by a ``(k, s, p, v, q)``
-schedule), and the interference-whitening plan
-(:func:`robust_plan`) that puts the tree search on the whitened
-likelihood, robust to spatially coloured interference. A detector is
-composed from these parts in ``mudet.bench``: a plan per channel, a
-rotation of the received vectors, one search and, on the coded path,
-LLRs. The maximum-likelihood detector is composed the same way, as a
-K-best search wide enough to keep every path.
+schedule. ``mudet.bench`` composes every detector from these parts, the
+maximum-likelihood one as a K-best search wide enough to keep every path.
 
 LLR convention: positive favours bit 0. Every coded detector's LLRs come
 from :func:`logmap_llrs` (over a tree search's list, or every point of
@@ -22,9 +17,9 @@ Batching: the tree searches (:func:`osic_detect`, :func:`kbest_detect`,
 :func:`sr_kbest_detect`) take a ``(B, ...)`` block of received vectors
 that share one channel factorization, and nothing else: a 1-D input
 raises ``ValueError`` (one vector is the block ``y[None]``). Every output
-carries the leading ``B`` axis. The plans, :func:`build_extended` and
-:func:`robust_plan`, take no received vectors. Given its rotated input
-``y_tilde``, every row is searched exactly as it would be alone: each
+carries the leading ``B`` axis. :func:`whiten` and :func:`build_extended`
+take no received vectors. Given its rotated input ``y_tilde``, every row
+is searched exactly as it would be alone: each
 selection along the last axis returns what a stable sort of that row
 would, so ties resolve the same way at any batch size. Every selection of a search (the per-parent ranking of
 a scheduled layer, each survivor and pool cut, and the final order) goes
@@ -50,7 +45,7 @@ tables of :class:`~mudet.airlink.Constellation` (:func:`_layer_increments`).
 That needs the real diagonal of ``r`` that :mod:`mudet.numkit`'s
 factorizations return; a search given a complex diagonal raises
 ``ValueError``. The rotation in front of a search (``y @ rotate.T``, with
-the ``rotate`` of a plan) is a matrix product and rounds a row differently
+``rotate = q' w``) is a matrix product and rounds a row differently
 alone than inside a block, so a row's ``y_tilde``, and the LLRs computed
 from it, match its row-alone values only to rounding; the records of the
 batched path are pinned by ``tests/test_bench.py::test_golden_records``.
@@ -59,6 +54,7 @@ All functions are pure: they read their arguments and return fresh
 arrays, so concurrent calls on distinct subcarrier instances are safe.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -186,24 +182,38 @@ class SrKBestParams:
 # linear detectors
 
 
-def linear_weights(h_hat, z) -> np.ndarray:
-    """MMSE weights ``W = (I + H' Z)^-1 Z'`` of unit-energy symbols, ``Z = R^-1
-    H`` for the noise-plus-interference covariance ``R`` (``Z = H / sigma``
-    for ``R = sigma I``). The gain ``g = diag(W H)`` is real in ``[0, 1)``, and
-    user ``k``'s residual power, ``sum_{j != k} |(W H)_kj|^2 + (W R W')_kk``,
-    is ``g_k (1 - g_k)`` (the unbiased-MMSE SINR identity)."""
-    gram = np.eye(h_hat.shape[1]) + h_hat.conj().T @ z
-    gram = 0.5 * (gram + gram.conj().T)
-    return solve_hermitian(gram, z.conj().T)
+def whiten(h_hat, noise) -> tuple:
+    """Whitening filter ``w`` of a noise model and the whitened channel ``w h_hat``.
 
-
-def mmse_irc_weights(h_hat, r_uu) -> np.ndarray:
-    """Weight matrix ``(I + H' R_uu^-1 H)^-1 H' R_uu^-1``."""
+    ``noise`` is a noise-plus-interference covariance ``R`` (``n_rx x
+    n_rx``, whitened by ``w = inv_sqrt(R)``) or a white-noise power
+    ``sigma`` (whitened by the scalar ``w = 1 / sqrt(sigma)``); ``np.dot``
+    applies either form. Returns ``(w, np.dot(w, h_hat))``.
+    """
     h_hat = as_complex_matrix(h_hat, "h_hat")
-    n_rx, n_users = h_hat.shape
-    if n_rx < n_users:
-        raise DimensionMismatchError("need n_rx >= n_users")
-    return linear_weights(h_hat, solve_hermitian(r_uu, h_hat))
+    if np.ndim(noise) == 0:
+        if not 0.0 < noise < math.inf:
+            raise ValueError(f"noise power must be finite and > 0, got {noise!r}")
+        w = 1.0 / math.sqrt(noise)
+    else:
+        n_rx = h_hat.shape[0]
+        if np.shape(noise) != (n_rx, n_rx):
+            raise DimensionMismatchError(f"noise covariance must be {n_rx} x {n_rx}")
+        w = inv_sqrt(noise)
+    return w, np.dot(w, h_hat)
+
+
+def linear_weights(hw) -> np.ndarray:
+    """MMSE weights ``(I + hw' hw)^-1 hw'`` of unit-energy symbols on the
+    whitened channel ``hw`` of :func:`whiten`; ``np.dot(linear_weights(hw),
+    w)`` is the weight matrix ``W`` of received rows. The gain ``g = diag(W
+    h_hat)`` is real in ``[0, 1)``, and user ``k``'s residual power,
+    interference and noise, is ``g_k (1 - g_k)`` (the unbiased-MMSE SINR
+    identity)."""
+    hw_h = hw.conj().T
+    gram = np.eye(hw.shape[1]) + hw_h @ hw
+    gram = 0.5 * (gram + gram.conj().T)
+    return solve_hermitian(gram, hw_h)
 
 
 # ---------------------------------------------------------------------------
@@ -233,25 +243,18 @@ def _triangular_system(r, y_tilde):
     return r, _rows(y_tilde, m, "y_tilde")
 
 
-def build_extended(h_hat, sigma_n2: float, sigma_i2: float) -> tuple[np.ndarray, SortedQR]:
-    """Plan of the MMSE-extended model: ``sqrt(sigma_n2 + sigma_i2) * I``
-    stacked under the channel.
+def build_extended(hw) -> SortedQR:
+    """Sorted QR of the MMSE-extended model: ``I`` stacked under the
+    whitened channel ``hw``, ``(n_rx + n_users) x n_users``.
 
     QR-based detection on the extended model implicitly applies MMSE-style
     regularization without explicit matrix inversion (Wubben et al., "MMSE
-    extension of V-BLAST based on sorted QR decomposition", VTC 2003).
-    Returns ``(rotate, sq)``: ``sq`` is the sorted QR of the stacked
-    ``(n_rx + n_users, n_users)`` channel and ``rotate = sq.q[:n_rx]'``, so
-    a block ``y`` becomes ``y_tilde = y @ rotate.T``, the rotation of ``y``
+    extension of V-BLAST based on sorted QR decomposition", VTC 2003). The
+    received rows rotate by ``sq.q[:n_rx]``, the rotation of the rows
     padded with ``n_users`` zeros, without building the padded block.
     """
-    h_hat = as_complex_matrix(h_hat, "h_hat")
-    total = sigma_n2 + sigma_i2
-    if total <= 0.0:
-        raise ValueError("sigma_n2 + sigma_i2 must be > 0")
-    n_rx, n_users = h_hat.shape
-    sq = sorted_qr(np.concatenate([h_hat, np.sqrt(total) * np.eye(n_users)]))
-    return sq.q[:n_rx].conj().T, sq
+    hw = as_complex_matrix(hw, "hw")
+    return sorted_qr(np.concatenate([hw, np.eye(hw.shape[1])]))
 
 
 def _layer_increments(r, y_tilde, layer, symbols, cons):
@@ -494,29 +497,6 @@ def osic_detect(r, y_tilde, cons: Constellation) -> CandidateList:
         hard[:, layer] = cons.nearest(resid / r[layer, layer])
     metric = (np.abs(y_tilde - points[hard] @ r.T) ** 2).sum(axis=-1)
     return CandidateList(symbols=hard[:, None, :], metrics=metric[:, None])
-
-
-# ---------------------------------------------------------------------------
-# robust whitening plan
-
-
-def robust_plan(h_hat, r_uu) -> tuple[np.ndarray, SortedQR]:
-    """The received-vector-independent part of the robust detector.
-
-    Whitens the channel with ``w = inv_sqrt(r_uu)`` and sorts its QR: ``sq =
-    sorted_qr(w h_hat)``, so ``(w h_hat)[:, sq.perm] = sq.q sq.r``. Returns
-    ``(rotate, sq)`` with ``rotate = sq.q' w``: a block ``y`` becomes
-    ``y_tilde = y @ rotate.T``, and ``||y_tilde - sq.r x||^2`` is the
-    whitened log-likelihood ``||w (y - h_hat x)||^2`` up to a per-vector
-    constant, with ``x`` in ``sq.perm`` order. One plan serves every
-    received vector of a resource block.
-    """
-    h_hat = as_complex_matrix(h_hat, "h_hat")
-    w = inv_sqrt(r_uu)
-    if w.shape[0] != h_hat.shape[0]:
-        raise DimensionMismatchError("r_uu dimension must equal n_rx")
-    sq = sorted_qr(w @ h_hat)
-    return sq.q.conj().T @ w, sq
 
 
 # ---------------------------------------------------------------------------

@@ -179,7 +179,8 @@ def test_c02_sherman_morrison_identity():
         r_uu = random_pd(rng, n)
         y = complex_randn(rng, n)
         direct = complex(np.linalg.solve(r_uu + np.outer(h, h.conj()), h).conj() @ y)
-        ours = complex(det.mmse_irc_weights(h[:, None], r_uu)[0] @ y)
+        w, hw = det.whiten(h[:, None], r_uu)
+        ours = complex(np.dot(det.linear_weights(hw), w)[0] @ y)
         worst = max(worst, abs(ours - direct) / max(1.0, abs(direct)))
     _report("C2 Sherman-Morrison", worst <= 1e-10, f"worst relative error {worst:.2e}")
 
@@ -212,7 +213,9 @@ def test_c03_whitening_identity_and_whiteness():
 def test_c04_robust_pipeline_hand_check():
     rng = np.random.default_rng(404)
     y = complex_randn(rng, 4)
-    rotate, sq = det.robust_plan(np.eye(4), np.eye(4))
+    w, hw = det.whiten(np.eye(4), np.eye(4))
+    sq = sorted_qr(hw)
+    rotate = sq.q.conj().T @ w
     y_tilde = (y[None] @ rotate.T)[0]
     checks = [
         np.allclose(rotate, np.eye(4), atol=1e-12),
@@ -289,8 +292,9 @@ def test_c07_osic_equals_kbest_k1():
     for _ in range(1000):
         h = complex_randn(rng, 8, 4)
         y = h @ QAM16.points[rng.integers(0, 16, 4)] + 0.3 * complex_randn(rng, 8)
-        rotate, sq = det.build_extended(h, 0.09, 0.0)
-        y_tilde = y[None] @ rotate.T
+        w, hw = det.whiten(h, 0.09)
+        sq = det.build_extended(hw)
+        y_tilde = y[None] @ np.dot(sq.q[:8].conj().T, w).T
         osic = det.osic_detect(sq.r, y_tilde, QAM16)
         kb = det.kbest_detect(sq.r, y_tilde, 1, QAM16)
         if not np.array_equal(osic.symbols, kb.symbols):

@@ -727,10 +727,14 @@ def test_hard_only_uses_permute_the_best_candidate_like_the_whole_list(qam16):
         )
         y[2] = 0.0
         y = np.asfortranarray(y) if trial % 2 else y
-        ext_rotate, ext = det.build_extended(h, know.sigma_det, know.sigma_i2)
-        plain = numkit.sorted_qr(h)
-        y_plain = y @ plain.q.conj()
-        robust_rotate, robust = det.robust_plan(h, r_uu)
+        w_ext, hw = det.whiten(h, know.sigma_det + know.sigma_i2)
+        ext = det.build_extended(hw)
+        ext_rotate = np.dot(ext.q[:8].conj().T, w_ext)
+        plain = numkit.sorted_qr(hw)
+        y_plain = y @ np.dot(plain.q.conj().T, w_ext).T
+        w, hw = det.whiten(h, r_uu)
+        robust = numkit.sorted_qr(hw)
+        robust_rotate = robust.q.conj().T @ w
         lists = {
             "osic": (det.osic_detect(ext.r, y @ ext_rotate.T, qam16), ext.perm),
             "kbest": (det.kbest_detect(plain.r, y_plain, cfg.kbest_k, qam16), plain.perm),
@@ -758,12 +762,13 @@ def _spy(calls, name, func):
 @pytest.mark.parametrize("coded", [False, True], ids=["uncoded", "coded"])
 @pytest.mark.parametrize("name", ["osic", "kbest", "sr-kbest", "ml"])
 def test_plain_lists_plan_on_the_sorted_qr_of_h_hat(qam16, monkeypatch, name, coded):
-    # kbest, sr-kbest and ml search ||y - h_hat x||^2 on sorted_qr(h_hat)
-    # and its rotation, and their LLRs read the metrics over sigma_det +
-    # sigma_i2; only osic plans on the MMSE extension
+    # kbest, sr-kbest and ml search ||y - h_hat x||^2 / (sigma_det +
+    # sigma_i2) on sorted_qr(hw) of whiten's hw = h_hat / sqrt(sigma_det +
+    # sigma_i2) and its rotation, and their LLRs read the metrics as they
+    # are; only osic plans on the MMSE extension of hw
     calls = []
     for fname, module in [
-        ("sorted_qr", numkit), ("build_extended", det), ("osic_detect", det),
+        ("whiten", det), ("sorted_qr", numkit), ("build_extended", det), ("osic_detect", det),
         ("kbest_detect", det), ("sr_kbest_detect", det), ("logmap_llrs", det),
     ]:
         monkeypatch.setattr(bench, fname, _spy(calls, fname, getattr(module, fname)))
@@ -773,19 +778,43 @@ def test_plain_lists_plan_on_the_sorted_qr_of_h_hat(qam16, monkeypatch, name, co
     know = bench._TrialKnowledge(h_hat=h, r_uu=np.eye(8), sigma_det=0.5, sigma_i2=0.3)
     y = qam16.points[rng.integers(0, 16, (5, 3))] @ h.T + 0.6 * crandn(rng, 5, 8)
     bench._detect_uses(cfg, name, qam16, know, y, coded)
+    (whitened,) = [c for c in calls if c[0] == "whiten"]
+    assert whitened[1][0] is h and whitened[1][1] == 0.8
+    w, hw = whitened[2]
+    assert w == 1 / np.sqrt(0.8)
     plans = [(fname, args) for fname, args, _ in calls if fname in ("sorted_qr", "build_extended")]
+    assert len(plans) == 1 and plans[0][1][0] is hw
     if name == "osic":
-        assert plans == [("build_extended", (h, 0.5, 0.3))]
-        sq = det.build_extended(h, 0.5, 0.3)[1]
+        assert plans[0][0] == "build_extended"
     else:
-        assert len(plans) == 1 and plans[0][0] == "sorted_qr" and plans[0][1][0] is h
-        sq = numkit.sorted_qr(h)
+        assert plans[0][0] == "sorted_qr"
+        sq = numkit.sorted_qr(hw)
         (search,) = [c for c in calls if c[0].endswith("_detect")]
         assert np.array_equal(search[1][0], sq.r)
-        assert np.array_equal(search[1][1], y @ sq.q.conj())
+        assert np.array_equal(search[1][1], y @ np.dot(sq.q.conj().T, w).T)
     if coded and name != "osic":
         (llr,) = [c for c in calls if c[0] == "logmap_llrs"]
-        assert np.array_equal(llr[1][1], search[2].metrics / 0.8)
+        assert np.array_equal(llr[1][1], search[2].metrics)
+
+
+@pytest.mark.parametrize(
+    "white, coloured", [("mrc", "mmse-irc"), ("sr-kbest", "robust-sr-kbest")]
+)
+def test_detectors_differ_only_in_their_noise_model(qam16, white, coloured):
+    # at r_uu = sigma_det I and sigma_i2 = 0 the detector that whitens by
+    # r_uu and the one that whitens by a noise power see one noise model:
+    # equal hard decisions and, for the linear pair, equal coded LLRs
+    rng = np.random.default_rng(1)
+    cfg = bench.ScenarioConfig(n_rx=6, n_users=3)
+    h = crandn(rng, 6, 3)
+    know = bench._TrialKnowledge(h_hat=h, r_uu=0.3 * np.eye(6), sigma_det=0.3, sigma_i2=0.0)
+    y = qam16.points[rng.integers(0, 16, (40, 3))] @ h.T + np.sqrt(0.3) * crandn(rng, 40, 6)
+    def run(name, coded):
+        return bench._detect_uses(cfg, name, qam16, know, y, coded=coded)
+
+    assert np.array_equal(run(white, False), run(coloured, False))
+    if white == "mrc":
+        assert np.allclose(run(white, True), run(coloured, True))
 
 
 @pytest.mark.parametrize(
@@ -1237,12 +1266,30 @@ def test_cli_detector_flag_named_twice_is_config_error(tmp_path, capsys):
     assert "named twice" in capsys.readouterr().err and not out.exists()
 
 
-def test_cli_runtime_error_exit_code(tmp_path):
+def test_cli_runtime_error_exit_code(tmp_path, monkeypatch):
     cfg = tmp_path / "s.cfg"
     cfg.write_text(CLI_CFG)
     rc = cli_main(["simulate", "--config", str(cfg),
                    "--out", str(tmp_path / "missing-dir" / "o.csv")])
     assert rc == 2
+    # an output path that cannot be written fails before any trial runs
+    calls = []
+    monkeypatch.setattr("mudet.cli.run_scenario", lambda cfg: calls.append(cfg) or [])
+    bad = str(tmp_path / "missing-dir" / "x")
+    for extra in (["--out", bad], ["--out", str(tmp_path / "o.csv"), "--plot", bad]):
+        assert cli_main(["simulate", "--config", str(cfg), *extra]) == 2
+        assert calls == []
+        assert not (tmp_path / "o.csv").exists()
+    # a sweep that fails later leaves an existing output file as it was
+    out = tmp_path / "kept.csv"
+    out.write_text("earlier results\n")
+
+    def fail(cfg):
+        raise RuntimeError("trial aborted")
+
+    monkeypatch.setattr("mudet.cli.run_scenario", fail)
+    assert cli_main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert out.read_text() == "earlier results\n"
 
 
 def test_cli_entry_point_runs(tmp_path):

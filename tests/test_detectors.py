@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from mudet import bench
 from mudet import detectors as det
 from mudet.airlink import estimate_covariance
-from mudet.errors import InvalidSearchParamsError
+from mudet.errors import DimensionMismatchError, InvalidSearchParamsError, NotPositiveDefiniteError
 from mudet.numkit import inv_sqrt, sorted_qr
 
 from conftest import crandn, every_vector, exhaustive_search
@@ -21,13 +21,53 @@ def random_pd(rng, n, floor=0.1):
     return b @ b.conj().T + floor * np.eye(n)
 
 
-# --- linear detectors ---------------------------------------------------------
+# --- whitening and linear detectors ---------------------------------------------
+
+
+def linear(h, noise):
+    """Weight matrix ``W`` of the linear detector whose noise model is
+    ``noise``, as ``mudet.bench`` composes it: ``np.dot(linear_weights(hw),
+    w)``, ``(I + H' R^-1 H)^-1 H' R^-1`` for ``R = noise``."""
+    w, hw = det.whiten(h, noise)
+    return np.dot(det.linear_weights(hw), w)
+
+
+def whitened_plan(h, noise, extended=False):
+    """``(rotate, sq)`` of a tree search as ``mudet.bench`` composes it: the
+    sorted QR of the whitened channel (of its MMSE extension when
+    ``extended``) and the rotation ``y @ rotate.T`` of received rows onto it."""
+    w, hw = det.whiten(h, noise)
+    sq = det.build_extended(hw) if extended else sorted_qr(hw)
+    return np.dot(sq.q[: h.shape[0]].conj().T, w), sq
+
+
+def test_whiten_rejects_bad_noise_models():
+    rng = np.random.default_rng(4)
+    h = crandn(rng, 6, 3)
+    for power in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            det.whiten(h, power)
+    with pytest.raises(DimensionMismatchError):
+        det.whiten(h, np.eye(5))
+    with pytest.raises(NotPositiveDefiniteError):
+        det.whiten(h, -np.eye(6))
+
+
+def test_whiten_scalar_and_matrix_forms():
+    # a power whitens by the scalar 1 / sqrt(sigma), a covariance by inv_sqrt
+    rng = np.random.default_rng(4)
+    h = crandn(rng, 6, 3)
+    w, hw = det.whiten(h, 0.25)
+    assert w == 2.0 and np.array_equal(hw, 2.0 * h)
+    r_uu = random_pd(rng, 6)
+    w, hw = det.whiten(h, r_uu)
+    assert np.array_equal(w, inv_sqrt(r_uu)) and np.array_equal(hw, w @ h)
 
 
 def one_user_wiener(h, r_uu, y):
     """Wiener estimate of one unit-power user: the one row of the MMSE-IRC
     weights, ``h' R_uu^-1 / (1 + h' R_uu^-1 h)`` by Sherman-Morrison."""
-    return complex(det.mmse_irc_weights(np.asarray(h, dtype=complex)[:, None], r_uu)[0] @ y)
+    return complex(linear(np.asarray(h, dtype=complex)[:, None], r_uu)[0] @ y)
 
 
 def test_mmse_irc_single_user_hand_cases():
@@ -49,19 +89,9 @@ def test_mmse_irc_single_user_sherman_morrison_equivalence():
 
 
 def test_mmse_irc_identity_case():
-    w = det.mmse_irc_weights(np.eye(2), np.eye(2))
+    w = linear(np.eye(2), np.eye(2))
     assert np.allclose(w, 0.5 * np.eye(2))
     assert np.allclose(w @ np.array([2.0, 4.0]), [1.0, 2.0])
-
-
-def test_mmse_irc_reduces_to_mrc_for_white_covariance():
-    # mrc's weights, linear_weights(h, h / sigma), are mmse-irc's at R = sigma I
-    rng = np.random.default_rng(1)
-    h = crandn(rng, 6, 3)
-    y = crandn(rng, 6)
-    x_irc = det.mmse_irc_weights(h, 0.3 * np.eye(6)) @ y
-    x_mrc = det.linear_weights(h, h / 0.3) @ y
-    assert np.allclose(x_irc, x_mrc)
 
 
 def test_mmse_irc_matches_independent_solver():
@@ -70,23 +100,23 @@ def test_mmse_irc_matches_independent_solver():
         h = crandn(rng, 8, 3)
         r_uu = random_pd(rng, 8)
         y = crandn(rng, 8)
-        x = det.mmse_irc_weights(h, r_uu) @ y
+        x = linear(h, r_uu) @ y
         ri = np.linalg.inv(r_uu)
         ref = np.linalg.solve(np.eye(3) + h.conj().T @ ri @ h, h.conj().T @ ri @ y)
         assert np.linalg.norm(x - ref) <= 1e-9 * max(1.0, np.linalg.norm(ref))
 
 
 def test_mrc_white_cases():
-    # mrc's white-noise MMSE: linear_weights with Z = H / sigma_n2
+    # mrc's white-noise MMSE: the weights of the noise power sigma_n2
     def mrc(h, sigma_n2, y):
-        return det.linear_weights(h, h / sigma_n2) @ y
+        return linear(h, sigma_n2) @ y
 
     y = np.array([1.0 + 1j, 2.0])
     assert np.allclose(mrc(np.eye(2), 0.5, y), y / 1.5)
     rng = np.random.default_rng(3)
     h = crandn(rng, 4, 4)
     x = crandn(rng, 4)
-    # Z = H / sigma_n2 takes no sigma_n2 = 0 (the detectors never see less
+    # whiten takes no sigma_n2 = 0 (the detectors never see less
     # than bench.NOISELESS_FLOOR), so the noiseless limit is a small sigma_n2
     sol = mrc(h, 1e-12, h @ x)
     assert np.linalg.norm(sol - x) <= 1e-9 * np.linalg.norm(x)
@@ -103,13 +133,11 @@ def test_mrc_white_cases():
 def test_build_extended_blocks():
     rng = np.random.default_rng(4)
     h = crandn(rng, 6, 3)
-    for sigma_i2, scale in ((0.0, 1.0), (3.0, 2.0)):
-        rotate, sq = det.build_extended(h, 1.0, sigma_i2)
-        stacked = np.concatenate([h, scale * np.eye(3)])
+    for power, scale in ((1.0, 1.0), (4.0, 2.0)):
+        rotate, sq = whitened_plan(h, power, extended=True)
+        stacked = np.concatenate([h, scale * np.eye(3)]) / scale
         assert sq.q.shape == (9, 3) and rotate.shape == (3, 6)
         assert np.allclose(sq.q @ sq.r, stacked[:, sq.perm])
-    with pytest.raises(ValueError):
-        det.build_extended(h, 0.0, 0.0)
 
 
 @pytest.mark.parametrize("n_vec", [1, 2, 18, 50])
@@ -122,13 +150,15 @@ def test_build_extended_rotation_is_the_zero_padded_rotation(shape, n_vec):
     for _ in range(5):
         h = crandn(rng, n_rx, n_users)
         total = rng.uniform(0.01, 1.0)
-        rotate, sq = det.build_extended(h, 0.7 * total, 0.3 * total)
-        stacked = np.concatenate([h, np.sqrt(total) * np.eye(n_users)])
+        w, hw = det.whiten(h, total)
+        sq = det.build_extended(hw)
+        rotate = np.dot(sq.q[:n_rx].conj().T, w)
+        stacked = np.concatenate([hw, np.eye(n_users)])
         scale = np.linalg.norm(stacked)
         assert np.allclose(sq.q @ sq.r, stacked[:, sq.perm], rtol=0, atol=1e-12 * scale)
         y = crandn(rng, n_vec, n_rx)
         padded = np.concatenate([y, np.zeros((n_vec, n_users), dtype=complex)], axis=1)
-        assert np.array_equal(y @ rotate.T, padded @ sq.q.conj())
+        assert np.array_equal(y @ rotate.T, padded @ np.dot(sq.q.conj().T, w).T)
 
 
 def sorted_factors(h):
@@ -142,7 +172,7 @@ def sorted_factors(h):
 
 def extended_triangle(h, y, sigma_n2):
     """Sorted QR of the extended model and the rotated received rows ``y (B, n)``."""
-    rotate, sq = det.build_extended(h, sigma_n2, 0.0)
+    rotate, sq = whitened_plan(h, sigma_n2, extended=True)
     return sq, y @ rotate.T
 
 
@@ -705,8 +735,8 @@ def _leaf_models(rng, cons, m, n_vec, case):
     y = cons.points[rng.integers(0, cons.size, (n_vec, m))] @ h.T + 2.0 * crandn(rng, n_vec, 2 * m)
     if case == "zero-rows":
         y[::5] = 0.0
-    rotate, sq = det.build_extended(h, 0.2, 0.1)
-    robust_rotate, robust = det.robust_plan(h, random_pd(rng, 2 * m))
+    rotate, sq = whitened_plan(h, 0.2 + 0.1, extended=True)
+    robust_rotate, robust = whitened_plan(h, random_pd(rng, 2 * m))
     return (sq.r, y @ rotate.T), (robust.r, y @ robust_rotate.T)
 
 
@@ -766,7 +796,7 @@ def test_batched_searches_equal_row_by_row(qpsk, qam16, n_vec, m, use_qpsk, k, z
     y = y.T
     if zero_row:
         y[0] = 0.0  # y_tilde = 0: every layer is full of exact ties
-    rotate, sq = det.build_extended(h, 0.25, 0.0)
+    rotate, sq = whitened_plan(h, 0.25, extended=True)
     y_tilde = y @ rotate.T
     params = det.SrKBestParams.default_16_4()
     kb = det.kbest_detect(sq.r, y_tilde, k, cons)
@@ -817,7 +847,7 @@ def test_batched_apply_and_llrs_equal_row_by_row(qam16):
     h = crandn(rng, 8, 3)
     r_uu = random_pd(rng, 8)
     y = crandn(rng, 5, 8)
-    rotate, sq = det.robust_plan(h, r_uu)
+    rotate, sq = whitened_plan(h, r_uu)
     y_tilde = y @ rotate.T
     cands = det.sr_kbest_detect(sq.r, y_tilde, det.SrKBestParams.default_16_4(), qam16)
     llr = det.logmap_llrs(cands.symbols, cands.metrics, qam16)
@@ -899,7 +929,7 @@ def test_robust_identity_whitening_passthrough():
     # triangularizes, so it maps the sorted QR back onto the channel
     rng = np.random.default_rng(18)
     h = crandn(rng, 6, 3)
-    rotate, sq = det.robust_plan(h, np.eye(6))
+    rotate, sq = whitened_plan(h, np.eye(6))
     assert np.allclose(rotate.conj().T @ sq.r, h[:, sq.perm])
 
 
@@ -926,7 +956,7 @@ def test_robust_plan_rotates_onto_the_sorted_whitened_channel():
     # rotated noise is white with unit power
     rng = np.random.default_rng(47)
     for h, r_uu in _covariance_inputs(rng):
-        rotate, sq = det.robust_plan(h, r_uu)
+        rotate, sq = whitened_plan(h, r_uu)
         m = h.shape[1]
         assert rotate.shape == (m, h.shape[0]) and sq.r.shape == (m, m)
         assert sorted(sq.perm) == list(range(m))
@@ -938,26 +968,33 @@ def test_robust_plan_rotates_onto_the_sorted_whitened_channel():
 
 
 @pytest.mark.parametrize("shape", [(16, 4), (64, 16)])
-def test_robust_plan_is_one_sorted_qr_of_the_whitened_channel(monkeypatch, shape):
-    # sq is sorted_qr(w h_hat) field by field, rotate is sq.q' w exactly,
-    # and the plan runs one LAPACK QR, the sorted QR's own
+def test_robust_plan_is_one_sorted_qr_of_the_whitened_channel(qam16, monkeypatch, shape):
+    # the robust detector searches sorted_qr(w h_hat), w = inv_sqrt(r_uu),
+    # on the rows y @ (sq.q' w).T exactly, and its plan runs one LAPACK QR,
+    # the sorted QR's own
     n_rx, n_users = shape
     rng = np.random.default_rng(89)
-    qrs = []
+    qrs, searches = [], []
     lapack_qr = np.linalg.qr
     monkeypatch.setattr(np.linalg, "qr", lambda a: qrs.append(a.shape) or lapack_qr(a))
+    search = det.sr_kbest_detect
+    monkeypatch.setattr(
+        bench, "sr_kbest_detect", lambda *a, **k: searches.append(a) or search(*a, **k)
+    )
     for _ in range(10):
         h = crandn(rng, n_rx, n_users)
         g = crandn(rng, n_rx, 2)
         r_uu = g @ g.conj().T + rng.uniform(0.01, 1.0) * np.eye(n_rx)
+        y = crandn(rng, 3, n_rx)
         qrs.clear()
-        rotate, sq = det.robust_plan(h, r_uu)
+        searches.clear()
+        robust_detect(h, r_uu, y, qam16, coded=False)
         assert qrs == [(n_rx, n_users)]
         w = inv_sqrt(r_uu)
         ref = sorted_qr(w @ h)
-        assert np.array_equal(sq.perm, ref.perm)
-        assert np.array_equal(sq.q, ref.q) and np.array_equal(sq.r, ref.r)
-        assert np.array_equal(rotate, sq.q.conj().T @ w)
+        ((r, y_tilde, *_),) = searches
+        assert np.array_equal(r, ref.r)
+        assert np.array_equal(y_tilde, y @ (ref.q.conj().T @ w).T)
 
 
 def test_whitening_few_samples_at_default_loading(qam16):
@@ -971,7 +1008,7 @@ def test_whitening_few_samples_at_default_loading(qam16):
         w = inv_sqrt(r_uu)
         assert np.linalg.norm(w @ r_uu @ w.conj().T - np.eye(n)) <= 1e-6
         h = crandn(rng, n, 4)
-        rotate, sq = det.robust_plan(h, r_uu)
+        rotate, sq = whitened_plan(h, r_uu)
         h1 = w @ h
         assert np.allclose(rotate @ h[:, sq.perm], sq.r, rtol=0, atol=1e-8 * np.linalg.norm(h1))
         idx = rng.integers(0, 16, (3, 4))
