@@ -16,6 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (
+    ConfigValidationError,
     DimensionMismatchError,
     EmptySampleSetError,
     InsufficientPilotsError,
@@ -132,7 +133,12 @@ def build_constellation(kind: str) -> Constellation:
 
 @dataclass(frozen=True)
 class ChannelConfig:
-    """Dimensions and statistics of the synthetic uplink channel."""
+    """Dimensions and statistics of the synthetic uplink channel.
+
+    The one check of these ranges: a value outside its range raises
+    :class:`~mudet.errors.ConfigValidationError` naming its field
+    (``n_users`` for ``n_rx >= n_users >= 1``), and
+    :class:`~mudet.bench.ScenarioConfig` builds one to check its own."""
 
     n_rx: int
     n_users: int
@@ -142,13 +148,13 @@ class ChannelConfig:
 
     def __post_init__(self):
         if self.n_users < 1 or self.n_rx < self.n_users:
-            raise ValueError("need n_rx >= n_users >= 1")
+            raise ConfigValidationError("n_users", "need n_rx >= n_users >= 1")
         if self.n_interferers < 0:
-            raise ValueError("n_interferers must be >= 0")
+            raise ConfigValidationError("n_interferers", "must be >= 0")
         if not 0.0 <= self.rx_correlation < 1.0:
-            raise ValueError("rx_correlation must be in [0, 1)")
+            raise ConfigValidationError("rx_correlation", "must be in [0, 1)")
         if not 0.0 < self.interferer_power_ratio < np.inf:
-            raise ValueError("interferer_power_ratio must be finite and > 0")
+            raise ConfigValidationError("interferer_power_ratio", "must be finite and > 0")
 
 
 @dataclass(frozen=True)

@@ -15,10 +15,10 @@ bit hypothesis in a list stays finite for the decoder.
 
 Batching: the tree searches (:func:`osic_detect`, :func:`kbest_detect`,
 :func:`sr_kbest_detect`) take a ``(B, ...)`` block of received vectors
-that share one channel factorization, and nothing else: a 1-D input
-raises ``ValueError`` (one vector is the block ``y[None]``). Every output
-carries the leading ``B`` axis. :func:`whiten` and :func:`build_extended`
-take no received vectors. Given its rotated input ``y_tilde``, every row
+that share one channel factorization, and nothing else: a 1-D, empty or
+non-finite input raises ``ValueError`` (one vector is the block
+``y[None]``). Every output carries the leading ``B`` axis. :func:`whiten`
+and :func:`build_extended` take no received vectors. Given its rotated input ``y_tilde``, every row
 is searched exactly as it would be alone: each
 selection along the last axis returns what a stable sort of that row
 would, so ties resolve the same way at any batch size. Every selection of a search (the per-parent ranking of
@@ -220,27 +220,19 @@ def linear_weights(hw) -> np.ndarray:
 # tree-search detectors
 
 
-def _rows(y, width: int, name: str) -> np.ndarray:
-    """``y`` as a validated ``(B, width)`` complex block; one vector is ``y[None]``."""
-    arr = np.asarray(y, dtype=complex)
-    if arr.ndim != 2:
-        raise ValueError(f"{name} must be a (B, {width}) block, got ndim={arr.ndim}")
-    if arr.shape[1] != width:
-        raise DimensionMismatchError(f"{name} rows must have length {width}")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} contains non-finite entries")
-    return arr
-
-
 def _triangular_system(r, y_tilde):
-    """Validated ``(r, y_tilde rows)`` of an upper-triangular search."""
+    """Validated ``(r, y_tilde)`` of an upper-triangular search: ``y_tilde``
+    is a ``(B, m)`` block; one vector is ``y_tilde[None]``."""
     r = as_complex_matrix(r, "r")
     m = r.shape[0]
     if r.shape[1] != m:
         raise DimensionMismatchError("r must be m x m and y_tilde length m")
     if r.diagonal().imag.any():  # the per-axis distances of _layer_increments need it
         raise ValueError("r must have a real diagonal")
-    return r, _rows(y_tilde, m, "y_tilde")
+    y_tilde = as_complex_matrix(y_tilde, "y_tilde")
+    if y_tilde.shape[1] != m:
+        raise DimensionMismatchError(f"y_tilde rows must have length {m}")
+    return r, y_tilde
 
 
 def build_extended(hw) -> SortedQR:
@@ -434,7 +426,7 @@ def _sr_step(r, y_tilde, layer, symbols, metrics, cons, params):
 
 
 def sr_kbest_detect(
-    r, y_tilde, params: SrKBestParams, cons: Constellation, best_only: bool = False
+    r, y_tilde, params: SrKBestParams, cons: Constellation, *, best_only: bool = False
 ) -> CandidateList:
     """Sorting-reduced K-best search.
 

@@ -29,10 +29,8 @@ _CONSTRUCTION_RETRIES = 32
 @dataclass(frozen=True)
 class LdpcCode:
     """Immutable (288, 144) code: parity matrix, systematic encoder tables,
-    and the edge tables the decoder reads.
-
-    ``column_order[j]`` records which column of the originally sampled
-    matrix sits at position ``j``; positions ``0..143`` carry the message.
+    and the edge tables the decoder reads. Columns ``0..143`` of ``parity``
+    carry the message.
 
     Edges are numbered slot-major: edge ``s * 144 + c`` is the ``s``-th
     edge of check ``c``, counting its variables in ascending order.
@@ -42,7 +40,6 @@ class LdpcCode:
 
     parity: np.ndarray
     parity_solver: np.ndarray
-    column_order: np.ndarray
     check_vars: np.ndarray
     var_edges: np.ndarray
 
@@ -136,8 +133,7 @@ def build_code(seed: int = 0) -> LdpcCode:
         # so its rows in ascending pivot order give parity = solver @ message
         by_column = np.argsort(pivots)
         message_cols = np.delete(np.arange(N_BITS), pivots)  # setdiff1d imports numpy.ma
-        column_order = np.concatenate([message_cols, pivots[by_column]])
-        parity = h[:, column_order]
+        parity = h[:, np.concatenate([message_cols, pivots[by_column]])]
         parity_solver = reduced[np.ix_(by_column, message_cols)]
         # np.nonzero walks check by check, variables ascending within each
         edge_check, edge_var = np.nonzero(parity)
@@ -146,7 +142,6 @@ def build_code(seed: int = 0) -> LdpcCode:
         return LdpcCode(
             parity=parity,
             parity_solver=parity_solver,
-            column_order=column_order,
             check_vars=edge_var.reshape(K_BITS, ROW_WEIGHT).T.copy(),
             var_edges=slot_major[by_var].reshape(N_BITS, COL_WEIGHT).T.copy(),
         )

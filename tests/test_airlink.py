@@ -13,6 +13,7 @@ from mudet.airlink import (
     rx_correlation_root,
 )
 from mudet.errors import (
+    ConfigValidationError,
     DimensionMismatchError,
     EmptySampleSetError,
     InsufficientPilotsError,
@@ -149,11 +150,24 @@ def test_interferer_power_scaling():
     assert abs(pwr - 4.0) < 0.2
 
 
-def test_channel_config_validation():
-    with pytest.raises(ValueError):
-        ChannelConfig(n_rx=2, n_users=4)
-    with pytest.raises(ValueError):
-        ChannelConfig(n_rx=4, n_users=2, rx_correlation=1.0)
+@pytest.mark.parametrize(
+    "fields, key",
+    [
+        ({"n_rx": 2, "n_users": 4}, "n_users"),
+        ({"n_rx": 4, "n_users": 0}, "n_users"),
+        ({"n_rx": 4, "n_users": 2, "n_interferers": -1}, "n_interferers"),
+        ({"n_rx": 4, "n_users": 2, "rx_correlation": 1.0}, "rx_correlation"),
+        ({"n_rx": 4, "n_users": 2, "rx_correlation": -0.1}, "rx_correlation"),
+        ({"n_rx": 4, "n_users": 2, "interferer_power_ratio": 0.0}, "interferer_power_ratio"),
+    ],
+    ids=["n_rx-below-n_users", "no-users", "n_interferers", "rx_correlation-1",
+         "rx_correlation-negative", "interferer_power_ratio"],
+)
+def test_channel_config_validation(fields, key):
+    # the one check of each channel range; ScenarioConfig reports it as its own
+    with pytest.raises(ConfigValidationError) as err:
+        ChannelConfig(**fields)
+    assert err.value.key == key
 
 
 @pytest.mark.parametrize("ratio", [0.0, -1.0, np.nan, np.inf])

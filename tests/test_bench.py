@@ -64,9 +64,12 @@ def test_parse_error_carries_line_number():
 
 
 # configs that would otherwise pass validation and abort the first trial (or,
-# naming a detector twice, run each of its cells twice)
+# naming a detector or an SNR twice, run each of its cells twice)
 OUT_OF_RANGE_CONFIGS = [
     ("detectors = mrc,mmse-irc,mrc\n", "detectors"),
+    ("n_rx = 2\nn_users = 4\n", "n_users"),
+    ("n_interferers = -1\n", "n_interferers"),
+    ("rx_correlation = 1\n", "rx_correlation"),
     ("n_interferers = 1\ninterferer_power_ratio = nan\n", "interferer_power_ratio"),
     ("n_interferers = 1\ninterferer_power_ratio = inf\n", "interferer_power_ratio"),
     ("n_interferers = 1\ninterferer_power_ratio = 1e20\nsnr_db = 10\n", "interferer_power_ratio"),
@@ -76,6 +79,9 @@ OUT_OF_RANGE_CONFIGS = [
     ("snr_db = -4000\n", "snr_db"),
     ("snr_db = -3076\n", "snr_db"),
     ("snr_db = -3070\n", "snr_db"),
+    ("snr_db = 4,4\n", "snr_db"),
+    ("snr_db = 8,4,8\n", "snr_db"),
+    ("snr_db = -0,0\n", "snr_db"),
     ("master_seed = -1\n", "master_seed"),
     (f"master_seed = {2**64}\n", "master_seed"),
 ]
@@ -233,6 +239,8 @@ def test_snr_spec_forms():
         with pytest.raises(ValueError):
             bench.parse_snr_spec(spec)
     assert len(bench.parse_snr_spec(f"0:{bench.MAX_SNR_POINTS - 1}:1")) == bench.MAX_SNR_POINTS
+    # a repeated value is kept for ScenarioConfig to reject
+    assert bench.parse_snr_spec("8,4,8") == (4.0, 8.0, 8.0)
 
 
 def test_qpsk_alone_runs_with_default_search_widths():
@@ -1246,6 +1254,9 @@ def test_cli_invalid_config_is_config_error(tmp_path, capsys):
     rc = cli_main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv"),
                    "--snr", "0:inf:1"])
     assert rc == 1 and "config error:" in capsys.readouterr().err
+    rc = cli_main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o.csv"),
+                   "--snr", "4,4"])
+    assert rc == 1 and "snr_db: an SNR is named twice" in capsys.readouterr().err
 
 
 def test_sr_expand_is_an_unknown_key(tmp_path):

@@ -272,6 +272,14 @@ def test_kbest_takes_best_only_by_keyword(qam16):
         det.kbest_detect(r, np.zeros((1, 2), dtype=complex), 16, qam16, expand=4)
 
 
+def test_sr_kbest_takes_best_only_by_keyword(qam16):
+    # as in kbest_detect, a positional True must not turn on best_only
+    r = np.eye(2, dtype=complex)
+    params = det.SrKBestParams.default_16_4()
+    with pytest.raises(TypeError):
+        det.sr_kbest_detect(r, np.zeros((1, 2), dtype=complex), params, qam16, True)
+
+
 def _smallest_input(family, shape, rng):
     """Non-negative metrics of one family that stresses the packed keys."""
     if family == "random":
@@ -836,10 +844,21 @@ def test_entry_points_take_blocks_only(qam16, name):
         "kbest_detect": (lambda v: listed(det.kbest_detect(r, v, 4, qam16)), 3),
         "sr_kbest_detect": (lambda v: listed(det.sr_kbest_detect(r, v, params, qam16)), 3),
     }[name]
-    with pytest.raises(ValueError, match=rf"\(B, {width}\) block, got ndim=1"):
+    with pytest.raises(ValueError, match="y_tilde must be 2-D, got ndim=1"):
         call(y[:width])
     for out in call(y[None, :width]):
         assert isinstance(out, np.ndarray) and out.shape[0] == 1
+    # as_complex_matrix checks every search's rows: an empty block raises
+    # as an empty y_block does in bench._detect_uses
+    non_finite = np.zeros((2, width), dtype=complex)
+    non_finite[1, -1] = np.nan
+    for bad, error, message in [
+        (non_finite, ValueError, "non-finite"),
+        (np.zeros((0, width), dtype=complex), ValueError, "at least one row"),
+        (np.zeros((2, width + 1), dtype=complex), DimensionMismatchError, f"length {width}"),
+    ]:
+        with pytest.raises(error, match=message):
+            call(bad)
 
 
 def test_batched_apply_and_llrs_equal_row_by_row(qam16):

@@ -1,4 +1,5 @@
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -34,6 +35,30 @@ def test_unused_import_is_caught():
     source = "from .numkit import as_complex_matrix, cholesky\n\ncholesky(1)\n"
     assert unused_imports(source) == [(1, "as_complex_matrix")]
     assert unused_imports("import numpy as np\n__all__ = ['np']\n") == []
+
+
+def foreign_imports(source: str) -> list:
+    """Top-level packages a module imports that are not numpy, mudet or the
+    standard library: CI installs ``mudet`` with numpy alone."""
+    allowed = {"numpy", "mudet"} | set(sys.stdlib_module_names)
+    tops = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            tops += [(node.lineno, alias.name.split(".")[0]) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:  # relative is mudet
+            tops.append((node.lineno, node.module.split(".")[0]))
+    return sorted((line, top) for line, top in tops if top not in allowed)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_imports_only_numpy_and_the_standard_library(path):
+    assert foreign_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_foreign_import_is_caught():
+    source = "import math\nimport scipy.linalg\nfrom numpy.linalg import qr\nfrom . import fec\n"
+    assert foreign_imports(source) == [(2, "scipy")]
+    assert foreign_imports("from scipy import linalg\n") == [(1, "scipy")]
 
 
 def names_read(source: str) -> set:
