@@ -584,7 +584,8 @@ def run_scenario(cfg: ScenarioConfig) -> list[BerRecord]:
     any execution order produces identical records.
     """
     code = fec.build_code(seed=_LDPC_CODE_SEED) if cfg.coded else None
-    snr_grid = tuple(sorted(cfg.snr_grid_db))
+    # adding 0.0 turns -0.0 into 0.0, so a record never prints as -0
+    snr_grid = tuple(sorted(s + 0.0 for s in cfg.snr_grid_db))
     records = []
     for det_name in cfg.detectors:
         det_index = DETECTOR_NAMES.index(det_name)

@@ -3,7 +3,8 @@
 ``mudet simulate --config scenario.cfg --out results.csv`` runs a BER
 sweep and writes the CSV (and optionally plot-friendly blocks). Flags
 override the corresponding config keys. Exit codes: 0 success, 1 config
-error, 2 runtime error (an unwritable output path exits before the sweep).
+error, 2 runtime error (an unwritable output path, or ``--plot`` naming the
+``--out`` file, exits before the sweep).
 """
 
 import argparse
@@ -73,6 +74,8 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     try:
+        if args.plot and Path(args.plot).resolve() == Path(args.out).resolve():
+            raise ValueError(f"--plot and --out name the same file: {args.out}")
         for path in filter(None, (args.out, args.plot)):
             _check_writable(path)
         records = run_scenario(cfg)

@@ -59,26 +59,37 @@ def _sample_regular_parity(rng: np.random.Generator) -> np.ndarray | None:
     do not close a 4-cycle (a check pair already shared by an earlier
     column). Returns None when the degree constraints wedge, so the caller
     can retry.
+
+    Sets of checks are Python ints, bit ``c`` standing for check ``c``:
+    ``by_deg[d]`` holds the checks of degree ``d``, and ``shared[c]`` the
+    checks that already share a column with ``c``. Each pick draws a rank
+    into its pool and takes the check of that rank in ascending order.
     """
-    h = np.zeros((K_BITS, N_BITS), dtype=np.uint8)
-    row_deg = np.zeros(K_BITS, dtype=int)
-    pair_used = np.zeros((K_BITS, K_BITS), dtype=bool)
-    for col in range(N_BITS):
-        chosen: list[int] = []
+    row_deg = [0] * K_BITS
+    by_deg = [(1 << K_BITS) - 1] + [0] * (ROW_WEIGHT - 1)
+    shared = [0] * K_BITS
+    rows: list[int] = []
+    for _ in range(N_BITS):
+        taken = forbid = 0
         for _ in range(COL_WEIGHT):
-            open_rows = row_deg < ROW_WEIGHT
-            open_rows[chosen] = False
-            if not open_rows.any():
+            cand = next((s & ~taken for s in by_deg if s & ~taken), 0)
+            if not cand:
                 return None
-            min_deg = row_deg[open_rows].min()
-            cand = np.flatnonzero(open_rows & (row_deg == min_deg))
-            safe = cand[~pair_used[chosen][:, cand].any(axis=0)]
-            pool = safe if safe.size else cand
-            pick = int(pool[rng.integers(pool.size)])
-            chosen.append(pick)
-        pair_used[np.ix_(chosen, chosen)] = True
-        h[chosen, col] = 1
-        row_deg[chosen] += 1
+            pool = cand & ~forbid or cand
+            for _ in range(rng.integers(pool.bit_count())):
+                pool &= pool - 1  # drop the lowest check
+            pick = (pool & -pool).bit_length() - 1
+            taken |= 1 << pick
+            forbid |= shared[pick]
+            rows.append(pick)
+        for c in rows[-COL_WEIGHT:]:
+            shared[c] |= taken
+            by_deg[row_deg[c]] ^= 1 << c
+            row_deg[c] += 1
+            if row_deg[c] < ROW_WEIGHT:
+                by_deg[row_deg[c]] |= 1 << c
+    h = np.zeros((K_BITS, N_BITS), dtype=np.uint8)
+    h[rows, np.repeat(np.arange(N_BITS), COL_WEIGHT)] = 1
     return h
 
 

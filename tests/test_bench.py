@@ -1303,6 +1303,42 @@ def test_cli_runtime_error_exit_code(tmp_path, monkeypatch):
     assert out.read_text() == "earlier results\n"
 
 
+def test_cli_plot_naming_the_out_file_exits_before_the_sweep(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(CLI_CFG)
+    out = tmp_path / "kept.csv"
+    out.write_text("earlier results\n")
+    calls = []
+    monkeypatch.setattr("mudet.cli.run_scenario", lambda cfg: calls.append(cfg) or [])
+    monkeypatch.chdir(tmp_path)
+    # the same file by another spelling is caught too
+    for plot in (str(out), "kept.csv", str(tmp_path / "." / "kept.csv")):
+        capsys.readouterr()
+        assert cli_main(["simulate", "--config", str(cfg), "--out", str(out), "--plot", plot]) == 2
+        err = capsys.readouterr().err
+        assert "--plot" in err and "--out" in err
+        assert calls == []
+        assert out.read_text() == "earlier results\n"
+
+
+def test_negative_zero_snr_writes_the_files_of_zero(tmp_path):
+    text = "snr_db = {}\ntrials_per_point = 1\nsymbols_per_trial = 4\ndetectors = mrc\n"
+    written = {}
+    for spelling in ("-0", "0"):
+        cfg = tmp_path / f"{spelling}.cfg"
+        cfg.write_text(text.format(spelling))
+        out, plot = tmp_path / f"{spelling}.csv", tmp_path / f"{spelling}.dat"
+        assert cli_main(["simulate", "--config", str(cfg), "--out", str(out),
+                         "--plot", str(plot)]) == 0
+        written[spelling] = out.read_bytes(), plot.read_bytes()
+    assert written["-0"] == written["0"]
+    assert b"\nmrc,0,1," in written["0"][0] and b"\n0 " in written["0"][1]
+    # a config built without the SNR parser gets the same records
+    cfg = bench.parse_config(text.format("0"))
+    signed = dataclasses.replace(cfg, snr_grid_db=(-0.0,))
+    assert csv_bytes(bench.run_scenario(signed)) == written["0"][0]
+
+
 def test_cli_entry_point_runs(tmp_path):
     cfg = tmp_path / "s.cfg"
     cfg.write_text("snr_db = 8\ntrials_per_point = 1\nsymbols_per_trial = 2\ndetectors = mrc\n")

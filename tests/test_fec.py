@@ -42,6 +42,80 @@ def test_construction_frozen(seed):
     assert digest == CODE_DIGESTS[seed]
 
 
+# SHA-256 of the encoder and decoder tables per seed, recorded from the
+# numpy sampler kept below as ``_sample_regular_parity_before``
+TABLE_DIGESTS = {
+    0: {
+        "parity_solver": "63561263d4d31a988f6891f8726d553ce6cb1495f3fae416a42e88cfd220f884",
+        "check_vars": "d96fc824bbce054f4d2f2807358e952a51a40898b3a62dc921ce0385db9e148e",
+        "var_edges": "6630dd80065fac41e1408f8ccc4df6e2e6d01110ca8ecc49644c837cfedbd88c",
+    },
+    1: {
+        "parity_solver": "9261a7d166c78222398e22e93780a95cc57898289460b5e4724785a18fbf3356",
+        "check_vars": "ba40dcf38875158aa5fc36cf2083a0f3d820cbd5a122ffbda4ecf59472327160",
+        "var_edges": "90343fc14e01427844137a0fe72ba1c9078181e0c5ca5728cefd5fd40efacecc",
+    },
+    2: {
+        "parity_solver": "cf4185b822eae39fb4095ad6dd60633e96f881c6091b503a38dc7a3c870ae6ed",
+        "check_vars": "9434a2bf99e3609af79ea53edd22ac1ebeb7762d6487b5849aaa785c04a6a157",
+        "var_edges": "0724185d0dd91f8b16ee6bee4a47649f76ad2a235b4997a0b93f7d1bbc0a7ff2",
+    },
+    3: {
+        "parity_solver": "ef8654fba54c884f9e80993b5236be37abe4ff05a63895a697ec41da1bcbd303",
+        "check_vars": "67f63597c7dd33a8ac30da8fe1a9cdfefe8c8e9a22d1f6b0b23600dd3ae09cdb",
+        "var_edges": "277e60fc5ab430340d76a38ede0e22608044ccfa444034990a8db26ead5a08b7",
+    },
+}
+TABLE_DTYPES = {"parity_solver": np.uint8, "check_vars": np.int64, "var_edges": np.int64}
+
+
+@pytest.mark.parametrize("seed", sorted(TABLE_DIGESTS))
+def test_code_tables_frozen(seed):
+    c = fec.build_code(seed=seed)
+    for name, dtype in TABLE_DTYPES.items():
+        digest = hashlib.sha256(getattr(c, name).astype(dtype).tobytes()).hexdigest()
+        assert digest == TABLE_DIGESTS[seed][name], name
+
+
+def _sample_regular_parity_before(rng):
+    """``_sample_regular_parity`` as it was before it kept its check sets as
+    integer bitsets: numpy degree counts and a check-pair matrix."""
+    h = np.zeros((fec.K_BITS, fec.N_BITS), dtype=np.uint8)
+    row_deg = np.zeros(fec.K_BITS, dtype=int)
+    pair_used = np.zeros((fec.K_BITS, fec.K_BITS), dtype=bool)
+    for col in range(fec.N_BITS):
+        chosen: list[int] = []
+        for _ in range(fec.COL_WEIGHT):
+            open_rows = row_deg < fec.ROW_WEIGHT
+            open_rows[chosen] = False
+            if not open_rows.any():
+                return None
+            min_deg = row_deg[open_rows].min()
+            cand = np.flatnonzero(open_rows & (row_deg == min_deg))
+            safe = cand[~pair_used[chosen][:, cand].any(axis=0)]
+            pool = safe if safe.size else cand
+            pick = int(pool[rng.integers(pool.size)])
+            chosen.append(pick)
+        pair_used[np.ix_(chosen, chosen)] = True
+        h[chosen, col] = 1
+        row_deg[chosen] += 1
+    return h
+
+
+@pytest.mark.parametrize("k_bits, n_bits", [(144, 288), (6, 12), (12, 24)])
+def test_sampler_bit_identical_to_before(k_bits, n_bits, monkeypatch):
+    monkeypatch.setattr(fec, "K_BITS", k_bits)
+    monkeypatch.setattr(fec, "N_BITS", n_bits)
+    for seed in range(50):
+        for attempt in range(3):
+            ref = _sample_regular_parity_before(np.random.default_rng([seed, attempt]))
+            got = fec._sample_regular_parity(np.random.default_rng([seed, attempt]))
+            if ref is None:
+                assert got is None
+            else:
+                assert got.dtype == ref.dtype and np.array_equal(got, ref), (seed, attempt)
+
+
 def test_edge_tables_match_parity(code):
     # every check lists its variables in ascending order, one per slot
     for c in range(code.parity.shape[0]):
